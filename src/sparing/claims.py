@@ -11,45 +11,16 @@ contested are encoded exactly as stated so the solver can adjudicate them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Mapping
 
 from .errors import DomainError, MissingGraph
-from .families import FamilySpec, LabeledGraph, generate
+from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, generate
 from .graphs import Graph, iter_bits, subdivide_edges, shadow, triangles_through
 from .labels import mono_edges, sumset, verify_weak
 from .solver import solve_and_certify, sparing_exact
 
 Params = Mapping[str, object]
-
-
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    family: str
-    statement: str
-    param_order: tuple[str, ...]
-    needs_graph: bool = False
-
-    def check_domain(self, params: Params) -> None:
-        _DOMAIN[self.id](params)
-
-    def instance(self, params: Params) -> LabeledGraph:
-        """The labeled graph whose exact sparing number the claim predicts."""
-        self.check_domain(params)
-        return _INSTANCE[self.id](params)
-
-
-@dataclass(frozen=True)
-class ClaimVerdict:
-    claim_id: str
-    params: dict
-    predicted: int
-    exact: int
-    verdict: str  # MATCH | MISMATCH
-    witness_size: int
-    mono_count: int
-    runtime_ms: int
 
 
 def _as_int(params: Params, key: str, claim: str) -> int:
@@ -70,117 +41,148 @@ def _as_int_list(params: Params, key: str, claim: str) -> list[int]:
     return list(value)
 
 
-def _as_base(params: Params, claim: str) -> FamilySpec:
-    base = params.get("base")
+def _as_base(params: Params, key: str, claim: str) -> FamilySpec:
+    base = params.get(key)
     if not isinstance(base, FamilySpec):
-        raise DomainError(f"{claim} requires a 'base' FamilySpec parameter")
+        raise DomainError(f"{claim} requires a '{key}' FamilySpec parameter")
     return base
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
+def _as_mode(params: Params, key: str, claim: str) -> str:
+    if params.get(key) not in ("fresh", "induced"):
+        raise DomainError(f"{claim} requires {key} in {{fresh, induced}}")
+    return params[key]
 
 
-def _domain_c12(p: Params) -> None:
-    _as_base(p, "C12")
+class _Point(dict):
+    """A claim's parameters after its type and range checks.
+
+    Made only by ``Claim._point`` and never handed out, so the public entry
+    points that check_claim calls do not check the same point again.
+    """
 
 
-def _domain_c13(p: Params) -> None:
-    _as_base(p, "C13")
-    _require(p.get("mode") in ("fresh", "induced"), "C13 requires mode in {fresh, induced}")
+# the type check of each claim parameter, by name; any other name is an integer
+_PARAM_TYPES = {"cliques": _as_int_list, "cycles": _as_int_list, "base": _as_base, "mode": _as_mode}
 
 
-# --- domains ---------------------------------------------------------------
-
-_DOMAIN: dict[str, Callable[[Params], None]] = {
-    "C1": lambda p: _require(_as_int(p, "n", "C1") >= 1, "C1 requires n >= 1"),
-    "C2": lambda p: _require(
-        _as_int(p, "n", "C2") >= 3 and p["n"] % 2 == 1, "C2 requires odd n >= 3"
-    ),
-    "C3": lambda p: _require(
-        _as_int(p, "a", "C3") >= 1 and _as_int(p, "b", "C3") >= 1,
-        "C3 requires a >= 1 and b >= 1",
-    ),
-    "C4": lambda p: _require(_as_int(p, "n", "C4") >= 3, "C4 requires n >= 3"),
-    "C5": lambda p: _require(
-        _as_int(p, "r", "C5") >= 1 and _as_int(p, "s", "C5") >= 1,
-        "C5 requires r >= 1 and s >= 1",
-    ),
-    "C6": lambda p: _require(
-        _as_int(p, "r", "C6") >= 1 and _as_int(p, "s", "C6") >= 1,
-        "C6 requires r >= 1 and s >= 1",
-    ),
-    "C7": lambda p: _require(
-        all(_as_int(p, k, "C7") >= 1 for k in ("x", "y", "z")),
-        "C7 requires x, y, z >= 1",
-    ),
-    "C8": lambda p: _require(
-        all(_as_int(p, k, "C8") >= 1 for k in ("a", "b", "c")),
-        "C8 requires a, b, c >= 1",
-    ),
-    "C9": lambda p: _require(
-        all(isinstance(s, int) and s >= 2 for s in _as_int_list(p, "cliques", "C9")),
-        "C9 requires all clique sizes >= 2",
-    ),
-    "C10": lambda p: _require(
-        _as_int(p, "n", "C10") >= 2 and _as_int(p, "r", "C10") >= 2,
-        "C10 requires n >= 2 and r >= 2",
-    ),
-    "C11": lambda p: _require(_as_int(p, "r", "C11") >= 2, "C11 requires r >= 2"),
-    "C12": _domain_c12,
-    "C13": _domain_c13,
-    "C14": lambda p: _require(
-        all(isinstance(l, int) and l >= 3 for l in _as_int_list(p, "cycles", "C14")),
-        "C14 requires all cycle lengths >= 3",
-    ),
-    "C15": lambda p: _require(_as_int(p, "m", "C15") >= 3, "C15 requires m >= 3"),
-    "C16": lambda p: _require(
-        _as_int(p, "m", "C16") >= 3 and _as_int(p, "n", "C16") >= 2,
-        "C16 requires m >= 3 and n >= 2",
-    ),
-}
+def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
+    """The claim's family at ``p``; a family that takes one list (``parts``)
+    gets the claim's parameters as that list, in param_order."""
+    order = FAMILY_PARAMS[claim.family]
+    if order == claim.param_order:
+        params = dict(p)
+    else:
+        (key,) = order
+        params = {key: [p[k] for k in claim.param_order]}
+    return generate(FamilySpec(claim.family, params))
 
 
-# --- instances -------------------------------------------------------------
+def _solve_instance(p: Params, lg: LabeledGraph, threads: int | None) -> tuple[int, int, int]:
+    result = sparing_exact(lg.graph, threads=threads)
+    return result.value, len(result.witness), len(result.mono)
 
 
-def _maximal_subdivision(base: FamilySpec) -> Graph:
-    """Subdivide every mono edge of the base graph's certified optimal labeling."""
-    lg = generate(base)
-    result, _ = solve_and_certify(lg.graph)
-    return subdivide_edges(lg.graph, result.mono)
+@dataclass(frozen=True)
+class Claim:
+    """One cataloged claim: what it is about, where it applies, what it predicts.
+
+    - ``id`` and ``statement`` name the claim in reports.
+    - ``family`` is the family the claim is about and the report's row family.
+    - ``param_order`` lists the parameters in report order. Each name decides
+      its type check: ``cliques`` and ``cycles`` are non-empty lists, ``base``
+      is a FamilySpec, ``mode`` is ``fresh`` or ``induced``, and any other
+      name is an integer.
+    - ``requires`` and ``in_domain`` are the domain's range condition, in
+      words for the DomainError and as a test of the type-checked parameters.
+    - ``predict`` gives the claimed value from the parameters and, when
+      ``needs_graph`` is set, from the instance too.
+    - ``build`` makes the instance; by default ``family`` at the parameters.
+    - ``exact`` gives the value, witness size and mono count the prediction
+      is compared with; by default the exact solver on the instance.
+    """
+
+    id: str
+    family: str
+    statement: str
+    param_order: tuple[str, ...]
+    needs_graph: bool = False
+    _: KW_ONLY
+    predict: Callable[[Params, LabeledGraph | None], int]
+    requires: str = ""
+    in_domain: Callable[[Params], bool] = lambda p: True
+    build: Callable[[Claim, Params], LabeledGraph] = _family_instance
+    exact: Callable[[Params, LabeledGraph, int | None], tuple[int, int, int]] = _solve_instance
+
+    def check_domain(self, params: Params) -> None:
+        self._point(params)
+
+    def instance(self, params: Params) -> LabeledGraph:
+        """The labeled graph whose exact sparing number the claim predicts."""
+        return self.build(self, self._point(params))
+
+    def _point(self, params: Params) -> _Point:
+        """The type-checked parameters in param_order; raises DomainError.
+
+        A point this method made is returned as it is.
+        """
+        if isinstance(params, _Point):
+            return params
+        point = _Point(
+            (key, _PARAM_TYPES.get(key, _as_int)(params, key, self.id)) for key in self.param_order
+        )
+        if not self.in_domain(point):
+            raise DomainError(f"{self.id} requires {self.requires}")
+        return point
 
 
-_INSTANCE: dict[str, Callable[[Params], LabeledGraph]] = {
-    "C1": lambda p: generate(FamilySpec("complete", {"n": p["n"]})),
-    "C2": lambda p: generate(FamilySpec("cycle", {"n": p["n"]})),
-    "C3": lambda p: generate(FamilySpec("complete_bipartite", {"parts": [p["a"], p["b"]]})),
-    "C4": lambda p: generate(FamilySpec("complete_sun", {"n": p["n"]})),
-    "C5": lambda p: generate(FamilySpec("complete_split", {"r": p["r"], "s": p["s"]})),
-    "C6": lambda p: generate(FamilySpec("complete_split", {"r": p["r"], "s": p["s"]})),
-    "C7": lambda p: generate(
-        FamilySpec("complete_bisplit", {"parts": [p["x"], p["y"], p["z"]]})
-    ),
-    "C8": lambda p: generate(
-        FamilySpec("complete_multipartite", {"parts": [p["a"], p["b"], p["c"]]})
-    ),
-    "C9": lambda p: generate(FamilySpec("block_chain", {"cliques": list(p["cliques"])})),
-    "C10": lambda p: generate(FamilySpec("windmill", {"n": p["n"], "r": p["r"]})),
-    "C11": lambda p: generate(FamilySpec("friendship", {"r": p["r"]})),
-    "C12": lambda p: LabeledGraph(
-        shadow(generate(_as_base(p, "C12")).graph), {}, FamilySpec("shadow", dict(p))
-    ),
-    "C13": lambda p: LabeledGraph(
-        _maximal_subdivision(_as_base(p, "C13")), {}, FamilySpec("max_subdivision", dict(p))
-    ),
-    "C14": lambda p: generate(FamilySpec("cactus_chain", {"cycles": list(p["cycles"])})),
-    "C15": lambda p: generate(FamilySpec("wheel", {"m": p["m"]})),
-    "C16": lambda p: generate(FamilySpec("cone", {"m": p["m"], "n": p["n"]})),
-}
+@dataclass(frozen=True)
+class ClaimVerdict:
+    claim_id: str
+    params: dict
+    predicted: int
+    exact: int
+    verdict: str  # MATCH | MISMATCH
+    witness_size: int
+    mono_count: int
+    runtime_ms: int
 
 
-# --- predicted values ------------------------------------------------------
+def _subdivide_mono(base: FamilySpec):
+    """The base graph, its certified optimal solve and labeling, and the base
+    with every mono edge of that labeling subdivided."""
+    g = generate(base).graph
+    result, labeling = solve_and_certify(g)
+    return g, result, labeling, subdivide_edges(g, result.mono)
+
+
+def _shadow(claim: Claim, p: Params) -> LabeledGraph:
+    return LabeledGraph(shadow(generate(p["base"]).graph), {}, FamilySpec(claim.family, dict(p)))
+
+
+def _maximal_subdivision(claim: Claim, p: Params) -> LabeledGraph:
+    return LabeledGraph(_subdivide_mono(p["base"])[-1], {}, FamilySpec(claim.family, dict(p)))
+
+
+def _exact_subdivision(p: Params, lg: LabeledGraph, threads: int | None) -> tuple[int, int, int]:
+    """The solver on the subdivided graph (``fresh``), or the mono count of the
+    labeling the subdivision inherits from its base (``induced``).
+
+    Each subdivided edge's fresh vertex takes over the edge's old sum set, so
+    both replacement edges come out mono.
+    """
+    if p["mode"] == "fresh":
+        return _solve_instance(p, lg, threads)
+    g, result, labeling, subdivided = _subdivide_mono(p["base"])
+    extended = dict(labeling)
+    for offset, (u, v) in enumerate(result.mono):
+        extended[g.n + offset] = sumset(labeling[u], labeling[v])
+    verdict = verify_weak(subdivided, extended)
+    if not verdict.ok:
+        raise AssertionError("inherited subdivision labeling failed verification")
+    mono = mono_edges(subdivided, extended)
+    non_singleton = sum(1 for lab in extended.values() if len(lab) > 1)
+    return len(mono), non_singleton, len(mono)
 
 
 def _min_clique_triangles(lg: LabeledGraph) -> int:
@@ -210,36 +212,47 @@ def _cross_paths_through_least_part(lg: LabeledGraph) -> int:
 
 
 def _blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Biconnected components as edge lists (standard low-link edge stack)."""
+    """Biconnected components as edge lists (standard low-link edge stack).
+
+    The depth-first search keeps its own stack of (vertex, parent, neighbour
+    iterator) frames, so a long path needs no Python recursion.
+    """
     disc = [0] * g.n
     low = [0] * g.n
-    counter = [1]
+    counter = 1
     stack: list[tuple[int, int]] = []
     blocks: list[list[tuple[int, int]]] = []
-
-    def dfs(u: int, parent: int) -> None:
-        disc[u] = low[u] = counter[0]
-        counter[0] += 1
-        for v in iter_bits(g.adjacency_mask(u)):
-            if disc[v] == 0:
-                stack.append((u, v))
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        frames = [(root, -1, iter_bits(g.adjacency_mask(root)))]
+        while frames:
+            u, parent, neighbours = frames[-1]
+            for v in neighbours:
+                if disc[v] == 0:
+                    stack.append((u, v))
+                    disc[v] = low[v] = counter
+                    counter += 1
+                    frames.append((v, u, iter_bits(g.adjacency_mask(v))))
+                    break
+                if v != parent and disc[v] < disc[u]:
+                    stack.append((u, v))
+                    low[u] = min(low[u], disc[v])
+            else:
+                frames.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
                     block = []
                     while True:
                         e = stack.pop()
                         block.append(e)
-                        if e == (u, v):
+                        if e == (parent, u):
                             break
                     blocks.append(block)
-            elif v != parent and disc[v] < disc[u]:
-                stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-
-    for root in range(g.n):
-        if disc[root] == 0:
-            dfs(root, -1)
     return blocks
 
 
@@ -253,34 +266,8 @@ def odd_cycle_block_count(g: Graph) -> int:
     return count
 
 
-def _phi_of_base(params: Params, claim: str) -> int:
-    return sparing_exact(generate(_as_base(params, claim)).graph).value
-
-
-_PREDICTED: dict[str, Callable[[Params, LabeledGraph | None], int]] = {
-    "C1": lambda p, lg: (p["n"] - 1) * (p["n"] - 2) // 2,
-    "C2": lambda p, lg: 1,
-    "C3": lambda p, lg: 0,
-    "C4": lambda p, lg: (p["n"] ** 2 - 3 * p["n"] + 6) // 2,
-    "C5": lambda p, lg: _min_clique_triangles(_need_graph(lg, "C5")),
-    "C6": lambda p, lg: p["r"] * (p["r"] - 1) // 2,
-    "C7": lambda p, lg: _cross_paths_through_least_part(_need_graph(lg, "C7")),
-    "C8": lambda p, lg: _product_of_two_smallest(p["a"], p["b"], p["c"]),
-    "C9": lambda p, lg: sum((s - 1) * (s - 2) // 2 for s in p["cliques"]),
-    "C10": lambda p, lg: p["r"] * (p["n"] - 1) * (p["n"] - 2) // 2,
-    "C11": lambda p, lg: p["r"],
-    "C12": lambda p, lg: 2 * _phi_of_base(p, "C12"),
-    "C13": lambda p, lg: 2 * _phi_of_base(p, "C13"),
-    "C14": lambda p, lg: odd_cycle_block_count(_need_graph(lg, "C14").graph),
-    "C15": lambda p, lg: p["m"] // 2,  # == ceil((m - 1) / 2)
-    "C16": lambda p, lg: p["m"],
-}
-
-
-def _need_graph(lg: LabeledGraph | None, claim: str) -> LabeledGraph:
-    if lg is None:
-        raise MissingGraph(f"{claim} is graph-dependent; pass its instance")
-    return lg
+def _twice_phi_of_base(p: Params, lg: LabeledGraph | None) -> int:
+    return 2 * sparing_exact(generate(p["base"]).graph).value
 
 
 def _product_of_two_smallest(a: int, b: int, c: int) -> int:
@@ -289,44 +276,57 @@ def _product_of_two_smallest(a: int, b: int, c: int) -> int:
 
 
 _CATALOG: tuple[Claim, ...] = (
-    Claim("C1", "complete", "phi(K_n) = (n-1)(n-2)/2", ("n",)),
-    Claim("C2", "cycle", "phi(C_n) = 1 for odd n", ("n",)),
-    Claim("C3", "complete_bipartite", "phi(K_{a,b}) = 0", ("a", "b")),
-    Claim("C4", "complete_sun", "phi(sun_n) = (n^2 - 3n + 6)/2", ("n",)),
-    Claim(
-        "C5",
-        "complete_split",
-        "phi(split) = fewest triangles through any one clique vertex",
-        ("r", "s"),
-        needs_graph=True,
-    ),
-    Claim("C6", "complete_split", "phi(K_S(r,s)) = r(r-1)/2", ("r", "s")),
-    Claim(
-        "C7",
-        "complete_bisplit",
-        "phi(bisplit) = cross paths of length 2 through the least part",
-        ("x", "y", "z"),
-        needs_graph=True,
-    ),
-    Claim(
-        "C8",
-        "complete_multipartite",
-        "phi(K_{a,b,c}) = product of the two smallest part sizes",
-        ("a", "b", "c"),
-    ),
-    Claim("C9", "block_chain", "phi(block graph) = sum (n_i-1)(n_i-2)/2", ("cliques",)),
-    Claim("C10", "windmill", "phi(W(n,r)) = r(n-1)(n-2)/2", ("n", "r")),
-    Claim("C11", "friendship", "phi(F_r) = r", ("r",)),
-    Claim("C12", "shadow", "phi(shadow(G)) = 2 phi(G)", ("base",)),
-    Claim(
-        "C13",
-        "max_subdivision",
-        "phi(maximal subdivision of G) = 2 phi(G)",
-        ("base", "mode"),
-    ),
-    Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles", ("cycles",), needs_graph=True),
-    Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)", ("m",)),
-    Claim("C16", "cone", "phi(cone(m,n)) = m for n >= 2", ("m", "n")),
+    Claim("C1", "complete", "phi(K_n) = (n-1)(n-2)/2", ("n",),
+          requires="n >= 1", in_domain=lambda p: p["n"] >= 1,
+          predict=lambda p, lg: (p["n"] - 1) * (p["n"] - 2) // 2),
+    Claim("C2", "cycle", "phi(C_n) = 1 for odd n", ("n",),
+          requires="odd n >= 3", in_domain=lambda p: p["n"] >= 3 and p["n"] % 2 == 1,
+          predict=lambda p, lg: 1),
+    Claim("C3", "complete_bipartite", "phi(K_{a,b}) = 0", ("a", "b"),
+          requires="a >= 1 and b >= 1", in_domain=lambda p: p["a"] >= 1 and p["b"] >= 1,
+          predict=lambda p, lg: 0),
+    Claim("C4", "complete_sun", "phi(sun_n) = (n^2 - 3n + 6)/2", ("n",),
+          requires="n >= 3", in_domain=lambda p: p["n"] >= 3,
+          predict=lambda p, lg: (p["n"] ** 2 - 3 * p["n"] + 6) // 2),
+    Claim("C5", "complete_split", "phi(split) = fewest triangles through any one clique vertex",
+          ("r", "s"), needs_graph=True,
+          requires="r >= 1 and s >= 1", in_domain=lambda p: p["r"] >= 1 and p["s"] >= 1,
+          predict=lambda p, lg: _min_clique_triangles(lg)),
+    Claim("C6", "complete_split", "phi(K_S(r,s)) = r(r-1)/2", ("r", "s"),
+          requires="r >= 1 and s >= 1", in_domain=lambda p: p["r"] >= 1 and p["s"] >= 1,
+          predict=lambda p, lg: p["r"] * (p["r"] - 1) // 2),
+    Claim("C7", "complete_bisplit", "phi(bisplit) = cross paths of length 2 through the least part",
+          ("x", "y", "z"), needs_graph=True,
+          requires="x, y, z >= 1", in_domain=lambda p: all(p[k] >= 1 for k in ("x", "y", "z")),
+          predict=lambda p, lg: _cross_paths_through_least_part(lg)),
+    Claim("C8", "complete_multipartite", "phi(K_{a,b,c}) = product of the two smallest part sizes",
+          ("a", "b", "c"),
+          requires="a, b, c >= 1", in_domain=lambda p: all(p[k] >= 1 for k in ("a", "b", "c")),
+          predict=lambda p, lg: _product_of_two_smallest(p["a"], p["b"], p["c"])),
+    Claim("C9", "block_chain", "phi(block graph) = sum (n_i-1)(n_i-2)/2", ("cliques",),
+          requires="all clique sizes >= 2",
+          in_domain=lambda p: all(isinstance(s, int) and s >= 2 for s in p["cliques"]),
+          predict=lambda p, lg: sum((s - 1) * (s - 2) // 2 for s in p["cliques"])),
+    Claim("C10", "windmill", "phi(W(n,r)) = r(n-1)(n-2)/2", ("n", "r"),
+          requires="n >= 2 and r >= 2", in_domain=lambda p: p["n"] >= 2 and p["r"] >= 2,
+          predict=lambda p, lg: p["r"] * (p["n"] - 1) * (p["n"] - 2) // 2),
+    Claim("C11", "friendship", "phi(F_r) = r", ("r",),
+          requires="r >= 2", in_domain=lambda p: p["r"] >= 2,
+          predict=lambda p, lg: p["r"]),
+    Claim("C12", "shadow", "phi(shadow(G)) = 2 phi(G)", ("base",),
+          predict=_twice_phi_of_base, build=_shadow),
+    Claim("C13", "max_subdivision", "phi(maximal subdivision of G) = 2 phi(G)", ("base", "mode"),
+          predict=_twice_phi_of_base, build=_maximal_subdivision, exact=_exact_subdivision),
+    Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles", ("cycles",),
+          needs_graph=True, requires="all cycle lengths >= 3",
+          in_domain=lambda p: all(isinstance(l, int) and l >= 3 for l in p["cycles"]),
+          predict=lambda p, lg: odd_cycle_block_count(lg.graph)),
+    Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)", ("m",),
+          requires="m >= 3", in_domain=lambda p: p["m"] >= 3,
+          predict=lambda p, lg: p["m"] // 2),  # == ceil((m - 1) / 2)
+    Claim("C16", "cone", "phi(cone(m,n)) = m for n >= 2", ("m", "n"),
+          requires="m >= 3 and n >= 2", in_domain=lambda p: p["m"] >= 3 and p["n"] >= 2,
+          predict=lambda p, lg: p["m"]),
 )
 
 
@@ -344,28 +344,10 @@ def claim_by_id(claim_id: str) -> Claim:
 
 def predicted_value(claim: Claim, params: Params, lg: LabeledGraph | None = None) -> int:
     """The claimed closed-form value at ``params`` (graph-dependent claims need ``lg``)."""
-    claim.check_domain(params)
-    return _PREDICTED[claim.id](params, lg)
-
-
-def _exact_induced_subdivision(base: FamilySpec) -> tuple[int, int, int]:
-    """Mono count of the labeling a maximal subdivision inherits from its base.
-
-    Each subdivided edge's fresh vertex takes over the edge's old sum set, so
-    both replacement edges come out mono.
-    """
-    lg = generate(base)
-    result, labeling = solve_and_certify(lg.graph)
-    subdivided = subdivide_edges(lg.graph, result.mono)
-    extended = dict(labeling)
-    for offset, (u, v) in enumerate(result.mono):
-        extended[lg.graph.n + offset] = sumset(labeling[u], labeling[v])
-    verdict = verify_weak(subdivided, extended)
-    if not verdict.ok:
-        raise AssertionError("inherited subdivision labeling failed verification")
-    mono = mono_edges(subdivided, extended)
-    non_singleton = sum(1 for lab in extended.values() if len(lab) > 1)
-    return len(mono), non_singleton, len(mono)
+    point = claim._point(params)
+    if claim.needs_graph and lg is None:
+        raise MissingGraph(f"{claim.id} is graph-dependent; pass its instance")
+    return claim.predict(point, lg)
 
 
 def check_claim(
@@ -375,17 +357,13 @@ def check_claim(
     threads: int | None = None,
 ) -> ClaimVerdict:
     """Compare the claim's predicted value against the exact solver on one instance."""
-    claim.check_domain(params)
+    point = claim._point(params)
     if lg is None:
-        lg = claim.instance(params)
+        lg = claim.instance(point)
     t0 = time.perf_counter()
-    if claim.id == "C13" and params.get("mode") == "induced":
-        exact, witness_size, mono_count = _exact_induced_subdivision(_as_base(params, "C13"))
-    else:
-        result = sparing_exact(lg.graph, threads=threads)
-        exact, witness_size, mono_count = result.value, len(result.witness), len(result.mono)
+    exact, witness_size, mono_count = claim.exact(point, lg, threads)
     runtime_ms = int((time.perf_counter() - t0) * 1000)
-    predicted = predicted_value(claim, params, lg if claim.needs_graph else None)
+    predicted = predicted_value(claim, point, lg)
     verdict = "MATCH" if predicted == exact else "MISMATCH"
     return ClaimVerdict(
         claim_id=claim.id,

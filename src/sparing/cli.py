@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     UnknownPartition,
 )
-from .families import FamilySpec, generate, random_graph
+from .families import FAMILY_PARAMS, FamilySpec, generate, random_graph
 from .graphs import Graph, read_graph, write_graph
 from .labels import FailureKind, mono_edges, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
@@ -46,24 +46,6 @@ SOLVE_MAX_VERTICES = 64
 class InputError(SparingError):
     """CLI-level bad input (exit 2)."""
 
-
-# flags each CLI-constructible family consumes, in documented order
-_FAMILY_FLAGS: dict[str, tuple[str, ...]] = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "complete_bipartite": ("parts",),
-    "complete_multipartite": ("parts",),
-    "complete_bisplit": ("parts",),
-    "complete_sun": ("n",),
-    "complete_split": ("r", "s"),
-    "block_chain": ("cliques",),
-    "windmill": ("n", "r"),
-    "friendship": ("r",),
-    "wheel": ("m",),
-    "cone": ("m", "n"),
-    "cactus_chain": ("cycles",),
-}
 
 _SCALAR_FLAGS = ("n", "r", "m", "s")
 _LIST_FLAGS = ("parts", "cliques", "cycles")
@@ -91,21 +73,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return [_parse_int(item, flag) for item in text.split(",") if item != ""]
 
 
-def _family_params(args, family: str, ranged: bool) -> list[dict]:
-    """Parameter dicts for ``family`` from the CLI flags; the cross product of
-    any ranges, in flag order with the last flag varying fastest."""
-    if family in ("split", "bisplit"):
-        raise InputError(
-            f"{family} needs an explicit adjacency list; build it via the library "
-            "or pass a graph file"
-        )
-    if family not in _FAMILY_FLAGS:
-        raise InputError(f"unknown family {family!r} (choose from {', '.join(sorted(_FAMILY_FLAGS))})")
+def _family_params(args, family: str, ranged: bool, owner: str) -> list[dict]:
+    """Parameter dicts for the registry family ``family`` from the CLI flags;
+    the cross product of any ranges, in flag order with the last flag varying
+    fastest. ``owner`` names what needs the flags in the missing-flag error."""
     dims: list[list[tuple[str, object]]] = []
-    for flag in _FAMILY_FLAGS[family]:
+    for flag in FAMILY_PARAMS[family]:
         raw = getattr(args, flag)
         if raw is None:
-            raise InputError(f"family {family} requires --{flag}")
+            raise InputError(f"{owner} requires --{flag}")
         if flag in _LIST_FLAGS:
             if ranged:
                 item_ranges = [_parse_range(item, flag) for item in raw.split(",") if item != ""]
@@ -129,7 +105,19 @@ def _product(dims: list[list]) -> list[tuple]:
 
 
 def _family_spec(args, ranged: bool = False) -> list[FamilySpec]:
-    return [FamilySpec(args.family, params) for params in _family_params(args, args.family, ranged)]
+    family = args.family
+    if "adjacency" in FAMILY_PARAMS.get(family, ()):
+        raise InputError(
+            f"{family} needs an explicit adjacency list; build it via the library "
+            "or pass a graph file"
+        )
+    if family not in FAMILY_PARAMS:
+        choices = [name for name, order in FAMILY_PARAMS.items() if "adjacency" not in order]
+        raise InputError(f"unknown family {family!r} (choose from {', '.join(choices)})")
+    return [
+        FamilySpec(family, params)
+        for params in _family_params(args, family, ranged, f"family {family}")
+    ]
 
 
 def _load_graph(args) -> Graph:
@@ -302,64 +290,28 @@ def _params_string(claim, params: dict) -> str:
     return ",".join(parts)
 
 
-def _row_family(claim, params: dict) -> str:
-    if claim.id == "C12":
-        return f"shadow({params['base'].family})"
-    if claim.id == "C13":
-        return f"max_subdivision({params['base'].family})"
-    return claim.family
-
-
 def _claim_points(claim, args) -> list[dict]:
     """All parameter points requested by the flags, in deterministic order."""
-    if claim.id in ("C12", "C13"):
+    if "base" in claim.param_order:
         if not args.family:
             raise InputError(f"{claim.id} requires --family for the base graph")
-        bases = _family_spec(args, ranged=True)
-        if claim.id == "C12":
-            return [{"base": base} for base in bases]
-        modes = ("fresh", "induced") if args.mode == "both" else (args.mode,)
-        return [{"base": base, "mode": mode} for base in bases for mode in modes]
-
-    scalar_map: dict[str, tuple[str, ...]] = {
-        "C1": ("n",),
-        "C2": ("n",),
-        "C4": ("n",),
-        "C5": ("r", "s"),
-        "C6": ("r", "s"),
-        "C10": ("n", "r"),
-        "C11": ("r",),
-        "C15": ("m",),
-        "C16": ("m", "n"),
-    }
-    if claim.id in scalar_map:
-        dims = []
-        for key in scalar_map[claim.id]:
-            raw = getattr(args, key)
-            if raw is None:
-                raise InputError(f"claim {claim.id} requires --{key}")
-            dims.append([(key, v) for v in _parse_range(raw, key)])
+        values = {
+            "base": _family_spec(args, ranged=True),
+            "mode": ("fresh", "induced") if args.mode == "both" else (args.mode,),
+        }
+        dims = [[(key, v) for v in values[key]] for key in claim.param_order]
         return [dict(point) for point in _product(dims)]
-    if claim.id in ("C3", "C7", "C8"):
-        if args.parts is None:
-            raise InputError(f"claim {claim.id} requires --parts")
-        keys = claim.param_order
-        items = [item for item in args.parts.split(",") if item != ""]
-        if len(items) != len(keys):
-            raise InputError(f"claim {claim.id} requires --parts with {len(keys)} sizes")
-        dims = [[(key, v) for v in _parse_range(item, "parts")] for key, item in zip(keys, items)]
-        return [dict(point) for point in _product(dims)]
-    if claim.id == "C9":
-        if args.cliques is None:
-            raise InputError("claim C9 requires --cliques")
-        item_ranges = [_parse_range(item, "cliques") for item in args.cliques.split(",") if item != ""]
-        return [{"cliques": list(combo)} for combo in _product(item_ranges)]
-    if claim.id == "C14":
-        if args.cycles is None:
-            raise InputError("claim C14 requires --cycles")
-        item_ranges = [_parse_range(item, "cycles") for item in args.cycles.split(",") if item != ""]
-        return [{"cycles": list(combo)} for combo in _product(item_ranges)]
-    raise AssertionError(f"unhandled claim {claim.id}")
+    owner = f"claim {claim.id}"
+    family_order = FAMILY_PARAMS[claim.family]
+    if family_order == claim.param_order:
+        return _family_params(args, claim.family, True, owner)
+    # a one-list family (--parts) whose claim names each item
+    (flag,) = family_order
+    raw = getattr(args, flag)
+    if raw is not None and len([i for i in raw.split(",") if i != ""]) != len(claim.param_order):
+        raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
+    points = _family_params(args, claim.family, True, owner)
+    return [dict(zip(claim.param_order, point[flag])) for point in points]
 
 
 def cmd_check(args) -> int:
@@ -379,9 +331,10 @@ def cmd_check(args) -> int:
                 f"{lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}"
             )
         verdict = check_claim(claim, params, lg=lg, threads=threads)
+        base = params.get("base")
         rows.append(
             ReportRow(
-                family=_row_family(claim, params),
+                family=claim.family if base is None else f"{claim.family}({base.family})",
                 params=_params_string(claim, params),
                 formula_value=str(verdict.predicted),
                 exact_value=verdict.exact,
@@ -476,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(check)
     check.add_argument("--claim", required=True, help="claim id (C1..C16)")
     check.add_argument("--mode", choices=("fresh", "induced", "both"), default="both",
-                       help="C13 evaluation mode")
+                       help="evaluation mode of the maximal-subdivision claim")
     check.add_argument("--format", choices=("text", "csv", "json"), default="text")
     check.add_argument("--threads", default=None)
     check.set_defaults(func=cmd_check)

@@ -316,6 +316,7 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
+FAMILY_PARAMS = {name: _FAMILIES[name].param_order for name in FAMILY_NAMES}
 
 
 def generate(spec: FamilySpec) -> LabeledGraph:

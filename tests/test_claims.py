@@ -106,6 +106,11 @@ class TestOddCycleBlocks:
     def test_clique_block_is_not_a_cycle(self):
         assert odd_cycle_block_count(make("complete", n=4).graph) == 0
 
+    def test_long_chain_needs_no_deep_recursion(self):
+        # 1,201 vertices on one DFS path: deeper than the default recursion limit
+        g = make("cactus_chain", cycles=[3] * 600).graph
+        assert odd_cycle_block_count(g) == 600
+
 
 class TestCheckClaim:
     def test_complete_matches(self):
