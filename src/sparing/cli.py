@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import claims as claims_mod
@@ -31,7 +31,7 @@ from .errors import (
     UnknownPartition,
 )
 from .families import FAMILY_PARAMS, FamilySpec, generate, random_graph
-from .graphs import Graph, read_graph, write_graph
+from .graphs import SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import FailureKind, mono_edges, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
 
@@ -39,8 +39,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
-
-SOLVE_MAX_VERTICES = 64
 
 
 class InputError(SparingError):
@@ -252,28 +250,10 @@ class ReportRow:
     runtime_ms: int
 
     def cells(self) -> list[str]:
-        return [
-            self.family,
-            self.params,
-            self.formula_value,
-            str(self.exact_value),
-            self.verdict,
-            str(self.witness_size),
-            str(self.mono_count),
-            str(self.runtime_ms),
-        ]
+        return [str(getattr(self, name)) for name in _REPORT_COLUMNS]
 
 
-_REPORT_COLUMNS = (
-    "family",
-    "params",
-    "formula_value",
-    "exact_value",
-    "verdict",
-    "witness_size",
-    "mono_count",
-    "runtime_ms",
-)
+_REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _params_string(claim, params: dict) -> str:

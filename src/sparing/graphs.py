@@ -13,6 +13,8 @@ from .errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
 
 Edge = tuple[int, int]
 
+SOLVE_MAX_VERTICES = 64  # the largest graph any command or graph file may have
+
 
 def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -259,6 +261,11 @@ def read_graph(text: str) -> Graph:
                 n, m = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            if n > SOLVE_MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: header declares {n} vertices; "
+                    f"graphs are limited to {SOLVE_MAX_VERTICES}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")

@@ -10,8 +10,10 @@ sparing number is therefore
     min over independent sets I of |edges inside V minus I|
 
 and, because every edge has at most one endpoint in an independent set, the
-count inside the complement equals |E| minus the total degree of I. The
-branch-and-bound search maximizes that covered degree sum; the brute-force
+count inside the complement equals |E| minus the total degree of I. One
+branch-and-bound search maximizes that covered degree sum and stops once it
+reaches a goal: |E| when it finds the value, the optimum when it tests each
+prefix of the lexicographically least optimal witness. The brute-force
 oracle scores complements by counting their edges directly, so the two
 routes stay independent.
 """
@@ -107,9 +109,16 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     """Exact solve by branch and bound over independent sets.
 
     Returns the same value/witness/mono as `sparing_bruteforce` on every
-    input where both run. Branching follows descending original degree (ties
-    to the lower index); a free vertex whose neighbors are all decided-out is
-    taken unconditionally, since enlarging an independent set never adds mono
+    input where both run. One search serves both phases: it raises an
+    incumbent covered degree sum and stops once that reaches a goal. The
+    value phase runs it with goal |E| (no independent set covers more); the
+    lexmin witness is then built prefix by prefix, each candidate prefix kept
+    if the same search, with the optimum as its goal, still reaches it.
+    ``stats.nodes`` counts the nodes of both phases.
+
+    Branching follows descending original degree (ties to the lower index);
+    a free vertex whose neighbors are all decided-out is taken
+    unconditionally, since enlarging an independent set never adds mono
     edges. The bound is the covered degree sum: a branch dies when even
     claiming every remaining free vertex cannot beat the incumbent.
 
@@ -123,21 +132,21 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     n = g.n
     adj = [g.adjacency_mask(v) for v in range(n)]
     deg = [m.bit_count() for m in adj]
-    total_edges = sum(deg) // 2
     order = sorted(range(n), key=lambda v: (-deg[v], v))
     full = (1 << n) - 1
     nodes = 0
+    best = 0
+    goal = sum(deg) // 2
 
-    # greedy incumbent for the covered degree sum
-    best_cov = 0
-    free = full
-    for v in order:
-        if free >> v & 1:
-            best_cov += deg[v]
-            free &= ~(adj[v] | 1 << v)
+    def search(i: int, free: int, cov: int, rem: int) -> None:
+        """Raise ``best`` with independent subsets of ``free`` added to ``cov``.
 
-    def explore(i: int, free: int, cov: int, rem: int) -> None:
-        nonlocal nodes, best_cov
+        ``rem`` is the degree sum of ``free`` and ``order[:i]`` holds no free
+        vertex. The included vertices are independent at every node, so any
+        node's ``cov`` is a valid incumbent; nothing is searched once ``best``
+        reaches ``goal``.
+        """
+        nonlocal nodes, best
         nodes += 1
         scan = free
         while scan:
@@ -149,11 +158,9 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
                 free ^= low
                 cov += deg[v]
                 rem -= deg[v]
-        if not free:
-            if cov > best_cov:
-                best_cov = cov
-            return
-        if cov + rem <= best_cov:
+        if cov > best:
+            best = cov
+        if not free or cov + rem <= best:
             return
         while not free >> order[i] & 1:
             i += 1
@@ -166,44 +173,12 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
             low = scan & -scan
             scan ^= low
             lost += deg[low.bit_length() - 1]
-        explore(i + 1, free & ~(dropped | vbit), cov + deg[v], rem - lost)
-        explore(i + 1, free & ~vbit, cov, rem - deg[v])
+        search(i + 1, free & ~(dropped | vbit), cov + deg[v], rem - lost)
+        if best < goal:
+            search(i + 1, free & ~vbit, cov, rem - deg[v])
 
-    explore(0, full, 0, sum(deg))
-    target = best_cov
-
-    def reachable(free: int, cov: int) -> bool:
-        """Can an independent subset of ``free`` lift the covered sum to target?"""
-        nonlocal nodes
-        nodes += 1
-        scan = free
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            if not adj[v] & free:
-                free ^= low
-                cov += deg[v]
-        if cov == target:
-            return True
-        if not free:
-            return False
-        rem = 0
-        scan = free
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            rem += deg[low.bit_length() - 1]
-        if cov + rem < target:
-            return False
-        i = 0
-        while not free >> order[i] & 1:
-            i += 1
-        v = order[i]
-        vbit = 1 << v
-        if reachable(free & ~(adj[v] | vbit), cov + deg[v]):
-            return True
-        return reachable(free & ~vbit, cov)
+    search(0, full, 0, sum(deg))
+    goal = best
 
     # lexicographically least optimal witness, built prefix by prefix: stop as
     # soon as the prefix itself is optimal (a prefix precedes every extension)
@@ -211,14 +186,16 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     c_mask = 0
     blocked = 0
     cov_c = 0
-    while cov_c != target:
+    while cov_c != goal:
         start = chosen[-1] + 1 if chosen else 0
         for j in range(start, n):
             jbit = 1 << j
             if blocked & jbit:
                 continue
-            above = full & ~((jbit << 1) - 1)
-            if reachable(above & ~(blocked | adj[j]), cov_c + deg[j]):
+            free = full & ~((jbit << 1) - 1) & ~(blocked | adj[j])
+            best = goal - 1
+            search(0, free, cov_c + deg[j], sum(deg[v] for v in iter_bits(free)))
+            if best == goal:
                 chosen.append(j)
                 c_mask |= jbit
                 blocked |= adj[j] | jbit

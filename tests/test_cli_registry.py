@@ -2,7 +2,8 @@
 
 Each claim and each family is driven through `sparing.cli.main` with flags
 derived from its parameter names, and the output is compared with the
-library on the same parameters.
+library on the same parameters. Input errors are pinned to their exact
+message and exit code.
 """
 
 import csv
@@ -148,6 +149,19 @@ class TestInputErrors:
     )
     def test_message(self, capsys, argv, err):
         code, out, stderr = run(capsys, *argv)
+        assert (code, out, stderr) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "command,file_flag", [("solve", None), ("certify", "--out"), ("verify", "--labeling")]
+    )
+    def test_graph_header_over_the_vertex_cap(self, capsys, tmp_path, command, file_flag):
+        graph = tmp_path / "huge.g"
+        graph.write_text("p 1000000000000 0\n")
+        argv = [command, "--graph", str(graph)]
+        if file_flag:
+            argv += [file_flag, str(tmp_path / "labels.json")]
+        code, out, stderr = run(capsys, *argv)
+        err = "error: line 1: header declares 1000000000000 vertices; graphs are limited to 64\n"
         assert (code, out, stderr) == (2, "", err)
 
 

@@ -3,6 +3,7 @@ import pytest
 from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
 from sparing.families import make
 from sparing.graphs import (
+    SOLVE_MAX_VERTICES,
     disjoint_union,
     edges_within,
     graph_from_edges,
@@ -213,6 +214,9 @@ class TestTextFormat:
             assert read_graph(text) == g
             assert write_graph(read_graph(text)) == text
 
+    def test_header_at_the_vertex_cap(self):
+        assert read_graph(f"p {SOLVE_MAX_VERTICES} 0\n") == graph_from_edges(SOLVE_MAX_VERTICES, [])
+
     def test_comments_before_header(self):
         g = read_graph("# a comment\n# another\np 2 1\ne 0 1\n")
         assert g == graph_from_edges(2, [(0, 1)])
@@ -227,6 +231,8 @@ class TestTextFormat:
             "p 2 1\ne 0 5\n",               # endpoint out of range
             "p two 1\ne 0 1\n",             # junk header
             "p 2 1\nq 0 1\n",               # unknown record
+            "p 65 0\n",                     # one vertex over the cap
+            "p 1000000000000 0\n",          # refused before anything is allocated
         ],
     )
     def test_bad_inputs(self, text):

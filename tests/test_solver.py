@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from sparing.errors import CertificationFailed, NotIndependent, TooLarge
 from sparing.families import make, random_graph
 from sparing.graphs import (
+    SOLVE_MAX_VERTICES,
     disjoint_union,
     edges_within,
     graph_from_edges,
@@ -82,18 +85,39 @@ class TestExact:
             make("cactus_chain", cycles=[3, 4, 5]),
             make("path", n=9),
         ]
+        rng = random.Random(5)
         for lg in cases:
-            b = sparing_bruteforce(lg.graph)
-            e = sparing_exact(lg.graph)
-            assert (b.value, b.witness, b.mono) == (e.value, e.witness, e.mono)
-            assert_result_consistent(lg.graph, e)
+            # each case also in a seeded vertex numbering, which changes the
+            # branch order and the lexmin witness
+            perm = list(range(lg.graph.n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in lg.graph.edges()]
+            relabeled = graph_from_edges(lg.graph.n, edges)
+            for g in (lg.graph, relabeled):
+                b = sparing_bruteforce(g)
+                e = sparing_exact(g)
+                assert (b.value, b.witness, b.mono) == (e.value, e.witness, e.mono)
+                assert_result_consistent(g, e)
 
     def test_agrees_with_bruteforce_on_random_graphs(self):
-        for seed in range(60):
-            g = random_graph(1 + seed % 10, (seed % 4 + 1) * 0.2, seed)
+        graphs = [random_graph(1 + seed % 10, (seed % 4 + 1) * 0.2, seed) for seed in range(60)]
+        # and 18..24 vertices, up to the oracle's cap
+        graphs += [random_graph(18 + seed % 7, 0.2 + 0.15 * (seed % 2), seed) for seed in range(14)]
+        for g in graphs:
             b = sparing_bruteforce(g)
             e = sparing_exact(g)
             assert (b.value, b.witness, b.mono) == (e.value, e.witness, e.mono)
+
+    @pytest.mark.parametrize("family,n", [("path", 32), ("path", 33), ("cycle", 32)])
+    def test_bipartite_search_stops_at_the_edge_count(self, family, n):
+        # no independent set covers more than |E|, so reaching it ends the search
+        r = sparing_exact(make(family, n=n).graph)
+        assert r.value == 0
+        assert r.stats.nodes < 1000
+
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_bipartite_at_the_vertex_cap(self, family):
+        assert sparing_exact(make(family, n=SOLVE_MAX_VERTICES).graph).value == 0
 
     def test_thread_count_does_not_change_anything(self):
         g = random_graph(16, 0.3, 99)
