@@ -12,33 +12,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import KW_ONLY, dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 from .errors import DomainError, MissingGraph
-from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, generate
+from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, checked_param, generate
 from .graphs import Graph, iter_bits, subdivide_edges, shadow, triangles_through
 from .labels import mono_edges, sumset, verify_weak
 from .solver import solve_and_certify, sparing_exact
 
 Params = Mapping[str, object]
-
-
-def _as_int(params: Params, key: str, claim: str) -> int:
-    if key not in params:
-        raise DomainError(f"{claim} requires parameter {key}")
-    value = params[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{claim}: {key} must be an integer")
-    return value
-
-
-def _as_int_list(params: Params, key: str, claim: str) -> list[int]:
-    if key not in params:
-        raise DomainError(f"{claim} requires parameter {key}")
-    value = params[key]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise DomainError(f"{claim}: {key} must be a non-empty list")
-    return list(value)
 
 
 def _as_base(params: Params, key: str, claim: str) -> FamilySpec:
@@ -62,8 +45,10 @@ class _Point(dict):
     """
 
 
-# the type check of each claim parameter, by name; any other name is an integer
-_PARAM_TYPES = {"cliques": _as_int_list, "cycles": _as_int_list, "base": _as_base, "mode": _as_mode}
+# the type checks of the claim-only parameters; any other name is checked as
+# the family parameter of that name
+_PARAM_TYPES = {"base": _as_base, "mode": _as_mode}
+_family_param = partial(checked_param, error=DomainError)
 
 
 def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
@@ -78,8 +63,8 @@ def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
     return generate(FamilySpec(claim.family, params))
 
 
-def _solve_instance(p: Params, lg: LabeledGraph, threads: int | None) -> tuple[int, int, int]:
-    result = sparing_exact(lg.graph, threads=threads)
+def _solve_instance(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
+    result = sparing_exact(lg.graph)
     return result.value, len(result.witness), len(result.mono)
 
 
@@ -90,9 +75,9 @@ class Claim:
     - ``id`` and ``statement`` name the claim in reports.
     - ``family`` is the family the claim is about and the report's row family.
     - ``param_order`` lists the parameters in report order. Each name decides
-      its type check: ``cliques`` and ``cycles`` are non-empty lists, ``base``
-      is a FamilySpec, ``mode`` is ``fresh`` or ``induced``, and any other
-      name is an integer.
+      its type check: ``base`` is a FamilySpec, ``mode`` is ``fresh`` or
+      ``induced``, and any other name is checked as the family parameter of
+      that name (``families.checked_param``).
     - ``requires`` and ``in_domain`` are the domain's range condition, in
       words for the DomainError and as a test of the type-checked parameters.
     - ``predict`` gives the claimed value from the parameters and, when
@@ -112,7 +97,7 @@ class Claim:
     requires: str = ""
     in_domain: Callable[[Params], bool] = lambda p: True
     build: Callable[[Claim, Params], LabeledGraph] = _family_instance
-    exact: Callable[[Params, LabeledGraph, int | None], tuple[int, int, int]] = _solve_instance
+    exact: Callable[[Params, LabeledGraph], tuple[int, int, int]] = _solve_instance
 
     def check_domain(self, params: Params) -> None:
         self._point(params)
@@ -129,7 +114,8 @@ class Claim:
         if isinstance(params, _Point):
             return params
         point = _Point(
-            (key, _PARAM_TYPES.get(key, _as_int)(params, key, self.id)) for key in self.param_order
+            (key, _PARAM_TYPES.get(key, _family_param)(params, key, self.id))
+            for key in self.param_order
         )
         if not self.in_domain(point):
             raise DomainError(f"{self.id} requires {self.requires}")
@@ -164,7 +150,7 @@ def _maximal_subdivision(claim: Claim, p: Params) -> LabeledGraph:
     return LabeledGraph(_subdivide_mono(p["base"])[-1], {}, FamilySpec(claim.family, dict(p)))
 
 
-def _exact_subdivision(p: Params, lg: LabeledGraph, threads: int | None) -> tuple[int, int, int]:
+def _exact_subdivision(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
     """The solver on the subdivided graph (``fresh``), or the mono count of the
     labeling the subdivision inherits from its base (``induced``).
 
@@ -172,7 +158,7 @@ def _exact_subdivision(p: Params, lg: LabeledGraph, threads: int | None) -> tupl
     both replacement edges come out mono.
     """
     if p["mode"] == "fresh":
-        return _solve_instance(p, lg, threads)
+        return _solve_instance(p, lg)
     g, result, labeling, subdivided = _subdivide_mono(p["base"])
     extended = dict(labeling)
     for offset, (u, v) in enumerate(result.mono):
@@ -305,7 +291,7 @@ _CATALOG: tuple[Claim, ...] = (
           predict=lambda p, lg: _product_of_two_smallest(p["a"], p["b"], p["c"])),
     Claim("C9", "block_chain", "phi(block graph) = sum (n_i-1)(n_i-2)/2", ("cliques",),
           requires="all clique sizes >= 2",
-          in_domain=lambda p: all(isinstance(s, int) and s >= 2 for s in p["cliques"]),
+          in_domain=lambda p: all(s >= 2 for s in p["cliques"]),
           predict=lambda p, lg: sum((s - 1) * (s - 2) // 2 for s in p["cliques"])),
     Claim("C10", "windmill", "phi(W(n,r)) = r(n-1)(n-2)/2", ("n", "r"),
           requires="n >= 2 and r >= 2", in_domain=lambda p: p["n"] >= 2 and p["r"] >= 2,
@@ -319,7 +305,7 @@ _CATALOG: tuple[Claim, ...] = (
           predict=_twice_phi_of_base, build=_maximal_subdivision, exact=_exact_subdivision),
     Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles", ("cycles",),
           needs_graph=True, requires="all cycle lengths >= 3",
-          in_domain=lambda p: all(isinstance(l, int) and l >= 3 for l in p["cycles"]),
+          in_domain=lambda p: all(l >= 3 for l in p["cycles"]),
           predict=lambda p, lg: odd_cycle_block_count(lg.graph)),
     Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)", ("m",),
           requires="m >= 3", in_domain=lambda p: p["m"] >= 3,
@@ -354,14 +340,13 @@ def check_claim(
     claim: Claim,
     params: Params,
     lg: LabeledGraph | None = None,
-    threads: int | None = None,
 ) -> ClaimVerdict:
     """Compare the claim's predicted value against the exact solver on one instance."""
     point = claim._point(params)
     if lg is None:
         lg = claim.instance(point)
     t0 = time.perf_counter()
-    exact, witness_size, mono_count = claim.exact(point, lg, threads)
+    exact, witness_size, mono_count = claim.exact(point, lg)
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     predicted = predicted_value(claim, point, lg)
     verdict = "MATCH" if predicted == exact else "MISMATCH"

@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 from . import claims as claims_mod
 from .claims import check_claim, claim_by_id
@@ -30,7 +31,7 @@ from .errors import (
     TooLarge,
     UnknownPartition,
 )
-from .families import FAMILY_PARAMS, FamilySpec, generate, random_graph
+from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph
 from .graphs import SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import FailureKind, mono_edges, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
@@ -45,8 +46,9 @@ class InputError(SparingError):
     """CLI-level bad input (exit 2)."""
 
 
-_SCALAR_FLAGS = ("n", "r", "m", "s")
-_LIST_FLAGS = ("parts", "cliques", "cycles")
+# the families the CLI builds from their flags; split and bisplit take
+# adjacency rows, which have no flag
+_CLI_FAMILIES = {name: order for name, order in FAMILY_PARAMS.items() if "adjacency" not in order}
 
 
 def _parse_int(text: str, flag: str) -> int:
@@ -56,79 +58,98 @@ def _parse_int(text: str, flag: str) -> int:
         raise InputError(f"--{flag} expects an integer, got {text!r}") from None
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
-    """'4' -> [4]; '3..6' -> [3, 4, 5, 6]."""
-    if ".." in text:
+def _check_cap(flag: str, size: int) -> None:
+    """Refuse --flag before any build if its family needs ``size`` (> cap) vertices.
+    A CLI family has at least as many vertices as each of its parameters, its
+    list's length, and its list's sum less one per item after the first."""
+    if size > SOLVE_MAX_VERTICES:
+        raise TooLarge(
+            f"--{flag} needs {size} or more vertices; graphs are limited to {SOLVE_MAX_VERTICES}"
+        )
+
+
+def _parse_range(text: str, flag: str, ranged: bool = True) -> range:
+    """'4' -> range(4, 5); when ``ranged``, '3..6' -> range(3, 7)."""
+    if ranged and ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = _parse_int(lo_text, flag), _parse_int(hi_text, flag)
         if hi < lo:
             raise InputError(f"--{flag}: empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_int(text, flag)]
+    else:
+        lo = hi = _parse_int(text, flag)
+    _check_cap(flag, hi)
+    return range(lo, hi + 1)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [_parse_int(item, flag) for item in text.split(",") if item != ""]
+def _sweep(dims: list) -> Iterator[tuple]:
+    """The cross product of ``dims``, last varying fastest; a list of ranges
+    gives the lists of their cross product. Lazy, unlike itertools.product,
+    so a sweep stops at its first bad point without holding a whole range."""
+    if not dims:
+        yield ()
+        return
+    head = dims[0]
+    for value in map(list, _sweep(head)) if isinstance(head, list) else head:
+        for tail in _sweep(dims[1:]):
+            yield (value, *tail)
 
 
-def _family_params(args, family: str, ranged: bool, owner: str) -> list[dict]:
+def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict]:
     """Parameter dicts for the registry family ``family`` from the CLI flags;
     the cross product of any ranges, in flag order with the last flag varying
-    fastest. ``owner`` names what needs the flags in the missing-flag error."""
-    dims: list[list[tuple[str, object]]] = []
-    for flag in FAMILY_PARAMS[family]:
+    fastest. ``owner`` names what needs the flags in the missing-flag error.
+    Every flag is parsed before the first point is made."""
+    order = FAMILY_PARAMS[family]
+    dims: list = []
+    for flag in order:
         raw = getattr(args, flag)
         if raw is None:
             raise InputError(f"{owner} requires --{flag}")
-        if flag in _LIST_FLAGS:
-            if ranged:
-                item_ranges = [_parse_range(item, flag) for item in raw.split(",") if item != ""]
-                combos: list[tuple[str, object]] = []
-                for combo in _product(item_ranges):
-                    combos.append((flag, list(combo)))
-                dims.append(combos)
-            else:
-                dims.append([(flag, _parse_int_list(raw, flag))])
-        else:
-            values = _parse_range(raw, flag) if ranged else [_parse_int(raw, flag)]
-            dims.append([(flag, v) for v in values])
-    return [dict(point) for point in _product(dims)]
+        if flag not in LIST_PARAMS:
+            dims.append(_parse_range(raw, flag, ranged))
+            continue
+        items = [item for item in raw.split(",") if item != ""]
+        _check_cap(flag, len(items))
+        ranges = [_parse_range(item, flag, ranged) for item in items]
+        _check_cap(flag, sum(r.start for r in ranges) - len(ranges) + 1)  # the least point
+        dims.append(ranges)
+    return (dict(zip(order, values)) for values in _sweep(dims))
 
 
-def _product(dims: list[list]) -> list[tuple]:
-    out: list[tuple] = [()]
-    for dim in dims:
-        out = [prefix + (item,) for prefix in out for item in dim]
-    return out
-
-
-def _family_spec(args, ranged: bool = False) -> list[FamilySpec]:
+def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
     family = args.family
-    if "adjacency" in FAMILY_PARAMS.get(family, ()):
-        raise InputError(
-            f"{family} needs an explicit adjacency list; build it via the library "
-            "or pass a graph file"
-        )
-    if family not in FAMILY_PARAMS:
-        choices = [name for name, order in FAMILY_PARAMS.items() if "adjacency" not in order]
-        raise InputError(f"unknown family {family!r} (choose from {', '.join(choices)})")
-    return [
-        FamilySpec(family, params)
-        for params in _family_params(args, family, ranged, f"family {family}")
-    ]
+    if family not in _CLI_FAMILIES:
+        if family in FAMILY_PARAMS:
+            raise InputError(
+                f"{family} needs an explicit adjacency list; build it via the library "
+                "or pass a graph file"
+            )
+        raise InputError(f"unknown family {family!r} (choose from {', '.join(_CLI_FAMILIES)})")
+    points = _family_params(args, family, ranged, f"family {family}")
+    return (FamilySpec(family, params) for params in points)
 
 
 def _load_graph(args) -> Graph:
     if getattr(args, "graph", None):
-        try:
-            text = Path(args.graph).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.graph}: {exc}") from None
-        return read_graph(text)
+        return read_graph(_read(args.graph))
     if getattr(args, "family", None):
         (spec,) = _family_spec(args)
         return generate(spec).graph
     raise InputError("provide a graph via --graph FILE or --family NAME")
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _threads(args) -> int:
@@ -179,19 +200,12 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     g = _load_graph(args)
-    result, labeling = solve_and_certify(g, threads=_threads(args))
-    Path(args.out).write_text(write_labeling(g.n, labeling))
+    _threads(args)
+    result, labeling = solve_and_certify(g)
+    _write(args.out, write_labeling(g.n, labeling))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "phi": result.value,
-                    "mono": len(result.mono),
-                    "verified": True,
-                    "out": args.out,
-                }
-            )
-        )
+        doc = {"phi": result.value, "mono": len(result.mono), "verified": True, "out": args.out}
+        print(json.dumps(doc))
     else:
         print(f"phi={result.value} mono={len(result.mono)} verified=true")
     return EXIT_OK
@@ -210,25 +224,14 @@ def _failure_line(failure) -> str:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    try:
-        text = Path(args.labeling).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.labeling}: {exc}") from None
-    n, labeling = read_labeling(text)
+    n, labeling = read_labeling(_read(args.labeling))
     if n != g.n:
         raise GraphFormatError(f"labeling covers {n} vertices, graph has {g.n}")
     verdict = verify_weak(g, labeling)
     mono_count = len(mono_edges(g, labeling))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ok": verdict.ok,
-                    "mono": mono_count,
-                    "failures": [_failure_line(f) for f in verdict.failures],
-                }
-            )
-        )
+        failures = [_failure_line(f) for f in verdict.failures]
+        print(json.dumps({"ok": verdict.ok, "mono": mono_count, "failures": failures}))
     else:
         if verdict.ok:
             print(f"weak-IASI: ok, mono={mono_count}")
@@ -270,7 +273,7 @@ def _params_string(claim, params: dict) -> str:
     return ",".join(parts)
 
 
-def _claim_points(claim, args) -> list[dict]:
+def _claim_points(claim, args) -> Iterator[dict]:
     """All parameter points requested by the flags, in deterministic order."""
     if "base" in claim.param_order:
         if not args.family:
@@ -279,8 +282,8 @@ def _claim_points(claim, args) -> list[dict]:
             "base": _family_spec(args, ranged=True),
             "mode": ("fresh", "induced") if args.mode == "both" else (args.mode,),
         }
-        dims = [[(key, v) for v in values[key]] for key in claim.param_order]
-        return [dict(point) for point in _product(dims)]
+        dims = [values[key] for key in claim.param_order]  # base is first: iterated once
+        return (dict(zip(claim.param_order, point)) for point in _sweep(dims))
     owner = f"claim {claim.id}"
     family_order = FAMILY_PARAMS[claim.family]
     if family_order == claim.param_order:
@@ -291,7 +294,7 @@ def _claim_points(claim, args) -> list[dict]:
     if raw is not None and len([i for i in raw.split(",") if i != ""]) != len(claim.param_order):
         raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
     points = _family_params(args, claim.family, True, owner)
-    return [dict(zip(claim.param_order, point[flag])) for point in points]
+    return (dict(zip(claim.param_order, point[flag])) for point in points)
 
 
 def cmd_check(args) -> int:
@@ -300,7 +303,7 @@ def cmd_check(args) -> int:
     except KeyError:
         known = ", ".join(c.id for c in claims_mod.catalog())
         raise InputError(f"unknown claim {args.claim!r} (known: {known})") from None
-    threads = _threads(args)
+    _threads(args)
     points = _claim_points(claim, args)
     rows: list[ReportRow] = []
     for params in points:
@@ -310,7 +313,7 @@ def cmd_check(args) -> int:
                 f"claim {claim.id} at {_params_string(claim, params)} needs "
                 f"{lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}"
             )
-        verdict = check_claim(claim, params, lg=lg, threads=threads)
+        verdict = check_claim(claim, params, lg=lg)
         base = params.get("base")
         rows.append(
             ReportRow(
@@ -336,15 +339,8 @@ def cmd_check(args) -> int:
         sys.stdout.write(buffer.getvalue())
         print(summary, file=sys.stderr)
     elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "rows": [dict(zip(_REPORT_COLUMNS, row.cells())) for row in rows],
-                    "matches": matches,
-                    "mismatches": mismatches,
-                }
-            )
-        )
+        records = [dict(zip(_REPORT_COLUMNS, row.cells())) for row in rows]
+        print(json.dumps({"rows": records, "matches": matches, "mismatches": mismatches}))
     else:
         table = [list(_REPORT_COLUMNS)] + [row.cells() for row in rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(_REPORT_COLUMNS))]
@@ -356,15 +352,18 @@ def cmd_check(args) -> int:
 
 def cmd_corpus(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = _parse_range(args.n, "n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from None
     rng = random.Random(args.seed)
     for index in range(args.count):
         n = rng.choice(sizes)
         graph_seed = rng.randrange(2**31)
         g = random_graph(n, args.density, graph_seed)
         header = f"# corpus index={index} seed={graph_seed} density={args.density}\n"
-        (out_dir / f"graph_{index:03d}.g").write_text(header + write_graph(g))
+        _write(out_dir / f"graph_{index:03d}.g", header + write_graph(g))
     print(f"wrote {args.count} graphs to {out_dir}")
     return EXIT_OK
 
@@ -372,11 +371,9 @@ def cmd_corpus(args) -> int:
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", help="graph family name")
     sub.add_argument("--graph", help="graph file (text format)")
-    for flag in _SCALAR_FLAGS:
-        sub.add_argument(f"--{flag}")
-    sub.add_argument("--parts", help="comma-separated part sizes")
-    sub.add_argument("--cliques", help="comma-separated clique sizes")
-    sub.add_argument("--cycles", help="comma-separated cycle lengths")
+    for flag in dict.fromkeys(flag for order in _CLI_FAMILIES.values() for flag in order):
+        listed = LIST_PARAMS.get(flag)
+        sub.add_argument(f"--{flag}", help=f"comma-separated {listed}" if listed else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

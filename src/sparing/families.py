@@ -69,23 +69,27 @@ def _need(cond: bool, message: str) -> None:
         raise InvalidParam(message)
 
 
-def _int_param(params: Mapping[str, object], key: str, family: str) -> int:
-    if key not in params:
-        raise InvalidParam(f"{family} requires parameter {key}")
-    value = params[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParam(f"{family}: {key} must be an integer")
-    return value
+# the integer-list parameters and what each lists; every other parameter is
+# an integer, except the adjacency rows of split and bisplit, which their
+# builders check
+LIST_PARAMS = {"parts": "part sizes", "cliques": "clique sizes", "cycles": "cycle lengths"}
 
 
-def _int_list_param(params: Mapping[str, object], key: str, family: str) -> list[int]:
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def checked_param(params: Mapping[str, object], key: str, owner: str, error=InvalidParam):
+    """``params[key]`` after its type check; raises ``error`` naming ``owner``."""
     if key not in params:
-        raise InvalidParam(f"{family} requires parameter {key}")
+        raise error(f"{owner} requires parameter {key}")
     value = params[key]
-    if not isinstance(value, (list, tuple)) or not value or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise InvalidParam(f"{family}: {key} must be a non-empty list of integers")
+    if key not in LIST_PARAMS:
+        if not _is_int(value):
+            raise error(f"{owner}: {key} must be an integer")
+        return value
+    if not isinstance(value, (list, tuple)) or not value or not all(map(_is_int, value)):
+        raise error(f"{owner}: {key} must be a non-empty list of integers")
     return list(value)
 
 
@@ -99,19 +103,19 @@ def _cycle_edges(vertices: Sequence[int]) -> list[Edge]:
 
 
 def _path(params) -> tuple[Graph, Partitions]:
-    n = _int_param(params, "n", "path")
+    n = params["n"]
     _need(n >= 1, "path requires n >= 1")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]), {}
 
 
 def _cycle(params) -> tuple[Graph, Partitions]:
-    n = _int_param(params, "n", "cycle")
+    n = params["n"]
     _need(n >= 3, "cycle requires n >= 3")
     return graph_from_edges(n, _cycle_edges(range(n))), {}
 
 
 def _complete(params) -> tuple[Graph, Partitions]:
-    n = _int_param(params, "n", "complete")
+    n = params["n"]
     _need(n >= 1, "complete requires n >= 1")
     return graph_from_edges(n, _clique_edges(range(n))), {}
 
@@ -138,20 +142,20 @@ def _multipartite(sizes: list[int], names: list[str] | None) -> tuple[Graph, Par
 
 
 def _complete_bipartite(params) -> tuple[Graph, Partitions]:
-    sizes = _int_list_param(params, "parts", "complete_bipartite")
+    sizes = params["parts"]
     _need(len(sizes) == 2, "complete_bipartite requires exactly 2 part sizes")
     _need(all(s >= 1 for s in sizes), "complete_bipartite requires part sizes >= 1")
     return _multipartite(sizes, ["X", "Y"])
 
 
 def _complete_multipartite(params) -> tuple[Graph, Partitions]:
-    sizes = _int_list_param(params, "parts", "complete_multipartite")
+    sizes = params["parts"]
     _need(all(s >= 1 for s in sizes), "complete_multipartite requires part sizes >= 1")
     return _multipartite(sizes, None)
 
 
 def _complete_bisplit(params) -> tuple[Graph, Partitions]:
-    sizes = _int_list_param(params, "parts", "complete_bisplit")
+    sizes = params["parts"]
     _need(len(sizes) == 3, "complete_bisplit requires exactly 3 part sizes")
     _need(all(s >= 1 for s in sizes), "complete_bisplit requires part sizes >= 1")
     # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
@@ -162,8 +166,8 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
     # X vertices first (one per adjacency row), then Y, then Z; the Y-Z
     # biclique is always present, the X rows list neighbors in Y u Z by
     # relative index 0..y+z-1 (0..y-1 lands in Y).
-    y = _int_param(params, "y", "bisplit")
-    z = _int_param(params, "z", "bisplit")
+    y = params["y"]
+    z = params["z"]
     _need(y >= 1 and z >= 1, "bisplit requires y >= 1 and z >= 1")
     adjacency = params.get("adjacency")
     _need(isinstance(adjacency, (list, tuple)), "bisplit requires an adjacency list for X")
@@ -184,7 +188,7 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
 
 
 def _complete_sun(params) -> tuple[Graph, Partitions]:
-    n = _int_param(params, "n", "complete_sun")
+    n = params["n"]
     _need(n >= 3, "complete_sun requires n >= 3")
     # clique vertices 0..n-1, rim n..2n-1; rim vertex n+j attaches to clique
     # vertices j and (j+1) mod n
@@ -199,7 +203,7 @@ def _complete_sun(params) -> tuple[Graph, Partitions]:
 def _split(params) -> tuple[Graph, Partitions]:
     # clique vertices 0..r-1, independent vertices r..r+s-1; adjacency rows
     # (one per independent vertex) list that vertex's clique neighbors.
-    r = _int_param(params, "r", "split")
+    r = params["r"]
     _need(r >= 1, "split requires r >= 1")
     adjacency = params.get("adjacency")
     _need(isinstance(adjacency, (list, tuple)), "split requires an adjacency list")
@@ -215,15 +219,15 @@ def _split(params) -> tuple[Graph, Partitions]:
 
 
 def _complete_split(params) -> tuple[Graph, Partitions]:
-    r = _int_param(params, "r", "complete_split")
-    s = _int_param(params, "s", "complete_split")
+    r = params["r"]
+    s = params["s"]
     _need(r >= 1, "complete_split requires r >= 1")
     _need(s >= 1, "complete_split requires s >= 1")
     return _split({"r": r, "adjacency": [tuple(range(r))] * s})
 
 
 def _block_chain(params) -> tuple[Graph, Partitions]:
-    sizes = _int_list_param(params, "cliques", "block_chain")
+    sizes = params["cliques"]
     _need(all(s >= 2 for s in sizes), "block_chain requires all clique sizes >= 2")
     # cliques laid along a path; each clique reuses the last vertex of the
     # previous one as its cut vertex
@@ -236,8 +240,8 @@ def _block_chain(params) -> tuple[Graph, Partitions]:
 
 
 def _windmill(params) -> tuple[Graph, Partitions]:
-    n = _int_param(params, "n", "windmill")
-    r = _int_param(params, "r", "windmill")
+    n = params["n"]
+    r = params["r"]
     _need(n >= 2, "windmill requires n >= 2")
     _need(r >= 2, "windmill requires r >= 2")
     # shared vertex 0; copy i occupies {0} plus 1+i(n-1) .. i(n-1)+n-1
@@ -251,13 +255,13 @@ def _windmill(params) -> tuple[Graph, Partitions]:
 
 
 def _friendship(params) -> tuple[Graph, Partitions]:
-    r = _int_param(params, "r", "friendship")
+    r = params["r"]
     _need(r >= 2, "friendship requires r >= 2")
     return _windmill({"n": 3, "r": r})
 
 
 def _wheel(params) -> tuple[Graph, Partitions]:
-    m = _int_param(params, "m", "wheel")
+    m = params["m"]
     _need(m >= 3, "wheel requires m >= 3")
     # rim cycle 0..m-1, hub m
     edges = _cycle_edges(range(m)) + [(i, m) for i in range(m)]
@@ -266,8 +270,8 @@ def _wheel(params) -> tuple[Graph, Partitions]:
 
 
 def _cone(params) -> tuple[Graph, Partitions]:
-    m = _int_param(params, "m", "cone")
-    n = _int_param(params, "n", "cone")
+    m = params["m"]
+    n = params["n"]
     _need(m >= 3, "cone requires m >= 3")
     _need(n >= 1, "cone requires n >= 1")
     # cycle 0..m-1, apex vertices m..m+n-1 each joined to the whole cycle
@@ -278,7 +282,7 @@ def _cone(params) -> tuple[Graph, Partitions]:
 
 
 def _cactus_chain(params) -> tuple[Graph, Partitions]:
-    lengths = _int_list_param(params, "cycles", "cactus_chain")
+    lengths = params["cycles"]
     _need(all(l >= 3 for l in lengths), "cactus_chain requires all cycle lengths >= 3")
     # cycles laid along a path; each cycle reuses the last vertex of the
     # previous one as its cut vertex
@@ -326,7 +330,11 @@ def generate(spec: FamilySpec) -> LabeledGraph:
     """
     if spec.family not in _FAMILIES:
         raise InvalidParam(f"unknown family {spec.family!r}")
-    graph, parts = _FAMILIES[spec.family].build(spec.params)
+    family = _FAMILIES[spec.family]
+    for key in family.param_order:
+        if key != "adjacency":
+            checked_param(spec.params, key, spec.family)
+    graph, parts = family.build(spec.params)
     return LabeledGraph(graph, parts, spec)
 
 

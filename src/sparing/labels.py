@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError, MissingLabel
-from .graphs import Edge, Graph
+from .graphs import SOLVE_MAX_VERTICES, Edge, Graph
 
 Label = tuple[int, ...]
 Labeling = dict[int, Label]
@@ -77,37 +77,42 @@ def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
     return {(u, v): sumset(f[u], f[v]) for u, v in g.edges()}
 
 
+def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:
+    """Every pair of items that share a label, in first-occurrence order."""
+    groups: dict[Label, list] = {}
+    for item, lab in labeled:
+        groups.setdefault(lab, []).append(item)
+    return [
+        Failure(kind, (a, b))
+        for group in groups.values()
+        for i, a in enumerate(group)
+        for b in group[i + 1:]
+    ]
+
+
 def verify_iasi(g: Graph, f: Mapping[int, Label]) -> Verdict:
     """Check vertex labels pairwise distinct and induced edge labels pairwise distinct.
 
     Every colliding pair is enumerated, not just the first.
     """
-    _require_total(g, f)
-    failures: list[Failure] = []
-    by_label: dict[Label, list[int]] = {}
-    for v in range(g.n):
-        by_label.setdefault(f[v], []).append(v)
-    for group in by_label.values():
-        for i, u in enumerate(group):
-            for v in group[i + 1:]:
-                failures.append(Failure(FailureKind.VERTEX_COLLISION, (u, v)))
-    edge_groups: dict[Label, list[Edge]] = {}
-    for e, lab in induced_edge_labels(g, f).items():
-        edge_groups.setdefault(lab, []).append(e)
-    for edges in edge_groups.values():
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                failures.append(Failure(FailureKind.EDGE_COLLISION, (e1, e2)))
-    return Verdict(not failures, tuple(failures))
+    failures = tuple(
+        x for x in verify_weak(g, f).failures if x.kind is not FailureKind.WEAK_CONDITION_VIOLATED
+    )
+    return Verdict(not failures, failures)
 
 
 def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
-    """verify_iasi plus the per-edge cardinality condition |f(u)+f(v)| = max(|f(u)|,|f(v)|)."""
-    base = verify_iasi(g, f)
-    failures = list(base.failures)
-    for u, v in g.edges():
-        if len(sumset(f[u], f[v])) != max(len(f[u]), len(f[v])):
-            failures.append(Failure(FailureKind.WEAK_CONDITION_VIOLATED, ((u, v),)))
+    """verify_iasi plus the per-edge cardinality condition |f(u)+f(v)| = max(|f(u)|,|f(v)|).
+
+    Its failures follow the collisions; each edge's sum set is computed once."""
+    edge_labels = induced_edge_labels(g, f)
+    failures = _collisions(FailureKind.VERTEX_COLLISION, ((v, f[v]) for v in range(g.n)))
+    failures += _collisions(FailureKind.EDGE_COLLISION, edge_labels.items())
+    failures += [
+        Failure(FailureKind.WEAK_CONDITION_VIOLATED, ((u, v),))
+        for (u, v), lab in edge_labels.items()
+        if len(lab) != max(len(f[u]), len(f[v]))
+    ]
     return Verdict(not failures, tuple(failures))
 
 
@@ -144,6 +149,10 @@ def read_labeling(text: str) -> tuple[int, Labeling]:
     labels = doc["labels"]
     if not isinstance(n, int) or n < 0 or not isinstance(labels, dict):
         raise GraphFormatError("malformed labeling document")
+    if n > SOLVE_MAX_VERTICES:
+        raise GraphFormatError(
+            f"labeling declares {n} vertices; graphs are limited to {SOLVE_MAX_VERTICES}"
+        )
     if set(labels) != {str(v) for v in range(n)}:
         raise GraphFormatError(f"labels must cover exactly the indices 0..{n - 1}")
     out: Labeling = {}

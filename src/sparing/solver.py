@@ -232,13 +232,13 @@ def construct_witness(g: Graph, independent: tuple[int, ...] | frozenset[int]) -
     return f
 
 
-def solve_and_certify(g: Graph, threads: int | None = None) -> tuple[SparingResult, Labeling]:
+def solve_and_certify(g: Graph) -> tuple[SparingResult, Labeling]:
     """Solve exactly, then prove the value with an explicit verified labeling."""
     if g.n >= WITNESS_MAX_VERTICES:
         raise TooLarge(
             f"certification needs {WITNESS_MAX_VERTICES - 1} or fewer vertices"
         )
-    result = sparing_exact(g, threads=threads)
+    result = sparing_exact(g)
     labeling = construct_witness(g, result.witness)
     verdict = verify_weak(g, labeling)
     mono = tuple(mono_edges(g, labeling))

@@ -190,6 +190,19 @@ class TestCheckClaim:
         with pytest.raises(DomainError):
             check_claim(claim_by_id("C16"), {"m": 4, "n": 1})
 
+    @pytest.mark.parametrize(
+        "claim_id,params,err",
+        [
+            ("C1", {"n": 4.0}, "C1: n must be an integer"),
+            ("C3", {"a": 1}, "C3 requires parameter b"),
+            ("C9", {"cliques": [3, "4"]}, "C9: cliques must be a non-empty list of integers"),
+            ("C14", {"cycles": ()}, "C14: cycles must be a non-empty list of integers"),
+        ],
+    )
+    def test_parameter_types_are_the_family_checks(self, claim_id, params, err):
+        with pytest.raises(DomainError, match=f"^{err}$"):
+            check_claim(claim_by_id(claim_id), params)
+
 
 class TestClaimSoundnessSweep:
     """Claims with sound proofs match the solver across their desk-scale domains."""

@@ -1,0 +1,173 @@
+"""The CLI's limits and file errors: each refusal comes before the work it
+guards, with exit 3 for a size limit and exit 2 for bad input."""
+
+import pytest
+
+from sparing import claims, cli
+from sparing.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail the test if the CLI builds a family instance."""
+
+    def refuse(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    monkeypatch.setattr(claims, "generate", refuse)
+
+
+class TestVertexCapOnFlags:
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (
+                ["solve", "--family", "complete", "--n", "100000"],
+                "error: --n needs 100000 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["solve", "--family", "cone", "--m", "3", "--n", "1000000000"],
+                "error: --n needs 1000000000 or more vertices; "
+                "graphs are limited to 64\n",
+            ),
+            (
+                ["solve", "--family", "complete_multipartite", "--parts", ",".join(["1"] * 20000)],
+                "error: --parts needs 20000 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["check", "--claim", "C1", "--n", "1..1000000000000"],
+                "error: --n needs 1000000000000 or more vertices; "
+                "graphs are limited to 64\n",
+            ),
+            (
+                ["check", "--claim", "C12", "--family", "cycle", "--n", "3..65"],
+                "error: --n needs 65 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["check", "--claim", "C9", "--cliques", "3,2..65"],
+                "error: --cliques needs 65 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["solve", "--family", "complete_multipartite", "--parts", ",".join(["64"] * 64)],
+                "error: --parts needs 4033 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["check", "--claim", "C8", "--parts", "30..31,30,30"],
+                "error: --parts needs 88 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["check", "--claim", "C9", "--cliques", "33,33"],
+                "error: --cliques needs 65 or more vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["certify", "--family", "path", "--n", "65", "--out", "unused.json"],
+                "error: --n needs 65 or more vertices; graphs are limited to 64\n",
+            ),
+        ],
+    )
+    def test_refused_before_any_build(self, capsys, no_build, argv, err):
+        assert run(capsys, *argv) == (3, "", err)
+
+    def test_corpus_size_refused_before_writing(self, capsys, tmp_path):
+        out_dir = tmp_path / "corpus"
+        code, out, err = run(capsys, "corpus", "--n", "100", "--out-dir", str(out_dir))
+        assert (code, out) == (3, "")
+        assert err == "error: --n needs 100 or more vertices; graphs are limited to 64\n"
+        assert not out_dir.exists()
+
+    def test_values_at_the_cap_still_build(self, capsys):
+        code, out, _ = run(capsys, "solve", "--family", "path", "--n", "64")
+        assert code == 0
+        assert out.startswith("phi=0 ")
+        code, _, err = run(capsys, "solve", "--family", "complete_sun", "--n", "64")
+        assert (code, err) == (3, "error: solve is limited to 64 vertices\n")
+
+    def test_list_sums_at_the_cap_still_build(self, capsys):
+        code, out, _ = run(capsys, "check", "--claim", "C9", "--cliques", "32,33")
+        assert (code, out.splitlines()[1].split()[:2]) == (0, ["block_chain", "cliques=32,33"])
+        code, _, err = run(capsys, "check", "--claim", "C3", "--parts", "1..40,30")
+        assert (code, err) == (
+            3,
+            "error: claim C3 at a=35,b=30 needs 65 vertices; solve is limited to 64\n",
+        )
+
+    def test_sixty_four_list_items_are_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", "--family", "complete_multipartite", "--parts", ",".join(["1"] * 64)
+        )
+        assert code == 0
+        assert out.startswith("phi=1953 ")  # K_64: (64-1)(64-2)/2
+
+
+class TestLazySweep:
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["check", "--claim", "C1", "--n=-1000000000000..3"], "error: C1 requires n >= 1\n"),
+            (
+                ["check", "--claim", "C16", "--m", "3", "--n=-1000000000000..3"],
+                "error: C16 requires m >= 3 and n >= 2\n",
+            ),
+            (
+                ["check", "--claim", "C12", "--family", "cycle", "--n=-1000000000000..3"],
+                "error: cycle requires n >= 3\n",
+            ),
+            (
+                ["corpus", "--count", "1", "--n=-1000000000000..-1", "--out-dir", "{tmp}"],
+                "error: random_graph requires n >= 0\n",
+            ),
+        ],
+    )
+    def test_stops_at_the_first_bad_point(self, capsys, tmp_path, argv, err):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run(capsys, *argv) == (2, "", err)
+
+    def test_item_ranges_stop_at_the_first_point_over_the_cap(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--claim", "C9", "--cliques", "2..64,2..64,2..64,2..64"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: claim C9 at cliques=2,2,2,62 needs 65 vertices; solve is limited to 64\n"
+        )
+
+    def test_flags_are_parsed_before_the_first_point(self, capsys, no_build):
+        code, _, err = run(capsys, "check", "--claim", "C16", "--m", "2..5", "--n", "x")
+        assert (code, err) == (2, "error: --n expects an integer, got 'x'\n")
+
+
+class TestFiles:
+    def test_certify_to_a_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "w.json"
+        code, stdout, err = run(
+            capsys, "certify", "--family", "cycle", "--n", "5", "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    def test_corpus_under_a_regular_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "corpus"
+        code, stdout, err = run(capsys, "corpus", "--count", "2", "--out-dir", str(out_dir))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out_dir}: ")
+
+    def test_labeling_over_the_vertex_cap(self, capsys, tmp_path):
+        graph = tmp_path / "g2.g"
+        graph.write_text("p 2 1\ne 0 1\n")
+        labeling = tmp_path / "huge.json"
+        labeling.write_text('{"vertices": 1000000000000, "labels": {}}')
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph), "--labeling", str(labeling)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: labeling declares 1000000000000 vertices; graphs are limited to 64\n"
+

@@ -213,6 +213,35 @@ class TestSpecStrings:
         with pytest.raises(InvalidParam):
             generate(FamilySpec(family, params))
 
+    @pytest.mark.parametrize(
+        "family,params,err",
+        [
+            ("cycle", {"n": "5"}, "cycle: n must be an integer"),
+            ("cycle", {"n": True}, "cycle: n must be an integer"),
+            ("windmill", {"n": 3}, "windmill requires parameter r"),
+            (
+                "block_chain",
+                {"cliques": []},
+                "block_chain: cliques must be a non-empty list of integers",
+            ),
+            (
+                "cactus_chain",
+                {"cycles": [3, "4"]},
+                "cactus_chain: cycles must be a non-empty list of integers",
+            ),
+            (
+                "complete_bipartite",
+                {"parts": 3},
+                "complete_bipartite: parts must be a non-empty list of integers",
+            ),
+            ("bisplit", {"y": 1, "z": 1}, "bisplit requires an adjacency list for X"),
+            ("split", {"r": "3", "adjacency": []}, "split: r must be an integer"),
+        ],
+    )
+    def test_type_errors(self, family, params, err):
+        with pytest.raises(InvalidParam, match=f"^{err}$"):
+            generate(FamilySpec(family, params))
+
     def test_missing_param_names_flag(self):
         with pytest.raises(InvalidParam, match="requires parameter n"):
             make("cycle")

@@ -113,6 +113,21 @@ class TestVerifyWeak:
         verdict = verify_weak(path(2), {0: (0, 1), 1: (2, 3)})
         assert not verdict.ok
 
+    def test_iasi_failures_first_then_weak_ones(self):
+        # vertices 0 and 2 collide, edges (0,1) and (1,2) collide, and both
+        # edges join two pairs
+        f = {0: (1, 2), 1: (3, 4), 2: (1, 2)}
+        weak = verify_weak(path(3), f)
+        kinds = [failure.kind for failure in weak.failures]
+        assert kinds == [
+            FailureKind.VERTEX_COLLISION,
+            FailureKind.EDGE_COLLISION,
+            FailureKind.WEAK_CONDITION_VIOLATED,
+            FailureKind.WEAK_CONDITION_VIOLATED,
+        ]
+        assert [failure.where for failure in weak.failures[2:]] == [((0, 1),), ((1, 2),)]
+        assert verify_iasi(path(3), f).failures == weak.failures[:2]
+
 
 class TestMonoEdges:
     def test_all_singletons(self):
@@ -165,6 +180,17 @@ class TestLabelingFile:
     def test_not_json(self):
         with pytest.raises(GraphFormatError):
             read_labeling("p 3 0\n")
+
+    @pytest.mark.parametrize("n", [65, 1000000000000])
+    def test_vertex_count_over_the_cap(self, n):
+        doc = f'{{"vertices": {n}, "labels": {{}}}}'
+        err = f"labeling declares {n} vertices; graphs are limited to 64"
+        with pytest.raises(GraphFormatError, match=f"^{err}$"):
+            read_labeling(doc)
+
+    def test_vertex_count_at_the_cap(self):
+        f = {v: (v,) for v in range(64)}
+        assert read_labeling(write_labeling(64, f)) == (64, f)
 
     def test_extra_keys(self):
         with pytest.raises(GraphFormatError):
