@@ -141,13 +141,15 @@ def write_labeling(n: int, f: Mapping[int, Label]) -> str:
 def read_labeling(text: str) -> tuple[int, Labeling]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer of more digits than int()
+        # converts; RecursionError: arrays or objects nested too deep
         raise GraphFormatError(f"labeling is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"vertices", "labels"}:
         raise GraphFormatError("labeling must have exactly the keys 'vertices' and 'labels'")
     n = doc["vertices"]
     labels = doc["labels"]
-    if not isinstance(n, int) or n < 0 or not isinstance(labels, dict):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or not isinstance(labels, dict):
         raise GraphFormatError("malformed labeling document")
     if n > SOLVE_MAX_VERTICES:
         raise GraphFormatError(

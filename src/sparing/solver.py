@@ -12,10 +12,13 @@ sparing number is therefore
 and, because every edge has at most one endpoint in an independent set, the
 count inside the complement equals |E| minus the total degree of I. One
 branch-and-bound search maximizes that covered degree sum and stops once it
-reaches a goal: |E| when it finds the value, the optimum when it tests each
-prefix of the lexicographically least optimal witness. The brute-force
-oracle scores complements by counting their edges directly, so the two
-routes stay independent.
+reaches a goal: the value phase's goal is |E| less a greedy packing of
+edge-disjoint triangles (each keeps a mono edge), and each prefix of the
+lexicographically least optimal witness is tested with the optimum as the
+goal. A branch is pruned by a clique-cover bound: the free vertices are
+split greedily into cliques, and an independent set takes at most the
+heaviest vertex of each. The brute-force oracle scores complements by
+counting their edges directly, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -105,22 +108,52 @@ def sparing_bruteforce(g: Graph) -> SparingResult:
     return _finish(g, best_mask, nodes, t0)
 
 
+def _triangle_packing(adj: list[int]) -> int:
+    """The size of a greedy packing of edge-disjoint triangles.
+
+    Each packed triangle keeps a mono edge, since an independent set holds at
+    most one of its vertices, so no independent set covers more than |E|
+    minus this count.
+    """
+    rest = list(adj)  # the edges no packed triangle uses yet
+    packed = 0
+    for u in range(len(rest)):
+        scan = rest[u] & -(2 << u)  # the neighbors above u
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if not rest[u] & low:
+                continue  # uv is in a triangle packed from u already
+            v = low.bit_length() - 1
+            common = rest[u] & rest[v]
+            if common:
+                w = (common & -common).bit_length() - 1
+                ubit, wbit = 1 << u, 1 << w
+                rest[u] &= ~(low | wbit)
+                rest[v] &= ~(ubit | wbit)
+                rest[w] &= ~(ubit | low)
+                packed += 1
+    return packed
+
+
 def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     """Exact solve by branch and bound over independent sets.
 
     Returns the same value/witness/mono as `sparing_bruteforce` on every
     input where both run. One search serves both phases: it raises an
     incumbent covered degree sum and stops once that reaches a goal. The
-    value phase runs it with goal |E| (no independent set covers more); the
-    lexmin witness is then built prefix by prefix, each candidate prefix kept
-    if the same search, with the optimum as its goal, still reaches it.
-    ``stats.nodes`` counts the nodes of both phases.
+    value phase runs it with goal |E| minus a greedy packing of edge-disjoint
+    triangles (no independent set covers more, as each packed triangle keeps
+    a mono edge); the lexmin witness is then built prefix by prefix, each
+    candidate prefix kept if the same search, with the optimum as its goal,
+    still reaches it. ``stats.nodes`` counts the nodes of both phases.
 
     Branching follows descending original degree (ties to the lower index);
     a free vertex whose neighbors are all decided-out is taken
     unconditionally, since enlarging an independent set never adds mono
-    edges. The bound is the covered degree sum: a branch dies when even
-    claiming every remaining free vertex cannot beat the incumbent.
+    edges. The bound is a clique cover: at every node the free vertices are
+    split greedily into cliques, and a branch dies when the covered degree
+    sum plus the largest degree of each clique cannot beat the incumbent.
 
     ``threads`` is validated for interface compatibility; branch evaluation
     is sequential, which makes the result trivially identical at any thread
@@ -136,48 +169,59 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     full = (1 << n) - 1
     nodes = 0
     best = 0
-    goal = sum(deg) // 2
+    goal = sum(deg) // 2 - _triangle_packing(adj)
 
-    def search(i: int, free: int, cov: int, rem: int) -> None:
+    def search(i: int, free: int, cov: int) -> None:
         """Raise ``best`` with independent subsets of ``free`` added to ``cov``.
 
-        ``rem`` is the degree sum of ``free`` and ``order[:i]`` holds no free
-        vertex. The included vertices are independent at every node, so any
-        node's ``cov`` is a valid incumbent; nothing is searched once ``best``
-        reaches ``goal``.
+        ``order[:i]`` holds no free vertex. The included vertices are
+        independent at every node, so any node's ``cov`` is a valid
+        incumbent; nothing is searched once ``best`` reaches ``goal``.
         """
         nonlocal nodes, best
         nodes += 1
+        # cap: cov plus the largest degree of each clique of a greedy clique
+        # cover of the free vertices; an independent set takes at most one
+        # vertex of each clique, so no extension covers more than cap
+        cap = cov
+        unclaimed = free  # free vertices in no clique yet
         scan = free
         while scan:
             low = scan & -scan
             scan ^= low
             v = low.bit_length() - 1
-            if not adj[v] & free:
+            near = adj[v] & free
+            if not near:
                 # no free neighbor: taking v is always at least as good
                 free ^= low
                 cov += deg[v]
-                rem -= deg[v]
+                cap += deg[v]
+            elif unclaimed & low:
+                # a clique from v, grown greedily over the unclaimed vertices
+                unclaimed ^= low
+                top = deg[v]
+                extend = near & unclaimed
+                while extend:
+                    ubit = extend & -extend
+                    u = ubit.bit_length() - 1
+                    unclaimed ^= ubit
+                    extend &= adj[u]
+                    if deg[u] > top:
+                        top = deg[u]
+                cap += top
         if cov > best:
             best = cov
-        if not free or cov + rem <= best:
+        if not free or cap <= best:
             return
         while not free >> order[i] & 1:
             i += 1
         v = order[i]
         vbit = 1 << v
-        dropped = adj[v] & free
-        lost = deg[v]
-        scan = dropped
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            lost += deg[low.bit_length() - 1]
-        search(i + 1, free & ~(dropped | vbit), cov + deg[v], rem - lost)
+        search(i + 1, free & ~(adj[v] | vbit), cov + deg[v])
         if best < goal:
-            search(i + 1, free & ~vbit, cov, rem - deg[v])
+            search(i + 1, free & ~vbit, cov)
 
-    search(0, full, 0, sum(deg))
+    search(0, full, 0)
     goal = best
 
     # lexicographically least optimal witness, built prefix by prefix: stop as
@@ -194,7 +238,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
                 continue
             free = full & ~((jbit << 1) - 1) & ~(blocked | adj[j])
             best = goal - 1
-            search(0, free, cov_c + deg[j], sum(deg[v] for v in iter_bits(free)))
+            search(0, free, cov_c + deg[j])
             if best == goal:
                 chosen.append(j)
                 c_mask |= jbit

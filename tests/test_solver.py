@@ -84,6 +84,11 @@ class TestExact:
             make("cone", m=5, n=3),
             make("cactus_chain", cycles=[3, 4, 5]),
             make("path", n=9),
+            # triangle-rich: each packed triangle lowers the value phase's goal
+            make("cactus_chain", cycles=[3] * 11),
+            make("friendship", r=7),
+            # bridges between the triangles: block_chain [3]*11 is the cactus above
+            make("block_chain", cliques=[3, 3, 2] * 3 + [3]),
         ]
         rng = random.Random(5)
         for lg in cases:
@@ -118,6 +123,23 @@ class TestExact:
     @pytest.mark.parametrize("family", ["path", "cycle"])
     def test_bipartite_at_the_vertex_cap(self, family):
         assert sparing_exact(make(family, n=SOLVE_MAX_VERTICES).graph).value == 0
+
+    @pytest.mark.parametrize(
+        "family,params,phi",
+        [
+            ("wheel", {"m": 63}, 33),  # odd rim: (m + 3) / 2
+            ("cycle", {"n": 63}, 1),
+            ("cactus_chain", {"cycles": [3] * 31}, 31),  # one per odd cycle
+            ("block_chain", {"cliques": [3] * 31}, 31),  # one per triangle
+            ("friendship", {"r": 31}, 31),
+        ],
+    )
+    def test_structured_graphs_at_the_vertex_cap(self, family, params, phi):
+        # the clique-cover bound and the triangle-packing goal keep these small;
+        # the plain degree-sum bound takes about 2^(n/2) nodes
+        r = sparing_exact(make(family, **params).graph)
+        assert r.value == phi
+        assert r.stats.nodes < 2000
 
     def test_thread_count_does_not_change_anything(self):
         g = random_graph(16, 0.3, 99)
