@@ -18,8 +18,8 @@ from typing import Callable, Mapping
 from .errors import DomainError, MissingGraph
 from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, checked_param, generate
 from .graphs import Graph, iter_bits, subdivide_edges, shadow, triangles_through
-from .labels import mono_edges, sumset, verify_weak
-from .solver import solve_and_certify, sparing_exact
+from .labels import Labeling, mono_edges, sumset, verify_weak
+from .solver import SparingResult, solve_and_certify, sparing_exact
 
 Params = Mapping[str, object]
 
@@ -134,39 +134,46 @@ class ClaimVerdict:
     runtime_ms: int
 
 
-def _subdivide_mono(base: FamilySpec):
-    """The base graph, its certified optimal solve and labeling, and the base
-    with every mono edge of that labeling subdivided."""
-    g = generate(base).graph
-    result, labeling = solve_and_certify(g)
-    return g, result, labeling, subdivide_edges(g, result.mono)
+@dataclass(frozen=True)
+class _Subdivision(LabeledGraph):
+    """C13's instance: the base graph with every mono edge of its certified
+    solve (``result`` and ``labeling``) subdivided. It carries that solve, so
+    the prediction and the ``induced`` rule read it instead of solving again."""
+
+    result: SparingResult
+    labeling: Labeling
 
 
 def _shadow(claim: Claim, p: Params) -> LabeledGraph:
     return LabeledGraph(shadow(generate(p["base"]).graph), {}, FamilySpec(claim.family, dict(p)))
 
 
-def _maximal_subdivision(claim: Claim, p: Params) -> LabeledGraph:
-    return LabeledGraph(_subdivide_mono(p["base"])[-1], {}, FamilySpec(claim.family, dict(p)))
+def _maximal_subdivision(claim: Claim, p: Params) -> _Subdivision:
+    g = generate(p["base"]).graph
+    result, labeling = solve_and_certify(g)
+    spec = FamilySpec(claim.family, dict(p))
+    return _Subdivision(subdivide_edges(g, result.mono), {}, spec, result, labeling)
 
 
 def _exact_subdivision(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
     """The solver on the subdivided graph (``fresh``), or the mono count of the
     labeling the subdivision inherits from its base (``induced``).
 
-    Each subdivided edge's fresh vertex takes over the edge's old sum set, so
-    both replacement edges come out mono.
+    Each subdivided edge's fresh vertex (numbered in mono order after the
+    base vertices) takes over the edge's old sum set, so both replacement
+    edges come out mono. An ``lg`` that does not carry its base solve has
+    the instance built anew for ``induced``.
     """
     if p["mode"] == "fresh":
         return _solve_instance(p, lg)
-    g, result, labeling, subdivided = _subdivide_mono(p["base"])
-    extended = dict(labeling)
-    for offset, (u, v) in enumerate(result.mono):
-        extended[g.n + offset] = sumset(labeling[u], labeling[v])
-    verdict = verify_weak(subdivided, extended)
+    sub = lg if isinstance(lg, _Subdivision) else claim_by_id("C13").instance(p)
+    extended = dict(sub.labeling)
+    for u, v in sub.result.mono:
+        extended[len(extended)] = sumset(extended[u], extended[v])
+    verdict = verify_weak(sub.graph, extended)
     if not verdict.ok:
         raise AssertionError("inherited subdivision labeling failed verification")
-    mono = mono_edges(subdivided, extended)
+    mono = mono_edges(sub.graph, extended)
     non_singleton = sum(1 for lab in extended.values() if len(lab) > 1)
     return len(mono), non_singleton, len(mono)
 
@@ -253,6 +260,8 @@ def odd_cycle_block_count(g: Graph) -> int:
 
 
 def _twice_phi_of_base(p: Params, lg: LabeledGraph | None) -> int:
+    if isinstance(lg, _Subdivision):
+        return 2 * lg.result.value
     return 2 * sparing_exact(generate(p["base"]).graph).value
 
 

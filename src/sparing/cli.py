@@ -187,6 +187,7 @@ def cmd_solve(args) -> int:
                     "witness": list(result.witness),
                     "mono": [list(e) for e in result.mono],
                     "nodes": result.stats.nodes,
+                    "value_nodes": result.stats.value_nodes,
                     "runtime_ms": int(result.stats.elapsed_s * 1000),
                 }
             )

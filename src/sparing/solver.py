@@ -12,13 +12,16 @@ sparing number is therefore
 and, because every edge has at most one endpoint in an independent set, the
 count inside the complement equals |E| minus the total degree of I. One
 branch-and-bound search maximizes that covered degree sum and stops once it
-reaches a goal: the value phase's goal is |E| less a greedy packing of
-edge-disjoint triangles (each keeps a mono edge), and each prefix of the
-lexicographically least optimal witness is tested with the optimum as the
-goal. A branch is pruned by a clique-cover bound: the free vertices are
-split greedily into cliques, and an independent set takes at most the
-heaviest vertex of each. The brute-force oracle scores complements by
-counting their edges directly, so the two routes stay independent.
+reaches a goal, and keeps the included set of its best node: the value
+phase's goal is |E| less a greedy packing of edge-disjoint triangles (each
+keeps a mono edge), and it ends with an optimal set W. The lexicographically
+least optimal witness is then built prefix by prefix from W: only the
+candidates below W's next element are searched, with the optimum as the
+goal, and the optimal set a successful search finds becomes W. A branch is
+pruned by a clique-cover bound: the free vertices are split greedily into
+cliques, and an independent set takes at most the heaviest vertex of each.
+The brute-force oracle scores complements by counting their edges directly,
+so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -44,7 +47,11 @@ WITNESS_MAX_VERTICES = 30  # exclusive bound: 2 * 4**29 < 2**63
 
 @dataclass(frozen=True)
 class SearchStats:
+    """``nodes`` counts every search node; ``value_nodes`` those of the value
+    phase, before the witness is built."""
+
     nodes: int
+    value_nodes: int
     elapsed_s: float
 
 
@@ -63,11 +70,13 @@ class SparingResult:
     stats: SearchStats
 
 
-def _finish(g: Graph, witness_mask: int, nodes: int, t0: float) -> SparingResult:
+def _finish(
+    g: Graph, witness_mask: int, nodes: int, value_nodes: int, t0: float
+) -> SparingResult:
     witness = tuple(iter_bits(witness_mask))
     complement = [v for v in range(g.n) if not witness_mask >> v & 1]
     mono = tuple(edges_within(g, complement))
-    stats = SearchStats(nodes=nodes, elapsed_s=time.perf_counter() - t0)
+    stats = SearchStats(nodes, value_nodes, time.perf_counter() - t0)
     return SparingResult(len(mono), witness, mono, stats)
 
 
@@ -105,7 +114,7 @@ def sparing_bruteforce(g: Graph) -> SparingResult:
             visit(v + 1, mask | (1 << v))
 
     visit(0, 0)
-    return _finish(g, best_mask, nodes, t0)
+    return _finish(g, best_mask, nodes, nodes, t0)  # one pass finds both
 
 
 def _triangle_packing(adj: list[int]) -> int:
@@ -144,9 +153,13 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     incumbent covered degree sum and stops once that reaches a goal. The
     value phase runs it with goal |E| minus a greedy packing of edge-disjoint
     triangles (no independent set covers more, as each packed triangle keeps
-    a mono edge); the lexmin witness is then built prefix by prefix, each
-    candidate prefix kept if the same search, with the optimum as its goal,
-    still reaches it. ``stats.nodes`` counts the nodes of both phases.
+    a mono edge) and keeps the optimal set W it ends on. The lexmin witness
+    is then built prefix by prefix: W's next element extends the prefix
+    unless a lower candidate does, and only those lower candidates are
+    searched, each kept if the same search, with the optimum as its goal,
+    still reaches it; the optimal set such a search finds becomes W.
+    ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
+    those of the value phase.
 
     Branching follows descending original degree (ties to the lower index);
     a free vertex whose neighbors are all decided-out is taken
@@ -169,16 +182,19 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     full = (1 << n) - 1
     nodes = 0
     best = 0
+    best_set = 0
     goal = sum(deg) // 2 - _triangle_packing(adj)
 
-    def search(i: int, free: int, cov: int) -> None:
-        """Raise ``best`` with independent subsets of ``free`` added to ``cov``.
+    def search(i: int, free: int, cov: int, inc: int) -> None:
+        """Raise ``best`` with independent subsets of ``free`` added to ``inc``.
 
+        ``inc`` is the included set and ``cov`` its covered degree sum;
         ``order[:i]`` holds no free vertex. The included vertices are
-        independent at every node, so any node's ``cov`` is a valid
-        incumbent; nothing is searched once ``best`` reaches ``goal``.
+        independent at every node, so any node's ``inc`` is a valid incumbent,
+        kept in ``best_set``; nothing is searched once ``best`` reaches
+        ``goal``.
         """
-        nonlocal nodes, best
+        nonlocal nodes, best, best_set
         nodes += 1
         # cap: cov plus the largest degree of each clique of a greedy clique
         # cover of the free vertices; an independent set takes at most one
@@ -194,6 +210,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
             if not near:
                 # no free neighbor: taking v is always at least as good
                 free ^= low
+                inc |= low
                 cov += deg[v]
                 cap += deg[v]
             elif unclaimed & low:
@@ -211,44 +228,52 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
                 cap += top
         if cov > best:
             best = cov
+            best_set = inc
         if not free or cap <= best:
             return
         while not free >> order[i] & 1:
             i += 1
         v = order[i]
         vbit = 1 << v
-        search(i + 1, free & ~(adj[v] | vbit), cov + deg[v])
+        search(i + 1, free & ~(adj[v] | vbit), cov + deg[v], inc | vbit)
         if best < goal:
-            search(i + 1, free & ~vbit, cov)
+            search(i + 1, free & ~vbit, cov, inc)
 
-    search(0, full, 0)
+    search(0, full, 0, 0)
     goal = best
+    value_nodes = nodes
 
-    # lexicographically least optimal witness, built prefix by prefix: stop as
-    # soon as the prefix itself is optimal (a prefix precedes every extension)
-    chosen: list[int] = []
+    # lexicographically least optimal witness, built prefix by prefix from a
+    # known optimal set W that contains the prefix and otherwise lies above
+    # it: a candidate below W's next element is kept only if a search proves
+    # an optimal extension (whose set becomes W); if none is, that next
+    # element is kept untested. Stop as soon as the prefix itself is optimal
+    # (a prefix precedes every extension).
+    known = best_set
     c_mask = 0
     blocked = 0
     cov_c = 0
     while cov_c != goal:
-        start = chosen[-1] + 1 if chosen else 0
-        for j in range(start, n):
+        rest = known & ~c_mask
+        if not rest:
+            raise AssertionError("witness reconstruction exhausted the known optimal set")
+        nxt = (rest & -rest).bit_length() - 1
+        for j in range(c_mask.bit_length(), nxt):
             jbit = 1 << j
             if blocked & jbit:
                 continue
             free = full & ~((jbit << 1) - 1) & ~(blocked | adj[j])
             best = goal - 1
-            search(0, free, cov_c + deg[j])
+            search(0, free, cov_c + deg[j], c_mask | jbit)
             if best == goal:
-                chosen.append(j)
-                c_mask |= jbit
-                blocked |= adj[j] | jbit
-                cov_c += deg[j]
+                known = best_set
+                nxt = j
                 break
-        else:
-            raise AssertionError("optimal witness reconstruction exhausted all prefixes")
+        c_mask |= 1 << nxt
+        blocked |= adj[nxt] | 1 << nxt
+        cov_c += deg[nxt]
 
-    return _finish(g, c_mask, nodes, t0)
+    return _finish(g, c_mask, nodes, value_nodes, t0)
 
 
 def construct_witness(g: Graph, independent: tuple[int, ...] | frozenset[int]) -> Labeling:

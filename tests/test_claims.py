@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sparing.claims import (
@@ -8,7 +10,7 @@ from sparing.claims import (
     predicted_value,
 )
 from sparing.errors import DomainError, MissingGraph
-from sparing.families import FamilySpec, generate, make
+from sparing.families import FamilySpec, LabeledGraph, generate, make
 from sparing.graphs import graph_from_edges
 from sparing.solver import sparing_exact
 
@@ -172,6 +174,38 @@ class TestCheckClaim:
         # subdividing the lone mono edge of a triangle leaves an even cycle
         assert (fresh.exact, fresh.verdict) == (0, "MISMATCH")
         assert (induced.exact, induced.verdict) == (2, "MATCH")
+
+    @pytest.mark.parametrize("mode,solves", [("fresh", 2), ("induced", 1)])
+    def test_subdivision_solves_its_base_once(self, monkeypatch, mode, solves):
+        import sparing.claims
+        import sparing.solver
+
+        calls = []
+
+        def counted(g, threads=None):
+            calls.append(g)
+            return sparing_exact(g, threads)
+
+        # solve_and_certify looks the solver up in its own module
+        monkeypatch.setattr(sparing.claims, "sparing_exact", counted)
+        monkeypatch.setattr(sparing.solver, "sparing_exact", counted)
+        claim = claim_by_id("C13")
+        params = {"base": FamilySpec("cycle", {"n": 7}), "mode": mode}
+
+        def verdict(lg=None):  # the verdict apart from its runtime
+            return replace(check_claim(claim, params, lg=lg), runtime_ms=0)
+
+        expected = verdict()
+        # fresh: the base, then the subdivided graph; induced: the base only
+        assert len(calls) == solves
+        # an instance the caller built carries the same one base solve
+        calls.clear()
+        lg = claim.instance(params)
+        assert verdict(lg) == expected
+        assert len(calls) == solves
+        # one that carries no base solve still gets the same verdict
+        plain = LabeledGraph(lg.graph, {}, lg.spec)
+        assert verdict(plain) == expected
 
     def test_cactus(self):
         v = check_claim(claim_by_id("C14"), {"cycles": [3, 4, 5]})

@@ -45,6 +45,13 @@ class TestSolve:
         assert doc["witness"] == [0, 2]
         assert [tuple(e) for e in doc["mono"]] == [(1, 5), (3, 4), (3, 5), (4, 5)]
 
+    def test_json_reports_value_phase_nodes(self, capsys):
+        code, out, _ = run(capsys, "solve", "--family", "wheel", "--m", "5", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["phi", "witness", "mono", "nodes", "value_nodes", "runtime_ms"]
+        assert 0 < doc["value_nodes"] <= doc["nodes"]
+
     def test_solver_limit(self, capsys):
         code, _, err = run(capsys, "solve", "--family", "path", "--n", "65")
         assert code == 3

@@ -141,6 +141,35 @@ class TestExact:
         assert r.value == phi
         assert r.stats.nodes < 2000
 
+    @pytest.mark.parametrize("family,params", [("cycle", {"n": 63}), ("wheel", {"m": 63})])
+    def test_witness_phase_reuses_the_value_phase_optimum(self, family, params):
+        g = make(family, **params).graph
+        # as generated, the value phase ends on the lexmin witness, and every
+        # candidate below each of its elements is a neighbor of the prefix
+        r = sparing_exact(g)
+        assert r.stats.nodes == r.stats.value_nodes
+        # relabeled, only the candidates below the known optimum are searched
+        perm = list(range(g.n))
+        random.Random(0).shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edges()]
+        relabeled = sparing_exact(graph_from_edges(g.n, edges))
+        assert relabeled.value == r.value
+        # the failing prefix tests alone take 2,989 (cycle) and 3,318 (wheel)
+        assert relabeled.stats.nodes - relabeled.stats.value_nodes < 4000
+
+    def test_witness_below_the_value_phase_optimum(self):
+        # the value phase branches on high degrees first and stops at its
+        # first optimum; on these inputs a lower candidate's test succeeds
+        # at least once, and the set it finds replaces the known optimum
+        star = graph_from_edges(4, [(0, 3), (1, 3), (2, 3)])  # center last
+        assert sparing_exact(star).witness == (0, 1, 2)
+        graphs = [star, disjoint_union(star, star), random_graph(20, 0.1, 3)]
+        graphs += [random_graph(22, 0.15, 3), random_graph(24, 0.15, 4)]
+        for g in graphs:
+            b = sparing_bruteforce(g)
+            e = sparing_exact(g)
+            assert (b.value, b.witness, b.mono) == (e.value, e.witness, e.mono)
+
     def test_thread_count_does_not_change_anything(self):
         g = random_graph(16, 0.3, 99)
         r1 = sparing_exact(g, threads=1)
