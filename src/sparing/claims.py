@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from .errors import DomainError, MissingGraph
 from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, checked_param, generate
 from .graphs import Graph, iter_bits, subdivide_edges, shadow, triangles_through
-from .labels import Labeling, mono_edges, sumset, verify_weak
+from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
 
 Params = Mapping[str, object]
@@ -99,9 +99,6 @@ class Claim:
     build: Callable[[Claim, Params], LabeledGraph] = _family_instance
     exact: Callable[[Params, LabeledGraph], tuple[int, int, int]] = _solve_instance
 
-    def check_domain(self, params: Params) -> None:
-        self._point(params)
-
     def instance(self, params: Params) -> LabeledGraph:
         """The labeled graph whose exact sparing number the claim predicts."""
         return self.build(self, self._point(params))
@@ -173,9 +170,8 @@ def _exact_subdivision(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
     verdict = verify_weak(sub.graph, extended)
     if not verdict.ok:
         raise AssertionError("inherited subdivision labeling failed verification")
-    mono = mono_edges(sub.graph, extended)
     non_singleton = sum(1 for lab in extended.values() if len(lab) > 1)
-    return len(mono), non_singleton, len(mono)
+    return len(verdict.mono), non_singleton, len(verdict.mono)
 
 
 def _min_clique_triangles(lg: LabeledGraph) -> int:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph
 from .graphs import SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
-from .labels import FailureKind, mono_edges, read_labeling, verify_weak, write_labeling
+from .labels import FailureKind, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
 
 EXIT_OK = 0
@@ -230,7 +230,7 @@ def cmd_verify(args) -> int:
     if n != g.n:
         raise GraphFormatError(f"labeling covers {n} vertices, graph has {g.n}")
     verdict = verify_weak(g, labeling)
-    mono_count = len(mono_edges(g, labeling))
+    mono_count = len(verdict.mono)
     if args.format == "json":
         failures = [_failure_line(f) for f in verdict.failures]
         print(json.dumps({"ok": verdict.ok, "mono": mono_count, "failures": failures}))
@@ -309,7 +309,10 @@ def cmd_check(args) -> int:
     points = _claim_points(claim, args)
     rows: list[ReportRow] = []
     for params in points:
-        lg = claim.instance(params)
+        try:
+            lg = claim.instance(params)
+        except TooLarge as exc:
+            raise TooLarge(f"claim {claim.id} at {_params_string(claim, params)}: {exc}") from None
         if lg.graph.n > SOLVE_MAX_VERTICES:
             raise TooLarge(
                 f"claim {claim.id} at {_params_string(claim, params)} needs "
@@ -355,6 +358,10 @@ def cmd_check(args) -> int:
 def cmd_corpus(args) -> int:
     out_dir = Path(args.out_dir)
     sizes = _parse_range(args.n, "n")
+    if args.count < 0:
+        raise InputError("--count must be >= 0")
+    if not 0.0 <= args.density <= 1.0:
+        raise InputError("--density must be in [0, 1]")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -5,7 +5,9 @@ integers; a labeling maps every vertex index to one. The induced edge label
 is the sum set of its endpoint labels. A labeling is *weak* when, on top of
 vertex- and edge-label injectivity, every edge's sum set is exactly as large
 as its larger endpoint label — which forces a singleton on one endpoint of
-every edge.
+every edge. `verify_weak` computes every sum set once and judges them; its
+verdict also carries the mono edges, those whose sum set is a singleton,
+which the sparing number counts.
 """
 
 from __future__ import annotations
@@ -58,22 +60,22 @@ class Failure:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Whether a labeling passed, every failure if not, and its mono edges
+    (singleton sum sets, in canonical order) either way."""
+
     ok: bool
     failures: tuple[Failure, ...] = field(default=())
+    mono: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self):
         assert self.ok == (not self.failures)
 
 
-def _require_total(g: Graph, f: Mapping[int, Label]) -> None:
+def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
+    """The sum set of the endpoint labels for each edge, keyed by canonical edge."""
     missing = [v for v in range(g.n) if v not in f]
     if missing:
         raise MissingLabel(f"no label for vertices {missing}")
-
-
-def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
-    """The sum set of the endpoint labels for each edge, keyed by canonical edge."""
-    _require_total(g, f)
     return {(u, v): sumset(f[u], f[v]) for u, v in g.edges()}
 
 
@@ -95,10 +97,11 @@ def verify_iasi(g: Graph, f: Mapping[int, Label]) -> Verdict:
 
     Every colliding pair is enumerated, not just the first.
     """
+    weak = verify_weak(g, f)
     failures = tuple(
-        x for x in verify_weak(g, f).failures if x.kind is not FailureKind.WEAK_CONDITION_VIOLATED
+        x for x in weak.failures if x.kind is not FailureKind.WEAK_CONDITION_VIOLATED
     )
-    return Verdict(not failures, failures)
+    return Verdict(not failures, failures, weak.mono)
 
 
 def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
@@ -113,13 +116,13 @@ def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
         for (u, v), lab in edge_labels.items()
         if len(lab) != max(len(f[u]), len(f[v]))
     ]
-    return Verdict(not failures, tuple(failures))
+    mono = tuple(e for e, lab in edge_labels.items() if len(lab) == 1)
+    return Verdict(not failures, tuple(failures), mono)
 
 
 def mono_edges(g: Graph, f: Mapping[int, Label]) -> list[Edge]:
     """Edges whose induced label is a singleton, canonically ordered."""
-    _require_total(g, f)
-    return [e for e, lab in induced_edge_labels(g, f).items() if len(lab) == 1]
+    return list(verify_weak(g, f).mono)
 
 
 # Labeling file format: a single JSON document

@@ -39,7 +39,7 @@ from .graphs import (
     iter_bits,
     mask_of,
 )
-from .labels import Labeling, mono_edges, verify_weak
+from .labels import Labeling, verify_weak
 
 BRUTEFORCE_MAX_VERTICES = 24
 WITNESS_MAX_VERTICES = 30  # exclusive bound: 2 * 4**29 < 2**63
@@ -310,10 +310,9 @@ def solve_and_certify(g: Graph) -> tuple[SparingResult, Labeling]:
     result = sparing_exact(g)
     labeling = construct_witness(g, result.witness)
     verdict = verify_weak(g, labeling)
-    mono = tuple(mono_edges(g, labeling))
-    if not verdict.ok or mono != result.mono or len(mono) != result.value:
+    if not verdict.ok or verdict.mono != result.mono:
         raise CertificationFailed(
             f"witness labeling disagrees with the solve (value {result.value}, "
-            f"labeled mono count {len(mono)})"
+            f"labeled mono count {len(verdict.mono)})"
         )
     return result, labeling

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from sparing import labels
+from sparing.claims import check_claim, claim_by_id
 from sparing.cli import main
-from sparing.families import make
+from sparing.families import FamilySpec, make
 from sparing.graphs import write_graph
 from sparing.labels import write_labeling
 
@@ -377,3 +379,36 @@ class TestThreadsEnv:
             capsys, "solve", "--family", "complete", "--n", "4", "--threads", "2"
         )
         assert code == 0
+
+
+class TestOneSumSetPass:
+    """A labeling's edge sum sets are computed once, by verify_weak, which
+    reports the mono edges along with its verdict."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        original = labels.induced_edge_labels
+
+        def counted(g, f):
+            calls.append(g.n)
+            return original(g, f)
+
+        monkeypatch.setattr(labels, "induced_edge_labels", counted)
+        return calls
+
+    def test_certify_then_verify(self, capsys, tmp_path, passes):
+        out = tmp_path / "w.json"
+        code, _, _ = run(capsys, "certify", "--family", "wheel", "--m", "5", "--out", str(out))
+        assert (code, passes) == (0, [6])
+        passes.clear()
+        code, stdout, _ = run(
+            capsys, "verify", "--family", "wheel", "--m", "5", "--labeling", str(out)
+        )
+        assert (code, stdout, passes) == (0, "weak-IASI: ok, mono=4\n", [6])
+
+    def test_subdivision_induced_mode(self, passes):
+        point = {"base": FamilySpec("cycle", {"n": 5}), "mode": "induced"}
+        verdict = check_claim(claim_by_id("C13"), point)
+        assert (verdict.verdict, verdict.exact) == ("MATCH", 2)
+        assert passes == [5, 6]  # the base's certificate, then the subdivision's labeling

@@ -82,6 +82,14 @@ class TestVertexCapOnFlags:
         assert err == "error: --n needs 100 or more vertices; graphs are limited to 64\n"
         assert not out_dir.exists()
 
+    def test_certified_base_over_the_witness_cap(self, capsys):
+        code, out, err = run(capsys, "check", "--claim", "C13", "--family", "cycle", "--n", "30")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: claim C13 at base=cycle,n=30,mode=fresh: "
+            "certification needs 29 or fewer vertices\n"
+        )
+
     def test_values_at_the_cap_still_build(self, capsys):
         code, out, _ = run(capsys, "solve", "--family", "path", "--n", "64")
         assert code == 0
@@ -159,6 +167,20 @@ class TestFiles:
         code, stdout, err = run(capsys, "corpus", "--count", "2", "--out-dir", str(out_dir))
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: cannot write {out_dir}: ")
+
+    @pytest.mark.parametrize(
+        "flags,err",
+        [
+            (["--count", "-3"], "error: --count must be >= 0\n"),
+            (["--density", "1.5"], "error: --density must be in [0, 1]\n"),
+            (["--density", "-0.1"], "error: --density must be in [0, 1]\n"),
+            (["--density", "nan"], "error: --density must be in [0, 1]\n"),
+        ],
+    )
+    def test_corpus_input_refused_before_writing(self, capsys, tmp_path, flags, err):
+        out_dir = tmp_path / "corpus"
+        assert run(capsys, "corpus", *flags, "--out-dir", str(out_dir)) == (2, "", err)
+        assert not out_dir.exists()
 
     def test_labeling_over_the_vertex_cap(self, capsys, tmp_path):
         graph = tmp_path / "g2.g"

@@ -128,6 +128,20 @@ class TestVerifyWeak:
         assert [failure.where for failure in weak.failures[2:]] == [((0, 1),), ((1, 2),)]
         assert verify_iasi(path(3), f).failures == weak.failures[:2]
 
+    def test_failing_labeling_still_reports_mono_edges(self):
+        # vertices 0 and 2 collide, so do the mono edges (0,1) and (1,2);
+        # edge (3,4) joins two pairs into four sums
+        f = {0: (1,), 1: (2,), 2: (1,), 3: (1, 2), 4: (3, 5)}
+        weak = verify_weak(path(5), f)
+        assert [failure.kind for failure in weak.failures] == [
+            FailureKind.VERTEX_COLLISION,
+            FailureKind.EDGE_COLLISION,
+            FailureKind.WEAK_CONDITION_VIOLATED,
+        ]
+        assert weak.mono == ((0, 1), (1, 2))
+        assert verify_iasi(path(5), f).mono == weak.mono
+        assert mono_edges(path(5), f) == [(0, 1), (1, 2)]
+
 
 class TestMonoEdges:
     def test_all_singletons(self):
