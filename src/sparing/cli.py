@@ -358,6 +358,8 @@ def cmd_check(args) -> int:
 def cmd_corpus(args) -> int:
     out_dir = Path(args.out_dir)
     sizes = _parse_range(args.n, "n")
+    if sizes.start < 0:
+        raise InputError("random_graph requires n >= 0")
     if args.count < 0:
         raise InputError("--count must be >= 0")
     if not 0.0 <= args.density <= 1.0:

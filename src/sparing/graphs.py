@@ -31,10 +31,6 @@ class Graph:
         self._adj = adj
 
     @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 

@@ -15,11 +15,12 @@ branch-and-bound search maximizes that covered degree sum and stops once it
 reaches a goal, and keeps the included set of its best node: the value
 phase's goal is |E| less a greedy packing of edge-disjoint triangles (each
 keeps a mono edge), and it ends with an optimal set W. The lexicographically
-least optimal witness is then built prefix by prefix from W: only the
-candidates below W's next element are searched, with the optimum as the
-goal, and the optimal set a successful search finds becomes W. A branch is
-pruned by a clique-cover bound: the free vertices are split greedily into
-cliques, and an independent set takes at most the heaviest vertex of each.
+least optimal witness is then read off in one pass over the vertices: W's
+vertices are kept untested, every other vertex not blocked by the prefix is
+kept only if a search with the optimum as its goal reaches it (the set that
+search finds becomes W), and the pass stops once the prefix is optimal. A
+branch is pruned by a clique-cover bound: the free vertices are split greedily
+into cliques, and an independent set takes at most the heaviest vertex of each.
 The brute-force oracle scores complements by counting their edges directly,
 so the two routes stay independent.
 """
@@ -74,8 +75,7 @@ def _finish(
     g: Graph, witness_mask: int, nodes: int, value_nodes: int, t0: float
 ) -> SparingResult:
     witness = tuple(iter_bits(witness_mask))
-    complement = [v for v in range(g.n) if not witness_mask >> v & 1]
-    mono = tuple(edges_within(g, complement))
+    mono = tuple(edges_within(g, iter_bits(((1 << g.n) - 1) & ~witness_mask)))
     stats = SearchStats(nodes, value_nodes, time.perf_counter() - t0)
     return SparingResult(len(mono), witness, mono, stats)
 
@@ -154,10 +154,10 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     value phase runs it with goal |E| minus a greedy packing of edge-disjoint
     triangles (no independent set covers more, as each packed triangle keeps
     a mono edge) and keeps the optimal set W it ends on. The lexmin witness
-    is then built prefix by prefix: W's next element extends the prefix
-    unless a lower candidate does, and only those lower candidates are
-    searched, each kept if the same search, with the optimum as its goal,
-    still reaches it; the optimal set such a search finds becomes W.
+    is then read off in one pass over the vertices until the prefix is
+    optimal: a vertex of W is kept untested, and any other vertex the prefix
+    does not block is kept only if the same search, with the optimum as its
+    goal, still reaches it; the set that search finds becomes W.
     ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
     those of the value phase.
 
@@ -243,35 +243,31 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     goal = best
     value_nodes = nodes
 
-    # lexicographically least optimal witness, built prefix by prefix from a
-    # known optimal set W that contains the prefix and otherwise lies above
-    # it: a candidate below W's next element is kept only if a search proves
-    # an optimal extension (whose set becomes W); if none is, that next
-    # element is kept untested. Stop as soon as the prefix itself is optimal
-    # (a prefix precedes every extension).
+    # the lexmin witness; ``known`` is an optimal set W that contains the
+    # prefix, so W's vertices need no test. Stop once the prefix is optimal:
+    # a prefix precedes its extensions.
     known = best_set
     c_mask = 0
     blocked = 0
     cov_c = 0
-    while cov_c != goal:
-        rest = known & ~c_mask
-        if not rest:
-            raise AssertionError("witness reconstruction exhausted the known optimal set")
-        nxt = (rest & -rest).bit_length() - 1
-        for j in range(c_mask.bit_length(), nxt):
-            jbit = 1 << j
-            if blocked & jbit:
-                continue
-            free = full & ~((jbit << 1) - 1) & ~(blocked | adj[j])
+    for j in range(n):
+        if cov_c == goal:
+            break
+        jbit = 1 << j
+        if blocked & jbit:
+            continue
+        if not known & jbit:
+            free = full & -(jbit << 1) & ~(blocked | adj[j])  # unblocked, above j
             best = goal - 1
             search(0, free, cov_c + deg[j], c_mask | jbit)
-            if best == goal:
-                known = best_set
-                nxt = j
-                break
-        c_mask |= 1 << nxt
-        blocked |= adj[nxt] | 1 << nxt
-        cov_c += deg[nxt]
+            if best < goal:
+                continue
+            known = best_set
+        c_mask |= jbit
+        blocked |= adj[j]
+        cov_c += deg[j]
+    if cov_c != goal:
+        raise AssertionError("witness reconstruction ended below the optimum")
 
     return _finish(g, c_mask, nodes, value_nodes, t0)
 

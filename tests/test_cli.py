@@ -120,6 +120,16 @@ class TestCertify:
         assert out.startswith("phi=0")
         assert json.loads(out_file.read_text())["vertices"] == 2
 
+    def test_json_format(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "certify", "--family", "cycle", "--n", "5", "--out", "w.json",
+            "--format", "json",
+        )
+        assert (code, out, err) == (
+            0, '{"phi": 1, "mono": 1, "verified": true, "out": "w.json"}\n', ""
+        )
+
     @pytest.mark.parametrize(
         "family,params",
         [
@@ -200,6 +210,27 @@ class TestVerify:
         )
         assert code == 1
         assert "VertexCollision vertices (0,1)" in out
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("text", "EdgeCollision edges (0,1),(2,3)\n"),
+            (
+                "json",
+                '{"ok": false, "mono": 2, "failures": ["EdgeCollision edges (0,1),(2,3)"]}\n',
+            ),
+        ],
+    )
+    def test_edge_collision_reported(self, capsys, tmp_path, fmt, expected):
+        graph_file = tmp_path / "g.g"
+        graph_file.write_text("p 4 2\ne 0 1\ne 2 3\n")
+        lab_file = tmp_path / "lab.json"
+        lab_file.write_text(write_labeling(4, {0: (0,), 1: (3,), 2: (1,), 3: (2,)}))
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph_file), "--labeling", str(lab_file),
+            "--format", fmt,
+        )
+        assert (code, out, err) == (1, expected, "")
 
 
 class TestCheck:

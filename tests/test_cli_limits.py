@@ -175,6 +175,14 @@ class TestFiles:
             (["--density", "1.5"], "error: --density must be in [0, 1]\n"),
             (["--density", "-0.1"], "error: --density must be in [0, 1]\n"),
             (["--density", "nan"], "error: --density must be in [0, 1]\n"),
+            (
+                ["--count", "4", "--n=-1..8", "--seed", "5"],
+                "error: random_graph requires n >= 0\n",
+            ),
+            (
+                ["--count", "4", "--n=-3..-1", "--seed", "5"],
+                "error: random_graph requires n >= 0\n",
+            ),
         ],
     )
     def test_corpus_input_refused_before_writing(self, capsys, tmp_path, flags, err):

@@ -145,6 +145,11 @@ class TestInputErrors:
             ),
             (["solve", "--family", "split", "--r", "3"], ADJACENCY_ERROR.format("split")),
             (["check", "--claim", "C12", "--family", "bisplit"], ADJACENCY_ERROR.format("bisplit")),
+            (["check", "--claim", "C1", "--n", "3..1"], "error: --n: empty range '3..1'\n"),
+            (
+                ["solve", "--family", "path", "--n", "3", "--threads", "0"],
+                "error: --threads must be >= 1\n",
+            ),
         ],
     )
     def test_message(self, capsys, argv, err):

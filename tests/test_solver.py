@@ -165,6 +165,12 @@ class TestExact:
         assert sparing_exact(star).witness == (0, 1, 2)
         graphs = [star, disjoint_union(star, star), random_graph(20, 0.1, 3)]
         graphs += [random_graph(22, 0.15, 3), random_graph(24, 0.15, 4)]
+        # an isolated vertex joins the witness only below its largest element
+        isolated_low = graph_from_edges(4, [(1, 2)])
+        isolated_between = graph_from_edges(5, [(0, 1), (3, 4)])
+        assert sparing_exact(isolated_low).witness == (0, 1)
+        assert sparing_exact(isolated_between).witness == (0, 2, 3)
+        graphs += [isolated_low, isolated_between]
         for g in graphs:
             b = sparing_bruteforce(g)
             e = sparing_exact(g)
