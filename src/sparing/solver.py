@@ -13,14 +13,15 @@ and, because every edge has at most one endpoint in an independent set, the
 count inside the complement equals |E| minus the total degree of I. One
 branch-and-bound search maximizes that covered degree sum and stops once it
 reaches a goal, and keeps the included set of its best node: the value
-phase's goal is |E| less a greedy packing of edge-disjoint triangles (each
-keeps a mono edge), and it ends with an optimal set W. The lexicographically
-least optimal witness is then read off in one pass over the vertices: W's
-vertices are kept untested, every other vertex not blocked by the prefix is
-kept only if a search with the optimum as its goal reaches it (the set that
-search finds becomes W), and the pass stops once the prefix is optimal. A
-branch is pruned by a clique-cover bound: the free vertices are split greedily
-into cliques, and an independent set takes at most the heaviest vertex of each.
+phase's goal is |E| less a greedy packing of edge-disjoint triangles, then
+shortest odd cycles (each keeps a mono edge), and it ends with an optimal set
+W. The lexicographically least optimal witness is then read off in one pass
+over the vertices: W's vertices are kept untested, every other vertex not
+blocked by the prefix is kept only if a search with the optimum as its goal
+reaches it (the set that search finds becomes W), and the pass stops once the
+prefix is optimal. A branch is pruned by a clique-cover bound: the free
+vertices are split greedily into cliques, and an independent set takes at
+most the heaviest vertex of each.
 The brute-force oracle scores complements by counting their edges directly,
 so the two routes stay independent.
 """
@@ -117,16 +118,23 @@ def sparing_bruteforce(g: Graph) -> SparingResult:
     return _finish(g, best_mask, nodes, nodes, t0)  # one pass finds both
 
 
-def _triangle_packing(adj: list[int]) -> int:
-    """The size of a greedy packing of edge-disjoint triangles.
+def _odd_cycle_packing(adj: list[int]) -> int:
+    """The size of a greedy packing of edge-disjoint odd cycles.
 
-    Each packed triangle keeps a mono edge, since an independent set holds at
-    most one of its vertices, so no independent set covers more than |E|
-    minus this count.
+    An independent set holds at most (k - 1) / 2 vertices of a k-cycle with k
+    odd, so each packed cycle keeps a mono edge, and no independent set covers
+    more than |E| minus this count. Triangles are packed first. Then, from
+    each start vertex s in turn, a breadth-first search in the edges left
+    stops at its first level d that holds an edge ab; walking a and b back to
+    a shared predecessor gives an odd cycle of length at most 2d + 1, which is
+    packed before the search from s runs again. A search that finds no such
+    edge has 2-colored its component by level parity, so the component is
+    never searched again.
     """
-    rest = list(adj)  # the edges no packed triangle uses yet
+    n = len(adj)
+    rest = list(adj)  # the edges no packed cycle uses yet
     packed = 0
-    for u in range(len(rest)):
+    for u in range(n):
         scan = rest[u] & -(2 << u)  # the neighbors above u
         while scan:
             low = scan & -scan
@@ -142,6 +150,57 @@ def _triangle_packing(adj: list[int]) -> int:
                 rest[v] &= ~(ubit | wbit)
                 rest[w] &= ~(ubit | low)
                 packed += 1
+
+    def cut(u: int, v: int) -> None:
+        rest[u] &= ~(1 << v)
+        rest[v] &= ~(1 << u)
+
+    bipartite = 0  # vertices whose component in rest has no odd cycle
+    for s in range(n):
+        while not bipartite >> s & 1:
+            levels = [1 << s]  # breadth-first levels from s, as masks
+            seen = levels[0]
+            a = -1
+            while a < 0:
+                frontier = levels[-1]
+                reach = 0
+                scan = frontier
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    v = low.bit_length() - 1
+                    if rest[v] & frontier:
+                        a = v
+                        break
+                    reach |= rest[v]
+                else:
+                    reach &= ~seen
+                    if not reach:
+                        break
+                    seen |= reach
+                    levels.append(reach)
+            if a < 0:
+                bipartite |= seen
+                continue
+            # walk a and b back one level at a time, on distinct vertices,
+            # until they share a predecessor
+            bbit = rest[a] & frontier
+            b = (bbit & -bbit).bit_length() - 1
+            cut(a, b)
+            for level in reversed(levels[:-1]):
+                common = rest[a] & rest[b] & level
+                if common:
+                    c = (common & -common).bit_length() - 1
+                    cut(a, c)
+                    cut(b, c)
+                    break
+                pa, pb = rest[a] & level, rest[b] & level
+                pa = (pa & -pa).bit_length() - 1
+                pb = (pb & -pb).bit_length() - 1
+                cut(a, pa)
+                cut(b, pb)
+                a, b = pa, pb
+            packed += 1
     return packed
 
 
@@ -151,13 +210,14 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     Returns the same value/witness/mono as `sparing_bruteforce` on every
     input where both run. One search serves both phases: it raises an
     incumbent covered degree sum and stops once that reaches a goal. The
-    value phase runs it with goal |E| minus a greedy packing of edge-disjoint
-    triangles (no independent set covers more, as each packed triangle keeps
-    a mono edge) and keeps the optimal set W it ends on. The lexmin witness
-    is then read off in one pass over the vertices until the prefix is
-    optimal: a vertex of W is kept untested, and any other vertex the prefix
-    does not block is kept only if the same search, with the optimum as its
-    goal, still reaches it; the set that search finds becomes W.
+    value phase runs it with goal |E| less a greedy packing of edge-disjoint
+    triangles, then shortest odd cycles (no independent set covers more, as
+    each packed odd cycle keeps a mono edge) and keeps the optimal set W it
+    ends on. The lexmin witness is then read off in one pass over the
+    vertices until the prefix is optimal: a vertex of W is kept untested, and
+    any other vertex the prefix does not block is kept only if the same
+    search, with the optimum as its goal, still reaches it; the set that
+    search finds becomes W.
     ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
     those of the value phase.
 
@@ -183,7 +243,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     nodes = 0
     best = 0
     best_set = 0
-    goal = sum(deg) // 2 - _triangle_packing(adj)
+    goal = sum(deg) // 2 - _odd_cycle_packing(adj)
 
     def search(i: int, free: int, cov: int, inc: int) -> None:
         """Raise ``best`` with independent subsets of ``free`` added to ``inc``.

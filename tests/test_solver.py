@@ -20,6 +20,30 @@ from sparing.solver import (
 )
 
 
+def shuffled(g, seed):
+    """``g`` with its vertices renumbered by a permutation from ``random.Random(seed)``."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def cycle_union(count, length):
+    """``count`` disjoint copies of the cycle C_length."""
+    cycle = make("cycle", n=length).graph
+    union = cycle
+    for _ in range(count - 1):
+        union = disjoint_union(union, cycle)
+    return union
+
+
+def cycle_ring(count, length, join):
+    """``count`` disjoint cycles C_length in a ring: vertex 0 of each cycle is
+    joined by one edge to vertex ``join`` of the next."""
+    edges = cycle_union(count, length).edges()
+    edges += [(i * length, (i + 1) % count * length + join) for i in range(count)]
+    return graph_from_edges(count * length, edges)
+
+
 def assert_result_consistent(g, result):
     assert is_independent(g, result.witness)
     complement = [v for v in range(g.n) if v not in result.witness]
@@ -90,15 +114,21 @@ class TestExact:
             # bridges between the triangles: block_chain [3]*11 is the cactus above
             make("block_chain", cliques=[3, 3, 2] * 3 + [3]),
         ]
+        graphs = [lg.graph for lg in cases]
+        # odd cycles longer than 3, each of which lowers the goal too; joined
+        # at adjacent vertices, the ring's first descent often misses the
+        # optimum, which a goal below it would return
+        graphs += [cycle_union(4, 5), cycle_ring(4, 5, 1)]
+        graphs.append(make("cactus_chain", cycles=[5, 7, 9]).graph)
         rng = random.Random(5)
-        for lg in cases:
+        for graph in graphs:
             # each case also in a seeded vertex numbering, which changes the
             # branch order and the lexmin witness
-            perm = list(range(lg.graph.n))
+            perm = list(range(graph.n))
             rng.shuffle(perm)
-            edges = [(perm[u], perm[v]) for u, v in lg.graph.edges()]
-            relabeled = graph_from_edges(lg.graph.n, edges)
-            for g in (lg.graph, relabeled):
+            edges = [(perm[u], perm[v]) for u, v in graph.edges()]
+            relabeled = graph_from_edges(graph.n, edges)
+            for g in (graph, relabeled):
                 b = sparing_bruteforce(g)
                 e = sparing_exact(g)
                 assert (b.value, b.witness, b.mono) == (e.value, e.witness, e.mono)
@@ -140,6 +170,27 @@ class TestExact:
         r = sparing_exact(make(family, **params).graph)
         assert r.value == phi
         assert r.stats.nodes < 2000
+
+    @pytest.mark.parametrize(
+        "build,phi",
+        [
+            (lambda: cycle_union(10, 5), 10),
+            (lambda: shuffled(cycle_union(12, 5), 0), 12),
+            (lambda: shuffled(make("cactus_chain", cycles=[5] * 15).graph, 0), 15),
+            (lambda: shuffled(make("cactus_chain", cycles=[7] * 10).graph, 0), 10),
+            (lambda: shuffled(cycle_ring(9, 7, 3), 0), 9),
+        ],
+        ids=["C5x10", "C5x12-shuffled", "cactus-C5x15-shuffled", "cactus-C7x10-shuffled",
+             "C7-ring-x9-shuffled"],
+    )
+    def test_odd_cycles_at_the_vertex_cap(self, build, phi):
+        # phi is one per C5 or C7, and the packing of shortest odd cycles
+        # finds them all, so the value phase stops at its first optimum; with
+        # triangles alone, 12 shuffled C5 take about 2.7 million nodes
+        r = sparing_exact(build())
+        assert r.value == phi
+        assert r.stats.value_nodes < 100
+        assert r.stats.nodes < 10_000
 
     @pytest.mark.parametrize("family,params", [("cycle", {"n": 63}), ("wheel", {"m": 63})])
     def test_witness_phase_reuses_the_value_phase_optimum(self, family, params):
