@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import GraphFormatError, MissingLabel
+from .errors import GraphFormatError, MissingLabel, TooLarge
 from .graphs import SOLVE_MAX_VERTICES, Edge, Graph
 
 Label = tuple[int, ...]
@@ -26,6 +26,9 @@ Labeling = dict[int, Label]
 # Labels must stay within unsigned 64-bit values; the base-4 witness scheme
 # guarantees this for graphs with fewer than 30 vertices (2 * 4**29 < 2**63).
 MAX_LABEL_VALUE = 2**64 - 1
+# Every sum set is built pair by pair, so the pairs over all edges are counted
+# first and capped; a witness labeling needs at most 4 pairs per edge.
+MAX_SUM_PAIRS = 10**6
 
 
 def make_label(values: Iterable[int]) -> Label:
@@ -72,11 +75,21 @@ class Verdict:
 
 
 def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
-    """The sum set of the endpoint labels for each edge, keyed by canonical edge."""
+    """The sum set of the endpoint labels for each edge, keyed by canonical edge.
+
+    Raises TooLarge, before any sum set is built, if the edges need more than
+    ``MAX_SUM_PAIRS`` pairs of label elements in all."""
     missing = [v for v in range(g.n) if v not in f]
     if missing:
         raise MissingLabel(f"no label for vertices {missing}")
-    return {(u, v): sumset(f[u], f[v]) for u, v in g.edges()}
+    edges = g.edges()
+    pairs = sum(len(f[u]) * len(f[v]) for u, v in edges)
+    if pairs > MAX_SUM_PAIRS:
+        raise TooLarge(
+            f"the sum sets need {pairs} pairs of label elements; "
+            f"verification is limited to {MAX_SUM_PAIRS}"
+        )
+    return {(u, v): sumset(f[u], f[v]) for u, v in edges}
 
 
 def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:

@@ -21,7 +21,8 @@ blocked by the prefix is kept only if a search with the optimum as its goal
 reaches it (the set that search finds becomes W), and the pass stops once the
 prefix is optimal. A branch is pruned by a clique-cover bound: the free
 vertices are split greedily into cliques, and an independent set takes at
-most the heaviest vertex of each.
+most the heaviest vertex of each. The scan visits each free vertex once,
+either as a clique's seed or inside the clique that claims it.
 The brute-force oracle scores complements by counting their edges directly,
 so the two routes stay independent.
 """
@@ -227,6 +228,8 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     edges. The bound is a clique cover: at every node the free vertices are
     split greedily into cliques, and a branch dies when the covered degree
     sum plus the largest degree of each clique cannot beat the incumbent.
+    The scan visits each free vertex once, either as a clique's seed or
+    inside the clique that claims it.
 
     ``threads`` is validated for interface compatibility; branch evaluation
     is sequential, which makes the result trivially identical at any thread
@@ -258,13 +261,16 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         nodes += 1
         # cap: cov plus the largest degree of each clique of a greedy clique
         # cover of the free vertices; an independent set takes at most one
-        # vertex of each clique, so no extension covers more than cap
+        # vertex of each clique, so no extension covers more than cap. Each
+        # free vertex is visited once: the lowest unclaimed one seeds the next
+        # clique, and the members a clique claims are never visited. A member
+        # is adjacent to its seed, which stays free, so it never needs the
+        # forced inclusion.
         cap = cov
         unclaimed = free  # free vertices in no clique yet
-        scan = free
-        while scan:
-            low = scan & -scan
-            scan ^= low
+        while unclaimed:
+            low = unclaimed & -unclaimed
+            unclaimed ^= low
             v = low.bit_length() - 1
             near = adj[v] & free
             if not near:
@@ -273,9 +279,8 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
                 inc |= low
                 cov += deg[v]
                 cap += deg[v]
-            elif unclaimed & low:
+            else:
                 # a clique from v, grown greedily over the unclaimed vertices
-                unclaimed ^= low
                 top = deg[v]
                 extend = near & unclaimed
                 while extend:

@@ -1,9 +1,11 @@
 """The CLI's limits and file errors: each refusal comes before the work it
 guards, with exit 3 for a size limit and exit 2 for bad input."""
 
+import json
+
 import pytest
 
-from sparing import claims, cli
+from sparing import claims, cli, labels
 from sparing.cli import main
 
 
@@ -201,3 +203,22 @@ class TestFiles:
         assert (code, out) == (2, "")
         assert err == "error: labeling declares 1000000000000 vertices; graphs are limited to 64\n"
 
+    def test_labeling_over_the_sum_pair_cap(self, capsys, tmp_path, monkeypatch):
+        # two 10,000-element labels with 100,000,000 distinct sums, in a file
+        # of 157,818 bytes
+        calls = []
+        monkeypatch.setattr(labels, "sumset", lambda a, b: calls.append((a, b)))
+        graph = tmp_path / "g2.g"
+        graph.write_text("p 2 1\ne 0 1\n")
+        labeling = tmp_path / "long.json"
+        label_lists = {"0": list(range(10**4)), "1": list(range(0, 10**8, 10**4))}
+        labeling.write_text(json.dumps({"vertices": 2, "labels": label_lists}))
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph), "--labeling", str(labeling)
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the sum sets need 100000000 pairs of label elements; "
+            "verification is limited to 1000000\n"
+        )
+        assert calls == []

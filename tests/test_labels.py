@@ -1,6 +1,7 @@
 import pytest
 
-from sparing.errors import GraphFormatError, MissingLabel
+from sparing import labels
+from sparing.errors import GraphFormatError, MissingLabel, TooLarge
 from sparing.families import make
 from sparing.graphs import graph_from_edges
 from sparing.labels import (
@@ -67,6 +68,23 @@ class TestInducedEdgeLabels:
     def test_partial_labeling_rejected(self):
         with pytest.raises(MissingLabel):
             induced_edge_labels(path(3), {0: (1,), 1: (2,)})
+
+    def test_sum_pairs_over_the_cap_refused_before_any_sum_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(labels, "sumset", lambda a, b: calls.append((a, b)))
+        f = {0: tuple(range(10_000)), 1: tuple(range(0, 10**8, 10**4))}
+        with pytest.raises(TooLarge, match="need 100000000 pairs .* limited to 1000000$"):
+            induced_edge_labels(path(2), f)
+        assert calls == []
+
+    def test_sum_pairs_cap_counts_every_edge(self, monkeypatch):
+        monkeypatch.setattr(labels, "MAX_SUM_PAIRS", 6)
+        f = {0: (1, 2), 1: (4,), 2: (8, 16, 32, 64)}  # 2 + 4 pairs: at the cap
+        edge_labels = induced_edge_labels(path(3), f)
+        assert edge_labels == {(0, 1): (5, 6), (1, 2): (12, 20, 36, 68)}
+        f[0] = (1, 2, 3)  # 3 + 4 pairs, though each edge alone fits
+        with pytest.raises(TooLarge, match="need 7 pairs .* limited to 6$"):
+            induced_edge_labels(path(3), f)
 
 
 class TestVerifyIasi:

@@ -192,6 +192,25 @@ class TestExact:
         assert r.stats.value_nodes < 100
         assert r.stats.nodes < 10_000
 
+    @pytest.mark.parametrize(
+        "p,seed,phi,ceiling",
+        [
+            (0.05, 2024, 8, 7_186),
+            (0.1, 1, 71, 10_907),
+            (0.2, 1, 201, 3_782),
+            (0.3, 1, 375, 2_308),
+            (0.5, 1, 748, 1_010),
+        ],
+    )
+    def test_clique_cover_node_ceilings(self, p, seed, phi, ceiling):
+        # the ceilings are the node counts of the greedy clique cover over the
+        # unclaimed free vertices; a weaker cover goes over them (one whose
+        # members stay unclaimed takes G(64,0.1,1) to 655,357 nodes), and a
+        # tighter bound stays under
+        r = sparing_exact(random_graph(64, p, seed))
+        assert r.value == phi
+        assert r.stats.nodes <= ceiling
+
     @pytest.mark.parametrize("family,params", [("cycle", {"n": 63}), ("wheel", {"m": 63})])
     def test_witness_phase_reuses_the_value_phase_optimum(self, family, params):
         g = make(family, **params).graph
