@@ -37,14 +37,6 @@ def _as_mode(params: Params, key: str, claim: str) -> str:
     return params[key]
 
 
-class _Point(dict):
-    """A claim's parameters after its type and range checks.
-
-    Made only by ``Claim._point`` and never handed out, so the public entry
-    points that check_claim calls do not check the same point again.
-    """
-
-
 # the type checks of the claim-only parameters; any other name is checked as
 # the family parameter of that name
 _PARAM_TYPES = {"base": _as_base, "mode": _as_mode}
@@ -103,17 +95,12 @@ class Claim:
         """The labeled graph whose exact sparing number the claim predicts."""
         return self.build(self, self._point(params))
 
-    def _point(self, params: Params) -> _Point:
-        """The type-checked parameters in param_order; raises DomainError.
-
-        A point this method made is returned as it is.
-        """
-        if isinstance(params, _Point):
-            return params
-        point = _Point(
-            (key, _PARAM_TYPES.get(key, _family_param)(params, key, self.id))
+    def _point(self, params: Params) -> dict:
+        """The type-checked parameters in param_order; raises DomainError."""
+        point = {
+            key: _PARAM_TYPES.get(key, _family_param)(params, key, self.id)
             for key in self.param_order
-        )
+        }
         if not self.in_domain(point):
             raise DomainError(f"{self.id} requires {self.requires}")
         return point

@@ -1,8 +1,9 @@
 """Command-line front end: generate, solve, certify, verify, and check claims.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-limit. Output for fixed inputs is byte-identical across runs; the only
-volatile report column (runtime_ms) is isolated so the rest diffs cleanly.
+Exit codes: 0 success, 1 verification failure, else the ``exit_code`` of the
+error raised (2 input error, 3 resource limit, 1 certification failure).
+Output for fixed inputs is byte-identical across runs; the only volatile
+report column (runtime_ms) is isolated so the rest diffs cleanly.
 """
 
 from __future__ import annotations
@@ -15,23 +16,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
 from . import claims as claims_mod
 from .claims import check_claim, claim_by_id
-from .errors import (
-    CertificationFailed,
-    DomainError,
-    GraphFormatError,
-    InvalidParam,
-    MissingGraph,
-    MissingLabel,
-    SparingError,
-    TooLarge,
-    UnknownPartition,
-)
+from .errors import GraphFormatError, SparingError, TooLarge
 from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph
 from .graphs import SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import FailureKind, read_labeling, verify_weak, write_labeling
@@ -39,8 +29,6 @@ from .solver import solve_and_certify, sparing_exact
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_INPUT = 2
-EXIT_LIMIT = 3
 
 
 class InputError(SparingError):
@@ -50,6 +38,9 @@ class InputError(SparingError):
 # the families the CLI builds from their flags; split and bisplit take
 # adjacency rows, which have no flag
 _CLI_FAMILIES = {name: order for name, order in FAMILY_PARAMS.items() if "adjacency" not in order}
+_PARAM_FLAGS = tuple(dict.fromkeys(flag for order in _CLI_FAMILIES.values() for flag in order))
+# the flags a command refuses when it would not read them
+_FLAGS = ("family", *_PARAM_FLAGS, "mode")
 
 
 def _parse_int(text: str, flag: str) -> int:
@@ -117,6 +108,13 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
     return (dict(zip(order, values)) for values in _sweep(dims))
 
 
+def _refuse_unread(args, owner: str, read) -> None:
+    """Refuse any flag of _FLAGS that was given but that ``owner`` does not read."""
+    for flag in _FLAGS:
+        if flag not in read and getattr(args, flag, None) is not None:
+            raise InputError(f"{owner} takes no --{flag}")
+
+
 def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
     family = args.family
     if family not in _CLI_FAMILIES:
@@ -126,14 +124,17 @@ def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
                 "or pass a graph file"
             )
         raise InputError(f"unknown family {family!r} (choose from {', '.join(_CLI_FAMILIES)})")
+    # check's --mode is the claim's to refuse
+    _refuse_unread(args, f"family {family}", ("family", *_CLI_FAMILIES[family], "mode"))
     points = _family_params(args, family, ranged, f"family {family}")
     return (FamilySpec(family, params) for params in points)
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "graph", None):
+    if args.graph:
+        _refuse_unread(args, "--graph", ())
         return read_graph(_read(args.graph))
-    if getattr(args, "family", None):
+    if args.family:
         (spec,) = _family_spec(args)
         return generate(spec).graph
     raise InputError("provide a graph via --graph FILE or --family NAME")
@@ -243,22 +244,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_VERIFY
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    family: str
-    params: str
-    formula_value: str
-    exact_value: int
-    verdict: str
-    witness_size: int
-    mono_count: int
-    runtime_ms: int
-
-    def cells(self) -> list[str]:
-        return [str(getattr(self, name)) for name in _REPORT_COLUMNS]
-
-
-_REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+_REPORT_COLUMNS = (
+    "family", "params", "formula_value", "exact_value", "verdict", "witness_size",
+    "mono_count", "runtime_ms",
+)
 
 
 def _params_string(claim, params: dict) -> str:
@@ -277,17 +266,20 @@ def _params_string(claim, params: dict) -> str:
 
 def _claim_points(claim, args) -> Iterator[dict]:
     """All parameter points requested by the flags, in deterministic order."""
+    owner = f"claim {claim.id}"
     if "base" in claim.param_order:
+        # the base family refuses the parameter flags it does not read
+        _refuse_unread(args, owner, ("family", *_PARAM_FLAGS, *claim.param_order))
         if not args.family:
             raise InputError(f"{claim.id} requires --family for the base graph")
         values = {
             "base": _family_spec(args, ranged=True),
-            "mode": ("fresh", "induced") if args.mode == "both" else (args.mode,),
+            "mode": ("fresh", "induced") if args.mode in (None, "both") else (args.mode,),
         }
         dims = [values[key] for key in claim.param_order]  # base is first: iterated once
         return (dict(zip(claim.param_order, point)) for point in _sweep(dims))
-    owner = f"claim {claim.id}"
     family_order = FAMILY_PARAMS[claim.family]
+    _refuse_unread(args, owner, family_order)
     if family_order == claim.param_order:
         return _family_params(args, claim.family, True, owner)
     # a one-list family (--parts) whose claim names each item
@@ -307,47 +299,41 @@ def cmd_check(args) -> int:
         raise InputError(f"unknown claim {args.claim!r} (known: {known})") from None
     _threads(args)
     points = _claim_points(claim, args)
-    rows: list[ReportRow] = []
+    rows: list[list[str]] = []
+    verdicts: list[str] = []
     for params in points:
+        where = _params_string(claim, params)
         try:
             lg = claim.instance(params)
         except TooLarge as exc:
-            raise TooLarge(f"claim {claim.id} at {_params_string(claim, params)}: {exc}") from None
+            raise TooLarge(f"claim {claim.id} at {where}: {exc}") from None
         if lg.graph.n > SOLVE_MAX_VERTICES:
             raise TooLarge(
-                f"claim {claim.id} at {_params_string(claim, params)} needs "
+                f"claim {claim.id} at {where} needs "
                 f"{lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}"
             )
         verdict = check_claim(claim, params, lg=lg)
         base = params.get("base")
-        rows.append(
-            ReportRow(
-                family=claim.family if base is None else f"{claim.family}({base.family})",
-                params=_params_string(claim, params),
-                formula_value=str(verdict.predicted),
-                exact_value=verdict.exact,
-                verdict=verdict.verdict,
-                witness_size=verdict.witness_size,
-                mono_count=verdict.mono_count,
-                runtime_ms=verdict.runtime_ms,
-            )
-        )
-    matches = sum(1 for r in rows if r.verdict == "MATCH")
-    mismatches = sum(1 for r in rows if r.verdict == "MISMATCH")
+        family = claim.family if base is None else f"{claim.family}({base.family})"
+        cells = (verdict.predicted, verdict.exact, verdict.verdict, verdict.witness_size,
+                 verdict.mono_count, verdict.runtime_ms)
+        rows.append([family, where, *map(str, cells)])
+        verdicts.append(verdict.verdict)
+    matches, mismatches = verdicts.count("MATCH"), verdicts.count("MISMATCH")
     summary = f"MATCH={matches} MISMATCH={mismatches}"
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_REPORT_COLUMNS)
         for row in rows:
-            writer.writerow(row.cells())
+            writer.writerow(row)
         sys.stdout.write(buffer.getvalue())
         print(summary, file=sys.stderr)
     elif args.format == "json":
-        records = [dict(zip(_REPORT_COLUMNS, row.cells())) for row in rows]
+        records = [dict(zip(_REPORT_COLUMNS, row)) for row in rows]
         print(json.dumps({"rows": records, "matches": matches, "mismatches": mismatches}))
     else:
-        table = [list(_REPORT_COLUMNS)] + [row.cells() for row in rows]
+        table = [list(_REPORT_COLUMNS), *rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(_REPORT_COLUMNS))]
         for line in table:
             print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
@@ -381,10 +367,14 @@ def cmd_corpus(args) -> int:
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", help="graph family name")
-    sub.add_argument("--graph", help="graph file (text format)")
-    for flag in dict.fromkeys(flag for order in _CLI_FAMILIES.values() for flag in order):
+    for flag in _PARAM_FLAGS:
         listed = LIST_PARAMS.get(flag)
         sub.add_argument(f"--{flag}", help=f"comma-separated {listed}" if listed else None)
+
+
+def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--graph", help="graph file (text format)")
+    _add_family_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,20 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     solve = subparsers.add_parser("solve", help="compute the sparing number and witness")
-    _add_family_flags(solve)
+    _add_graph_flags(solve)
     solve.add_argument("--format", choices=("text", "json"), default="text")
     solve.add_argument("--threads", default=None)
     solve.set_defaults(func=cmd_solve)
 
     certify = subparsers.add_parser("certify", help="solve and write a verified witness labeling")
-    _add_family_flags(certify)
+    _add_graph_flags(certify)
     certify.add_argument("--out", required=True, help="labeling output file")
     certify.add_argument("--format", choices=("text", "json"), default="text")
     certify.add_argument("--threads", default=None)
     certify.set_defaults(func=cmd_certify)
 
     verify = subparsers.add_parser("verify", help="verify a labeling file against a graph")
-    _add_family_flags(verify)
+    _add_graph_flags(verify)
     verify.add_argument("--labeling", required=True, help="labeling file to verify")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
@@ -416,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser("check", help="check cataloged claims against the solver")
     _add_family_flags(check)
     check.add_argument("--claim", required=True, help="claim id (C1..C16)")
-    check.add_argument("--mode", choices=("fresh", "induced", "both"), default="both",
-                       help="evaluation mode of the maximal-subdivision claim")
+    check.add_argument("--mode", choices=("fresh", "induced", "both"),
+                       help="evaluation mode of the maximal-subdivision claim (default both)")
     check.add_argument("--format", choices=("text", "csv", "json"), default="text")
     check.add_argument("--threads", default=None)
     check.set_defaults(func=cmd_check)
@@ -444,23 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except TooLarge as exc:
+    except SparingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except CertificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (
-        InputError,
-        GraphFormatError,
-        InvalidParam,
-        UnknownPartition,
-        DomainError,
-        MissingGraph,
-        MissingLabel,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the CLI returns for it: 2 (bad input) unless
+it says otherwise.
+"""
 
 
 class SparingError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class IndexOutOfRange(SparingError):
@@ -32,6 +38,8 @@ class MissingLabel(SparingError):
 class TooLarge(SparingError):
     """The input exceeds a documented size limit."""
 
+    exit_code = 3
+
 
 class NotIndependent(SparingError):
     """A vertex set required to be independent spans an edge."""
@@ -39,6 +47,8 @@ class NotIndependent(SparingError):
 
 class CertificationFailed(SparingError):
     """A constructed witness labeling failed re-verification."""
+
+    exit_code = 1
 
 
 class DomainError(SparingError):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidParam, UnknownPartition
 from .graphs import Edge, Graph, graph_from_edges
@@ -28,7 +29,7 @@ class FamilySpec:
 
     def param_string(self) -> str:
         """Canonical 'k=v,...' rendering in the family's documented parameter order."""
-        order = _FAMILIES[self.family].param_order if self.family in _FAMILIES else sorted(self.params)
+        order = FAMILY_PARAMS.get(self.family) or sorted(self.params)
         parts = []
         for key in order:
             if key not in self.params:
@@ -120,11 +121,17 @@ def _complete(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(n, _clique_edges(range(n))), {}
 
 
-def _multipartite(sizes: list[int], names: list[str] | None) -> tuple[Graph, Partitions]:
+def _complete_parts(family: str, names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
+    # the complete multipartite graph on params["parts"], one part per size,
+    # numbered consecutively in order; ``names`` also fixes the part count,
+    # and None names them V1, V2, ...
+    sizes = params["parts"]
+    if names is not None:
+        _need(len(sizes) == len(names), f"{family} requires exactly {len(names)} part sizes")
+    _need(all(s >= 1 for s in sizes), f"{family} requires part sizes >= 1")
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
-    n = offsets[-1]
     edges = []
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
@@ -138,28 +145,7 @@ def _multipartite(sizes: list[int], names: list[str] | None) -> tuple[Graph, Par
     parts = {
         name: frozenset(range(offsets[i], offsets[i + 1])) for i, name in enumerate(names)
     }
-    return graph_from_edges(n, edges), parts
-
-
-def _complete_bipartite(params) -> tuple[Graph, Partitions]:
-    sizes = params["parts"]
-    _need(len(sizes) == 2, "complete_bipartite requires exactly 2 part sizes")
-    _need(all(s >= 1 for s in sizes), "complete_bipartite requires part sizes >= 1")
-    return _multipartite(sizes, ["X", "Y"])
-
-
-def _complete_multipartite(params) -> tuple[Graph, Partitions]:
-    sizes = params["parts"]
-    _need(all(s >= 1 for s in sizes), "complete_multipartite requires part sizes >= 1")
-    return _multipartite(sizes, None)
-
-
-def _complete_bisplit(params) -> tuple[Graph, Partitions]:
-    sizes = params["parts"]
-    _need(len(sizes) == 3, "complete_bisplit requires exactly 3 part sizes")
-    _need(all(s >= 1 for s in sizes), "complete_bisplit requires part sizes >= 1")
-    # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
-    return _multipartite(sizes, ["X", "Y", "Z"])
+    return graph_from_edges(offsets[-1], edges), parts
 
 
 def _bisplit(params) -> tuple[Graph, Partitions]:
@@ -226,17 +212,21 @@ def _complete_split(params) -> tuple[Graph, Partitions]:
     return _split({"r": r, "adjacency": [tuple(range(r))] * s})
 
 
-def _block_chain(params) -> tuple[Graph, Partitions]:
-    sizes = params["cliques"]
-    _need(all(s >= 2 for s in sizes), "block_chain requires all clique sizes >= 2")
-    # cliques laid along a path; each clique reuses the last vertex of the
+def _chain(sizes: Sequence[int], block_edges) -> tuple[Graph, Partitions]:
+    # blocks laid along a path; each block reuses the last vertex of the
     # previous one as its cut vertex
     edges = []
     start = 0
     for size in sizes:
-        edges.extend(_clique_edges(range(start, start + size)))
+        edges.extend(block_edges(range(start, start + size)))
         start += size - 1
     return graph_from_edges(start + 1, edges), {}
+
+
+def _block_chain(params) -> tuple[Graph, Partitions]:
+    sizes = params["cliques"]
+    _need(all(s >= 2 for s in sizes), "block_chain requires all clique sizes >= 2")
+    return _chain(sizes, _clique_edges)
 
 
 def _windmill(params) -> tuple[Graph, Partitions]:
@@ -284,43 +274,34 @@ def _cone(params) -> tuple[Graph, Partitions]:
 def _cactus_chain(params) -> tuple[Graph, Partitions]:
     lengths = params["cycles"]
     _need(all(l >= 3 for l in lengths), "cactus_chain requires all cycle lengths >= 3")
-    # cycles laid along a path; each cycle reuses the last vertex of the
-    # previous one as its cut vertex
-    edges = []
-    start = 0
-    for length in lengths:
-        edges.extend(_cycle_edges(range(start, start + length)))
-        start += length - 1
-    return graph_from_edges(start + 1, edges), {}
+    return _chain(lengths, _cycle_edges)
 
 
-class _Family:
-    def __init__(self, build, param_order: tuple[str, ...]):
-        self.build = build
-        self.param_order = param_order
-
-
-_FAMILIES: dict[str, _Family] = {
-    "path": _Family(_path, ("n",)),
-    "cycle": _Family(_cycle, ("n",)),
-    "complete": _Family(_complete, ("n",)),
-    "complete_bipartite": _Family(_complete_bipartite, ("parts",)),
-    "complete_multipartite": _Family(_complete_multipartite, ("parts",)),
-    "complete_sun": _Family(_complete_sun, ("n",)),
-    "split": _Family(_split, ("r", "adjacency")),
-    "complete_split": _Family(_complete_split, ("r", "s")),
-    "bisplit": _Family(_bisplit, ("y", "z", "adjacency")),
-    "complete_bisplit": _Family(_complete_bisplit, ("parts",)),
-    "block_chain": _Family(_block_chain, ("cliques",)),
-    "windmill": _Family(_windmill, ("n", "r")),
-    "friendship": _Family(_friendship, ("r",)),
-    "wheel": _Family(_wheel, ("m",)),
-    "cone": _Family(_cone, ("m", "n")),
-    "cactus_chain": _Family(_cactus_chain, ("cycles",)),
+# each family's builder and its parameter names, in report order
+_FAMILIES: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "path": (_path, ("n",)),
+    "cycle": (_cycle, ("n",)),
+    "complete": (_complete, ("n",)),
+    "complete_bipartite": (partial(_complete_parts, "complete_bipartite", ("X", "Y")), ("parts",)),
+    "complete_multipartite": (partial(_complete_parts, "complete_multipartite", None), ("parts",)),
+    "complete_sun": (_complete_sun, ("n",)),
+    "split": (_split, ("r", "adjacency")),
+    "complete_split": (_complete_split, ("r", "s")),
+    "bisplit": (_bisplit, ("y", "z", "adjacency")),
+    # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
+    "complete_bisplit": (
+        partial(_complete_parts, "complete_bisplit", ("X", "Y", "Z")), ("parts",)
+    ),
+    "block_chain": (_block_chain, ("cliques",)),
+    "windmill": (_windmill, ("n", "r")),
+    "friendship": (_friendship, ("r",)),
+    "wheel": (_wheel, ("m",)),
+    "cone": (_cone, ("m", "n")),
+    "cactus_chain": (_cactus_chain, ("cycles",)),
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
-FAMILY_PARAMS = {name: _FAMILIES[name].param_order for name in FAMILY_NAMES}
+FAMILY_PARAMS = {name: _FAMILIES[name][1] for name in FAMILY_NAMES}
 
 
 def generate(spec: FamilySpec) -> LabeledGraph:
@@ -330,11 +311,11 @@ def generate(spec: FamilySpec) -> LabeledGraph:
     """
     if spec.family not in _FAMILIES:
         raise InvalidParam(f"unknown family {spec.family!r}")
-    family = _FAMILIES[spec.family]
-    for key in family.param_order:
+    build, order = _FAMILIES[spec.family]
+    for key in order:
         if key != "adjacency":
             checked_param(spec.params, key, spec.family)
-    graph, parts = family.build(spec.params)
+    graph, parts = build(spec.params)
     return LabeledGraph(graph, parts, spec)
 
 

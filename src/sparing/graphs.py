@@ -39,9 +39,6 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.adjacency_mask(v))
-
     def degree(self, v: int) -> int:
         return self.adjacency_mask(v).bit_count()
 

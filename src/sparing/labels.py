@@ -29,6 +29,10 @@ MAX_LABEL_VALUE = 2**64 - 1
 # Every sum set is built pair by pair, so the pairs over all edges are counted
 # first and capped; a witness labeling needs at most 4 pairs per edge.
 MAX_SUM_PAIRS = 10**6
+# A verdict lists every colliding pair of vertices or edges, so the pairs of
+# each kind are counted first and capped; labels that repeat a few values
+# collide in up to 2,031,120 edge pairs on 64 vertices.
+MAX_COLLISION_PAIRS = 10**5
 
 
 def make_label(values: Iterable[int]) -> Label:
@@ -93,10 +97,19 @@ def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
 
 
 def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:
-    """Every pair of items that share a label, in first-occurrence order."""
+    """Every pair of items that share a label, in first-occurrence order.
+
+    Raises TooLarge, before any pair is listed, if there are more than
+    ``MAX_COLLISION_PAIRS``."""
     groups: dict[Label, list] = {}
     for item, lab in labeled:
         groups.setdefault(lab, []).append(item)
+    pairs = sum(len(group) * (len(group) - 1) // 2 for group in groups.values())
+    if pairs > MAX_COLLISION_PAIRS:
+        raise TooLarge(
+            f"the labels give {pairs} {kind.value} pairs; "
+            f"verification lists at most {MAX_COLLISION_PAIRS}"
+        )
     return [
         Failure(kind, (a, b))
         for group in groups.values()
@@ -108,7 +121,8 @@ def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> l
 def verify_iasi(g: Graph, f: Mapping[int, Label]) -> Verdict:
     """Check vertex labels pairwise distinct and induced edge labels pairwise distinct.
 
-    Every colliding pair is enumerated, not just the first.
+    Every colliding pair is enumerated, not just the first; more than
+    ``MAX_COLLISION_PAIRS`` of either kind raise TooLarge instead.
     """
     weak = verify_weak(g, f)
     failures = tuple(

@@ -19,10 +19,14 @@ W. The lexicographically least optimal witness is then read off in one pass
 over the vertices: W's vertices are kept untested, every other vertex not
 blocked by the prefix is kept only if a search with the optimum as its goal
 reaches it (the set that search finds becomes W), and the pass stops once the
-prefix is optimal. A branch is pruned by a clique-cover bound: the free
-vertices are split greedily into cliques, and an independent set takes at
-most the heaviest vertex of each. The scan visits each free vertex once,
-either as a clique's seed or inside the clique that claims it.
+prefix is optimal. The search branches in descending original degree (ties
+to the lower index), and takes unconditionally a free vertex whose
+neighbors are all decided-out, since enlarging an independent set never
+adds mono edges. A branch is pruned by a clique-cover bound: the free
+vertices are split greedily into cliques, and a branch dies when the covered
+degree sum plus the largest degree of each clique cannot beat the
+incumbent. The scan visits each free vertex once, either as a clique's seed
+or inside the clique that claims it.
 The brute-force oracle scores complements by counting their edges directly,
 so the two routes stay independent.
 """
@@ -206,30 +210,14 @@ def _odd_cycle_packing(adj: list[int]) -> int:
 
 
 def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
-    """Exact solve by branch and bound over independent sets.
+    """Exact solve by branch and bound over independent sets (the search is
+    described in the module docstring).
 
     Returns the same value/witness/mono as `sparing_bruteforce` on every
-    input where both run. One search serves both phases: it raises an
-    incumbent covered degree sum and stops once that reaches a goal. The
-    value phase runs it with goal |E| less a greedy packing of edge-disjoint
-    triangles, then shortest odd cycles (no independent set covers more, as
-    each packed odd cycle keeps a mono edge) and keeps the optimal set W it
-    ends on. The lexmin witness is then read off in one pass over the
-    vertices until the prefix is optimal: a vertex of W is kept untested, and
-    any other vertex the prefix does not block is kept only if the same
-    search, with the optimum as its goal, still reaches it; the set that
-    search finds becomes W.
+    input where both run: the sparing number, the lexicographically least
+    optimal independent set and the edges outside it.
     ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
     those of the value phase.
-
-    Branching follows descending original degree (ties to the lower index);
-    a free vertex whose neighbors are all decided-out is taken
-    unconditionally, since enlarging an independent set never adds mono
-    edges. The bound is a clique cover: at every node the free vertices are
-    split greedily into cliques, and a branch dies when the covered degree
-    sum plus the largest degree of each clique cannot beat the incumbent.
-    The scan visits each free vertex once, either as a clique's seed or
-    inside the clique that claims it.
 
     ``threads`` is validated for interface compatibility; branch evaluation
     is sequential, which makes the result trivially identical at any thread

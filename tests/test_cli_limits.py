@@ -7,6 +7,7 @@ import pytest
 
 from sparing import claims, cli, labels
 from sparing.cli import main
+from sparing.errors import CertificationFailed, SparingError, TooLarge
 
 
 def run(capsys, *argv):
@@ -222,3 +223,75 @@ class TestFiles:
             "verification is limited to 1000000\n"
         )
         assert calls == []
+
+    def test_labeling_over_the_collision_pair_cap(self, capsys, tmp_path):
+        # K64 with every label {0}: 2,016 edges with one sum set, a 722-byte labeling
+        graph = tmp_path / "k64.g"
+        graph.write_text("p 64 2016\n" + "".join(
+            f"e {u} {v}\n" for u in range(64) for v in range(u + 1, 64)
+        ))
+        labeling = tmp_path / "zeros.json"
+        labeling.write_text(json.dumps({"vertices": 64, "labels": {v: [0] for v in range(64)}}))
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "verify", "--graph", str(graph), "--labeling",
+                                 str(labeling), "--format", fmt)
+            assert (code, out) == (3, "")
+            assert err == (
+                "error: the labels give 2031120 EdgeCollision pairs; "
+                "verification lists at most 100000\n"
+            )
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["check", "--claim", "C1", "--n", "4", "--family", "cycle"],
+             "error: claim C1 takes no --family\n"),
+            (["check", "--claim", "C1", "--n", "4", "--m", "7"], "error: claim C1 takes no --m\n"),
+            (["check", "--claim", "C1", "--n", "4", "--mode", "fresh"],
+             "error: claim C1 takes no --mode\n"),
+            (["check", "--claim", "C12", "--family", "cycle", "--n", "5", "--mode", "fresh"],
+             "error: claim C12 takes no --mode\n"),
+            (["check", "--claim", "C12", "--family", "cycle", "--n", "5", "--m", "3"],
+             "error: family cycle takes no --m\n"),
+            (["solve", "--family", "cycle", "--n", "5", "--m", "3"],
+             "error: family cycle takes no --m\n"),
+            (["solve", "--graph", "g.g", "--family", "cycle"], "error: --graph takes no --family\n"),
+            (["verify", "--graph", "g.g", "--n", "5", "--labeling", "w.json"],
+             "error: --graph takes no --n\n"),
+        ],
+    )
+    def test_refused_before_any_build(self, capsys, no_build, argv, err):
+        assert run(capsys, *argv) == (2, "", err)
+
+    def test_check_takes_no_graph_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--claim", "C1", "--n", "5", "--graph", "/nonexistent.g"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "sparing: error: unrecognized arguments: --graph /nonexistent.g"
+
+    def test_mode_defaults_to_both(self, capsys):
+        code, out, _ = run(capsys, "check", "--claim", "C13", "--family", "path", "--n", "3")
+        assert (code, [line.split()[1] for line in out.splitlines()[1:3]]) == (
+            0, ["base=path,n=3,mode=fresh", "base=path,n=3,mode=induced"]
+        )
+
+
+def _error_classes(cls=SparingError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_exit_code_comes_from_the_error_class(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_load_graph", fail)
+    assert error.exit_code == {TooLarge: 3, CertificationFailed: 1}.get(error, 2)
+    assert run(capsys, "solve", "--family", "cycle", "--n", "5") == (
+        error.exit_code, "", "error: boom\n"
+    )

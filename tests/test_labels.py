@@ -109,6 +109,20 @@ class TestVerifyIasi:
         verdict = verify_iasi(g, {0: (7,), 1: (7,), 2: (7,)})
         assert len(verdict.failures) == 3
 
+    def test_collision_pairs_over_the_cap_refused_before_any_failure(self, monkeypatch):
+        monkeypatch.setattr(labels, "MAX_COLLISION_PAIRS", 3)
+        k5 = make("complete", n=5).graph
+        f = {v: (v,) for v in range(5)}  # the sums 3, 4 and 5 each label two edges
+        assert len(verify_iasi(k5, f).failures) == 3  # at the cap
+        built = []
+        monkeypatch.setattr(labels, "Failure", lambda *args: built.append(args))
+        monkeypatch.setattr(labels, "MAX_COLLISION_PAIRS", 2)
+        with pytest.raises(TooLarge, match="give 3 EdgeCollision pairs; .* at most 2$"):
+            verify_weak(k5, f)
+        with pytest.raises(TooLarge, match="give 6 VertexCollision pairs; .* at most 2$"):
+            verify_weak(graph_from_edges(4, []), {v: (7,) for v in range(4)})
+        assert built == []
+
 
 class TestVerifyWeak:
     def test_singleton_against_pair_ok(self):
