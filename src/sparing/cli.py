@@ -388,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_flags(solve)
     solve.add_argument("--format", choices=("text", "json"), default="text")
     solve.add_argument("--threads", default=None)
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=cmd_solve, parser=solve)
 
     certify = subparsers.add_parser("certify", help="solve and write a verified witness labeling")
     _add_graph_flags(certify)
     certify.add_argument("--out", required=True, help="labeling output file")
     certify.add_argument("--format", choices=("text", "json"), default="text")
     certify.add_argument("--threads", default=None)
-    certify.set_defaults(func=cmd_certify)
+    certify.set_defaults(func=cmd_certify, parser=certify)
 
     verify = subparsers.add_parser("verify", help="verify a labeling file against a graph")
     _add_graph_flags(verify)
     verify.add_argument("--labeling", required=True, help="labeling file to verify")
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, parser=verify)
 
     check = subparsers.add_parser("check", help="check cataloged claims against the solver")
     _add_family_flags(check)
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluation mode of the maximal-subdivision claim (default both)")
     check.add_argument("--format", choices=("text", "csv", "json"), default="text")
     check.add_argument("--threads", default=None)
-    check.set_defaults(func=cmd_check)
+    check.set_defaults(func=cmd_check, parser=check)
 
     corpus = subparsers.add_parser("corpus", help="write seeded random test-corpus graphs")
     corpus.add_argument("--count", type=int, default=200)
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--density", type=float, default=0.3)
     corpus.add_argument("--seed", type=int, default=42)
     corpus.add_argument("--out-dir", required=True)
-    corpus.set_defaults(func=cmd_corpus)
+    corpus.set_defaults(func=cmd_corpus, parser=corpus)
 
     return parser
 
@@ -431,7 +431,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # the chosen command's usage lists the flags it does take
+        args.parser.print_usage(sys.stderr)
+        parser.exit(2, f"{parser.prog}: error: unrecognized arguments: {' '.join(extras)}\n")
     try:
         return args.func(args)
     except SparingError as exc:

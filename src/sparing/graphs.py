@@ -50,9 +50,12 @@ class Graph:
     def edges(self) -> list[Edge]:
         """All edges in canonical (min, max) lexicographic order."""
         out = []
-        for u in range(self.n):
-            rest = self._adj[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in iter_bits(rest))
+        for u, mask in enumerate(self._adj):
+            above = mask & -(2 << u)  # the neighbors above u
+            while above:
+                low = above & -above
+                out.append((u, low.bit_length() - 1))
+                above ^= low
         return out
 
     def _check_vertex(self, v: int) -> None:
@@ -92,9 +95,10 @@ def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     for u, v in edges:
         if u == v:
             raise SelfLoop(f"edge ({u},{v}) is a loop")
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise IndexOutOfRange(f"vertex {w} not in 0..{n - 1}")
+        if not 0 <= u < n:
+            raise IndexOutOfRange(f"vertex {u} not in 0..{n - 1}")
+        if not 0 <= v < n:
+            raise IndexOutOfRange(f"vertex {v} not in 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
@@ -129,10 +133,15 @@ def edges_within(g: Graph, vertices: Iterable[int]) -> list[Edge]:
         g._check_vertex(v)
         m |= 1 << v
     out = []
-    for u in iter_bits(m):
+    while m:
+        low = m & -m
+        m ^= low  # now the members above u
+        u = low.bit_length() - 1
         inside = g._adj[u] & m
-        inside = inside >> (u + 1) << (u + 1)
-        out.extend((u, v) for v in iter_bits(inside))
+        while inside:
+            vbit = inside & -inside
+            out.append((u, vbit.bit_length() - 1))
+            inside ^= vbit
     return out
 
 
@@ -224,7 +233,8 @@ def triangles_through(g: Graph, v: int) -> int:
 
 
 # Text graph format: optional '#' comment lines, then 'p <n> <m>', then m
-# lines 'e <u> <v>' with 0-based endpoints, u < v, sorted lexicographically.
+# lines 'e <u> <v>' with 0-based endpoints, u < v. The writer lists the edges
+# sorted lexicographically; the reader accepts them in any order.
 
 
 def write_graph(g: Graph) -> str:
@@ -237,15 +247,23 @@ def read_graph(text: str) -> Graph:
     n = m = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        if line.startswith("#"):
+        head = fields[0]
+        if head == "e" and len(fields) == 3 and n is not None:
+            # a well-formed edge line; the other edge lines fail below
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+            if u >= v:
+                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+            edges.append((u, v))
+        elif head[0] == "#":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: comment after header")
-            continue
-        fields = line.split()
-        if fields[0] == "p":
+        elif head == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
             if len(fields) != 3:
@@ -259,20 +277,12 @@ def read_graph(text: str) -> Graph:
                     f"line {lineno}: header declares {n} vertices; "
                     f"graphs are limited to {SOLVE_MAX_VERTICES}"
                 )
-        elif fields[0] == "e":
+        elif head == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")
-            if len(fields) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-            if u >= v:
-                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            edges.append((u, v))
+            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
         else:
-            raise GraphFormatError(f"line {lineno}: unknown record {fields[0]!r}")
+            raise GraphFormatError(f"line {lineno}: unknown record {head!r}")
     if n is None or m is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
     if len(edges) != m:

@@ -123,7 +123,7 @@ def sparing_bruteforce(g: Graph) -> SparingResult:
     return _finish(g, best_mask, nodes, nodes, t0)  # one pass finds both
 
 
-def _odd_cycle_packing(adj: list[int]) -> int:
+def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
     """The size of a greedy packing of edge-disjoint odd cycles.
 
     An independent set holds at most (k - 1) / 2 vertices of a k-cycle with k
@@ -227,7 +227,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         raise ValueError("threads must be a positive integer")
     t0 = time.perf_counter()
     n = g.n
-    adj = [g.adjacency_mask(v) for v in range(n)]
+    adj = g._adj  # the neighbor bitsets, read once
     deg = [m.bit_count() for m in adj]
     order = sorted(range(n), key=lambda v: (-deg[v], v))
     full = (1 << n) - 1

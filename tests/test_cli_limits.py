@@ -272,6 +272,22 @@ class TestUnreadFlags:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "sparing: error: unrecognized arguments: --graph /nonexistent.g"
 
+    @pytest.mark.parametrize(
+        "argv,extras",
+        [
+            (["check", "--claim", "C1", "--n", "5", "--graph", "g.g"], "--graph g.g"),
+            (["solve", "--family", "cycle", "--n", "5", "--bogus"], "--bogus"),
+            (["verify", "--graph", "g.g", "--labeling", "w.json", "extra"], "extra"),
+        ],
+    )
+    def test_unknown_argument_shows_the_command_usage(self, capsys, no_build, argv, extras):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: sparing {argv[0]} [-h]")
+        assert lines[-1] == f"sparing: error: unrecognized arguments: {extras}"
+
     def test_mode_defaults_to_both(self, capsys):
         code, out, _ = run(capsys, "check", "--claim", "C13", "--family", "path", "--n", "3")
         assert (code, [line.split()[1] for line in out.splitlines()[1:3]]) == (

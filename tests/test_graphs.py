@@ -238,3 +238,38 @@ class TestTextFormat:
     def test_bad_inputs(self, text):
         with pytest.raises(GraphFormatError):
             read_graph(text)
+
+    def test_edges_in_any_order(self):
+        # the writer sorts the edges; the reader does not require it
+        assert read_graph("p 3 2\ne 1 2\ne 0 1\n") == graph_from_edges(3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 2 0\n# late\n", "line 2: comment after header"),
+            ("p 2 0\np 2 0\n", "line 2: duplicate header"),
+            ("p 2\n", "line 1: expected 'p <n> <m>'"),
+            ("p 2 one\n", "line 1: non-integer header"),
+            ("p 65 0\n", "line 1: header declares 65 vertices; graphs are limited to 64"),
+            ("# c\n\ne 0 1\n", "line 3: edge before header"),
+            ("p 3 1\ne 0 1 2\n", "line 2: expected 'e <u> <v>'"),
+            ("p 2 1\ne 0\n", "line 2: expected 'e <u> <v>'"),
+            ("p 2 1\ne 0 x\n", "line 2: non-integer endpoint"),
+            ("p 2 1\n\n  e 1 0\n", "line 3: endpoints must satisfy u < v"),
+            ("p 2 1\ne 1 1\n", "line 2: endpoints must satisfy u < v"),
+            ("p 2 1\nq 0 1\n", "line 2: unknown record 'q'"),
+            ("p 2 1\nep 0 1\n", "line 2: unknown record 'ep'"),
+            ("", "missing 'p <n> <m>' header"),
+            ("# only a comment\n", "missing 'p <n> <m>' header"),
+            ("p 3 2\ne 0 1\n", "header promises 2 edges, found 1"),
+            ("p 3 1\ne 0 1\ne 1 2\n", "header promises 1 edges, found 2"),
+            ("p 2 2\ne 0 1\ne 0 1\n", "duplicate edge"),
+            ("p 2 1\ne 0 5\n", "vertex 5 not in 0..1"),
+            ("p 2 1\ne -1 1\n", "vertex -1 not in 0..1"),
+            ("p 2 1\ne x 1\ne 1 0\n", "line 2: non-integer endpoint"),  # the first bad line
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            read_graph(text)
+        assert str(exc.value) == message

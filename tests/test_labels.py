@@ -241,3 +241,45 @@ class TestLabelingFile:
     def test_extra_keys(self):
         with pytest.raises(GraphFormatError):
             read_labeling('{"vertices": 1, "labels": {"0": [1]}, "x": 0}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 3 0\n", "labeling is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[]", "labeling must have exactly the keys 'vertices' and 'labels'"),
+            ('{"vertices": 1}', "labeling must have exactly the keys 'vertices' and 'labels'"),
+            ('{"vertices": true, "labels": {}}', "malformed labeling document"),
+            ('{"vertices": -1, "labels": {}}', "malformed labeling document"),
+            ('{"vertices": 1.0, "labels": {}}', "malformed labeling document"),
+            ('{"vertices": 1, "labels": [[1]]}', "malformed labeling document"),
+            ('{"vertices": 65, "labels": {}}',
+             "labeling declares 65 vertices; graphs are limited to 64"),
+            ('{"vertices": 2, "labels": {"0": [1]}}', "labels must cover exactly the indices 0..1"),
+            ('{"vertices": 1, "labels": {"00": [1]}}', "labels must cover exactly the indices 0..0"),
+            ('{"vertices": 1, "labels": {"0": 1}}', "label of vertex 0 is not a list of integers"),
+            ('{"vertices": 1, "labels": {"0": [1.0]}}', "label of vertex 0 is not a list of integers"),
+            ('{"vertices": 1, "labels": {"0": [true]}}', "label of vertex 0 is not a list of integers"),
+            ('{"vertices": 1, "labels": {"0": [1, "2"]}}',
+             "label of vertex 0 is not a list of integers"),
+            ('{"vertices": 1, "labels": {"0": [2, 1]}}', "label of vertex 0 is not strictly increasing"),
+            ('{"vertices": 1, "labels": {"0": [1, 1]}}', "label of vertex 0 is not strictly increasing"),
+            ('{"vertices": 1, "labels": {"0": [3, -1]}}',
+             "label of vertex 0 is not strictly increasing"),
+            ('{"vertices": 1, "labels": {"0": []}}', "label of vertex 0: label sets must be non-empty"),
+            ('{"vertices": 1, "labels": {"0": [-4, 2]}}',
+             "label of vertex 0: label sets are drawn from the non-negative integers"),
+            ('{"vertices": 1, "labels": {"0": [1, 18446744073709551616]}}',
+             "label of vertex 0: label element exceeds 64-bit range"),
+            ('{"vertices": 2, "labels": {"1": [], "0": [2, 1]}}',  # the first label in the file
+             "label of vertex 1: label sets must be non-empty"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            read_labeling(text)
+        assert str(exc.value) == message
+
+    def test_largest_label_element(self):
+        assert read_labeling('{"vertices": 1, "labels": {"0": [0, 18446744073709551615]}}') == (
+            1, {0: (0, 2**64 - 1)}
+        )

@@ -13,7 +13,7 @@ from sparing.graphs import (
     subdivide_edges,
     validate,
 )
-from sparing.labels import mono_edges, sumset, verify_weak
+from sparing.labels import Failure, FailureKind, mono_edges, sumset, verify_weak
 from sparing.solver import construct_witness, sparing_bruteforce, sparing_exact
 
 label_sets = st.frozensets(st.integers(min_value=0, max_value=100), min_size=1, max_size=5).map(
@@ -62,6 +62,61 @@ def test_edges_within_monotone_under_inclusion(g, data):
     small = set(data.draw(st.sets(st.sampled_from(vertices))) if vertices else set())
     big = small | set(data.draw(st.sets(st.sampled_from(vertices))) if vertices else set())
     assert len(edges_within(g, big)) >= len(edges_within(g, small))
+
+
+def pairwise_edges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+
+@given(small_graphs(), st.data())
+def test_edge_listing_matches_the_pairwise_definition(g, data):
+    inside = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    assert g.edges() == pairwise_edges(g)
+    assert edges_within(g, inside) == [(u, v) for u, v in pairwise_edges(g) if {u, v} <= inside]
+
+
+def collision_pairs(kind, items, label_of):
+    """Every pair of ``items`` sharing a label: labels in order of first use,
+    then the pair's positions in ``items``."""
+    first = {}
+    for i, item in enumerate(items):
+        first.setdefault(label_of(item), i)
+    found = [
+        ((first[label_of(a)], i, j), Failure(kind, (a, b)))
+        for i, a in enumerate(items)
+        for j, b in enumerate(items)
+        if i < j and label_of(a) == label_of(b)
+    ]
+    return [failure for _, failure in sorted(found, key=lambda x: x[0])]
+
+
+# labels drawn from a small pool, so that vertex and edge labels repeat and
+# edges join two non-singletons
+label_pools = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3).map(
+        lambda s: tuple(sorted(s))
+    ),
+    min_size=3,
+    max_size=4,
+)
+
+
+@given(small_graphs(max_n=7), label_pools, st.data())
+def test_verify_weak_matches_the_pairwise_definition(g, pool, data):
+    f = {v: data.draw(st.sampled_from(pool)) for v in range(g.n)}
+    edges = pairwise_edges(g)
+    sums = {e: sumset(f[e[0]], f[e[1]]) for e in edges}
+    failures = collision_pairs(FailureKind.VERTEX_COLLISION, list(range(g.n)), f.get)
+    failures += collision_pairs(FailureKind.EDGE_COLLISION, edges, sums.get)
+    failures += [
+        Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,))
+        for e in edges
+        if len(sums[e]) != max(len(f[e[0]]), len(f[e[1]]))
+    ]
+    verdict = verify_weak(g, f)
+    assert verdict.failures == tuple(failures)
+    assert verdict.ok == (not failures)
+    assert verdict.mono == tuple(e for e in edges if len(sums[e]) == 1)
 
 
 @given(small_graphs())
