@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .errors import DomainError, MissingGraph
-from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, checked_param, generate
+from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate
 from .graphs import Graph, iter_bits, subdivide_edges, shadow, triangles_through
 from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
@@ -43,15 +43,17 @@ _PARAM_TYPES = {"base": _as_base, "mode": _as_mode}
 _family_param = partial(checked_param, error=DomainError)
 
 
+def _item_list(claim: Claim) -> str | None:
+    """The family's one list parameter (``parts``) if the claim names its items."""
+    order = tuple(FAMILY_PARAMS.get(claim.family, claim.param_order))
+    return None if order == claim.param_order else order[0]
+
+
 def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
     """The claim's family at ``p``; a family that takes one list (``parts``)
     gets the claim's parameters as that list, in param_order."""
-    order = FAMILY_PARAMS[claim.family]
-    if order == claim.param_order:
-        params = dict(p)
-    else:
-        (key,) = order
-        params = {key: [p[k] for k in claim.param_order]}
+    key = _item_list(claim)
+    params = dict(p) if key is None else {key: [p[k] for k in claim.param_order]}
     return generate(FamilySpec(claim.family, params))
 
 
@@ -70,8 +72,10 @@ class Claim:
       its type check: ``base`` is a FamilySpec, ``mode`` is ``fresh`` or
       ``induced``, and any other name is checked as the family parameter of
       that name (``families.checked_param``).
-    - ``requires`` and ``in_domain`` are the domain's range condition, in
-      words for the DomainError and as a test of the type-checked parameters.
+    - The range is the family's least values (a list's for each item a claim
+      names, as C3 names ``a`` and ``b``). A claim that holds on less narrows
+      it with ``requires`` and ``in_domain``, in words for the DomainError and
+      as a test of the type-checked parameters.
     - ``predict`` gives the claimed value from the parameters and, when
       ``needs_graph`` is set, from the instance too.
     - ``build`` makes the instance; by default ``family`` at the parameters.
@@ -87,7 +91,7 @@ class Claim:
     _: KW_ONLY
     predict: Callable[[Params, LabeledGraph | None], int]
     requires: str = ""
-    in_domain: Callable[[Params], bool] = lambda p: True
+    in_domain: Callable[[Params], bool] | None = None
     build: Callable[[Claim, Params], LabeledGraph] = _family_instance
     exact: Callable[[Params, LabeledGraph], tuple[int, int, int]] = _solve_instance
 
@@ -101,7 +105,12 @@ class Claim:
             key: _PARAM_TYPES.get(key, _family_param)(params, key, self.id)
             for key in self.param_order
         }
-        if not self.in_domain(point):
+        if self.in_domain is None:
+            least = FAMILY_PARAMS.get(self.family, {})
+            if (key := _item_list(self)) is not None:
+                least = dict.fromkeys(self.param_order, least[key])
+            check_range(point, least, self.id, DomainError)
+        elif not self.in_domain(point):
             raise DomainError(f"{self.id} requires {self.requires}")
         return point
 
@@ -255,52 +264,38 @@ def _product_of_two_smallest(a: int, b: int, c: int) -> int:
 
 _CATALOG: tuple[Claim, ...] = (
     Claim("C1", "complete", "phi(K_n) = (n-1)(n-2)/2", ("n",),
-          requires="n >= 1", in_domain=lambda p: p["n"] >= 1,
           predict=lambda p, lg: (p["n"] - 1) * (p["n"] - 2) // 2),
     Claim("C2", "cycle", "phi(C_n) = 1 for odd n", ("n",),
           requires="odd n >= 3", in_domain=lambda p: p["n"] >= 3 and p["n"] % 2 == 1,
           predict=lambda p, lg: 1),
     Claim("C3", "complete_bipartite", "phi(K_{a,b}) = 0", ("a", "b"),
-          requires="a >= 1 and b >= 1", in_domain=lambda p: p["a"] >= 1 and p["b"] >= 1,
           predict=lambda p, lg: 0),
     Claim("C4", "complete_sun", "phi(sun_n) = (n^2 - 3n + 6)/2", ("n",),
-          requires="n >= 3", in_domain=lambda p: p["n"] >= 3,
           predict=lambda p, lg: (p["n"] ** 2 - 3 * p["n"] + 6) // 2),
     Claim("C5", "complete_split", "phi(split) = fewest triangles through any one clique vertex",
           ("r", "s"), needs_graph=True,
-          requires="r >= 1 and s >= 1", in_domain=lambda p: p["r"] >= 1 and p["s"] >= 1,
           predict=lambda p, lg: _min_clique_triangles(lg)),
     Claim("C6", "complete_split", "phi(K_S(r,s)) = r(r-1)/2", ("r", "s"),
-          requires="r >= 1 and s >= 1", in_domain=lambda p: p["r"] >= 1 and p["s"] >= 1,
           predict=lambda p, lg: p["r"] * (p["r"] - 1) // 2),
     Claim("C7", "complete_bisplit", "phi(bisplit) = cross paths of length 2 through the least part",
           ("x", "y", "z"), needs_graph=True,
-          requires="x, y, z >= 1", in_domain=lambda p: all(p[k] >= 1 for k in ("x", "y", "z")),
           predict=lambda p, lg: _cross_paths_through_least_part(lg)),
     Claim("C8", "complete_multipartite", "phi(K_{a,b,c}) = product of the two smallest part sizes",
           ("a", "b", "c"),
-          requires="a, b, c >= 1", in_domain=lambda p: all(p[k] >= 1 for k in ("a", "b", "c")),
           predict=lambda p, lg: _product_of_two_smallest(p["a"], p["b"], p["c"])),
     Claim("C9", "block_chain", "phi(block graph) = sum (n_i-1)(n_i-2)/2", ("cliques",),
-          requires="all clique sizes >= 2",
-          in_domain=lambda p: all(s >= 2 for s in p["cliques"]),
           predict=lambda p, lg: sum((s - 1) * (s - 2) // 2 for s in p["cliques"])),
     Claim("C10", "windmill", "phi(W(n,r)) = r(n-1)(n-2)/2", ("n", "r"),
-          requires="n >= 2 and r >= 2", in_domain=lambda p: p["n"] >= 2 and p["r"] >= 2,
           predict=lambda p, lg: p["r"] * (p["n"] - 1) * (p["n"] - 2) // 2),
     Claim("C11", "friendship", "phi(F_r) = r", ("r",),
-          requires="r >= 2", in_domain=lambda p: p["r"] >= 2,
           predict=lambda p, lg: p["r"]),
     Claim("C12", "shadow", "phi(shadow(G)) = 2 phi(G)", ("base",),
           predict=_twice_phi_of_base, build=_shadow),
     Claim("C13", "max_subdivision", "phi(maximal subdivision of G) = 2 phi(G)", ("base", "mode"),
           predict=_twice_phi_of_base, build=_maximal_subdivision, exact=_exact_subdivision),
     Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles", ("cycles",),
-          needs_graph=True, requires="all cycle lengths >= 3",
-          in_domain=lambda p: all(l >= 3 for l in p["cycles"]),
-          predict=lambda p, lg: odd_cycle_block_count(lg.graph)),
+          needs_graph=True, predict=lambda p, lg: odd_cycle_block_count(lg.graph)),
     Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)", ("m",),
-          requires="m >= 3", in_domain=lambda p: p["m"] >= 3,
           predict=lambda p, lg: p["m"] // 2),  # == ceil((m - 1) / 2)
     Claim("C16", "cone", "phi(cone(m,n)) = m for n >= 2", ("m", "n"),
           requires="m >= 3 and n >= 2", in_domain=lambda p: p["m"] >= 3 and p["n"] >= 2,

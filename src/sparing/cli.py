@@ -280,7 +280,7 @@ def _claim_points(claim, args) -> Iterator[dict]:
         return (dict(zip(claim.param_order, point)) for point in _sweep(dims))
     family_order = FAMILY_PARAMS[claim.family]
     _refuse_unread(args, owner, family_order)
-    if family_order == claim.param_order:
+    if tuple(family_order) == claim.param_order:
         return _family_params(args, claim.family, True, owner)
     # a one-list family (--parts) whose claim names each item
     (flag,) = family_order

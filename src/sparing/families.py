@@ -94,6 +94,20 @@ def checked_param(params: Mapping[str, object], key: str, owner: str, error=Inva
     return list(value)
 
 
+def check_range(values: Mapping[str, object], least: Mapping[str, int | None], owner: str,
+                error=InvalidParam) -> None:
+    """Raise ``error`` naming ``owner`` and every least value unless each
+    ``values[key]`` (each item, for a list) is at least ``least[key]``;
+    a least value of None bounds nothing."""
+    for key, lo in least.items():
+        if lo is not None and (min(values[key]) if key in LIST_PARAMS else values[key]) < lo:
+            condition = " and ".join(
+                f"all {LIST_PARAMS[k]} >= {v}" if k in LIST_PARAMS else f"{k} >= {v}"
+                for k, v in least.items() if v is not None
+            )
+            raise error(f"{owner} requires {condition}")
+
+
 def _clique_edges(vertices: Sequence[int]) -> list[Edge]:
     return [(vertices[i], vertices[j]) for i in range(len(vertices)) for j in range(i + 1, len(vertices))]
 
@@ -105,30 +119,26 @@ def _cycle_edges(vertices: Sequence[int]) -> list[Edge]:
 
 def _path(params) -> tuple[Graph, Partitions]:
     n = params["n"]
-    _need(n >= 1, "path requires n >= 1")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]), {}
 
 
 def _cycle(params) -> tuple[Graph, Partitions]:
     n = params["n"]
-    _need(n >= 3, "cycle requires n >= 3")
     return graph_from_edges(n, _cycle_edges(range(n))), {}
 
 
 def _complete(params) -> tuple[Graph, Partitions]:
     n = params["n"]
-    _need(n >= 1, "complete requires n >= 1")
     return graph_from_edges(n, _clique_edges(range(n))), {}
 
 
-def _complete_parts(family: str, names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
+def _multipartite(family: str, names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
     # the complete multipartite graph on params["parts"], one part per size,
     # numbered consecutively in order; ``names`` also fixes the part count,
     # and None names them V1, V2, ...
     sizes = params["parts"]
     if names is not None:
         _need(len(sizes) == len(names), f"{family} requires exactly {len(names)} part sizes")
-    _need(all(s >= 1 for s in sizes), f"{family} requires part sizes >= 1")
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
@@ -154,7 +164,6 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
     # relative index 0..y+z-1 (0..y-1 lands in Y).
     y = params["y"]
     z = params["z"]
-    _need(y >= 1 and z >= 1, "bisplit requires y >= 1 and z >= 1")
     adjacency = params.get("adjacency")
     _need(isinstance(adjacency, (list, tuple)), "bisplit requires an adjacency list for X")
     x = len(adjacency)
@@ -175,7 +184,6 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
 
 def _complete_sun(params) -> tuple[Graph, Partitions]:
     n = params["n"]
-    _need(n >= 3, "complete_sun requires n >= 3")
     # clique vertices 0..n-1, rim n..2n-1; rim vertex n+j attaches to clique
     # vertices j and (j+1) mod n
     edges = _clique_edges(range(n))
@@ -190,7 +198,6 @@ def _split(params) -> tuple[Graph, Partitions]:
     # clique vertices 0..r-1, independent vertices r..r+s-1; adjacency rows
     # (one per independent vertex) list that vertex's clique neighbors.
     r = params["r"]
-    _need(r >= 1, "split requires r >= 1")
     adjacency = params.get("adjacency")
     _need(isinstance(adjacency, (list, tuple)), "split requires an adjacency list")
     s = len(adjacency)
@@ -206,15 +213,13 @@ def _split(params) -> tuple[Graph, Partitions]:
 
 def _complete_split(params) -> tuple[Graph, Partitions]:
     r = params["r"]
-    s = params["s"]
-    _need(r >= 1, "complete_split requires r >= 1")
-    _need(s >= 1, "complete_split requires s >= 1")
-    return _split({"r": r, "adjacency": [tuple(range(r))] * s})
+    return _split({"r": r, "adjacency": [tuple(range(r))] * params["s"]})
 
 
-def _chain(sizes: Sequence[int], block_edges) -> tuple[Graph, Partitions]:
-    # blocks laid along a path; each block reuses the last vertex of the
-    # previous one as its cut vertex
+def _chain(key: str, block_edges, params) -> tuple[Graph, Partitions]:
+    # blocks of the sizes params[key] laid along a path; each block reuses
+    # the last vertex of the previous one as its cut vertex
+    sizes = params[key]
     edges = []
     start = 0
     for size in sizes:
@@ -223,17 +228,9 @@ def _chain(sizes: Sequence[int], block_edges) -> tuple[Graph, Partitions]:
     return graph_from_edges(start + 1, edges), {}
 
 
-def _block_chain(params) -> tuple[Graph, Partitions]:
-    sizes = params["cliques"]
-    _need(all(s >= 2 for s in sizes), "block_chain requires all clique sizes >= 2")
-    return _chain(sizes, _clique_edges)
-
-
 def _windmill(params) -> tuple[Graph, Partitions]:
     n = params["n"]
     r = params["r"]
-    _need(n >= 2, "windmill requires n >= 2")
-    _need(r >= 2, "windmill requires r >= 2")
     # shared vertex 0; copy i occupies {0} plus 1+i(n-1) .. i(n-1)+n-1
     edges = []
     for i in range(r):
@@ -245,14 +242,11 @@ def _windmill(params) -> tuple[Graph, Partitions]:
 
 
 def _friendship(params) -> tuple[Graph, Partitions]:
-    r = params["r"]
-    _need(r >= 2, "friendship requires r >= 2")
-    return _windmill({"n": 3, "r": r})
+    return _windmill({"n": 3, "r": params["r"]})
 
 
 def _wheel(params) -> tuple[Graph, Partitions]:
     m = params["m"]
-    _need(m >= 3, "wheel requires m >= 3")
     # rim cycle 0..m-1, hub m
     edges = _cycle_edges(range(m)) + [(i, m) for i in range(m)]
     parts = {"rim": frozenset(range(m)), "hub": frozenset({m})}
@@ -262,8 +256,6 @@ def _wheel(params) -> tuple[Graph, Partitions]:
 def _cone(params) -> tuple[Graph, Partitions]:
     m = params["m"]
     n = params["n"]
-    _need(m >= 3, "cone requires m >= 3")
-    _need(n >= 1, "cone requires n >= 1")
     # cycle 0..m-1, apex vertices m..m+n-1 each joined to the whole cycle
     edges = _cycle_edges(range(m))
     edges.extend((i, m + j) for j in range(n) for i in range(m))
@@ -271,33 +263,27 @@ def _cone(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(m + n, edges), parts
 
 
-def _cactus_chain(params) -> tuple[Graph, Partitions]:
-    lengths = params["cycles"]
-    _need(all(l >= 3 for l in lengths), "cactus_chain requires all cycle lengths >= 3")
-    return _chain(lengths, _cycle_edges)
-
-
-# each family's builder and its parameter names, in report order
-_FAMILIES: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "path": (_path, ("n",)),
-    "cycle": (_cycle, ("n",)),
-    "complete": (_complete, ("n",)),
-    "complete_bipartite": (partial(_complete_parts, "complete_bipartite", ("X", "Y")), ("parts",)),
-    "complete_multipartite": (partial(_complete_parts, "complete_multipartite", None), ("parts",)),
-    "complete_sun": (_complete_sun, ("n",)),
-    "split": (_split, ("r", "adjacency")),
-    "complete_split": (_complete_split, ("r", "s")),
-    "bisplit": (_bisplit, ("y", "z", "adjacency")),
+# each family's builder and the least value of each of its parameters, in
+# report order; a list parameter's least value bounds every item, and None
+# marks the adjacency rows of split and bisplit, which their builders check
+_FAMILIES: dict[str, tuple[Callable, dict[str, int | None]]] = {
+    "path": (_path, {"n": 1}),
+    "cycle": (_cycle, {"n": 3}),
+    "complete": (_complete, {"n": 1}),
+    "complete_bipartite": (partial(_multipartite, "complete_bipartite", ("X", "Y")), {"parts": 1}),
+    "complete_multipartite": (partial(_multipartite, "complete_multipartite", None), {"parts": 1}),
+    "complete_sun": (_complete_sun, {"n": 3}),
+    "split": (_split, {"r": 1, "adjacency": None}),
+    "complete_split": (_complete_split, {"r": 1, "s": 1}),
+    "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None}),
     # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
-    "complete_bisplit": (
-        partial(_complete_parts, "complete_bisplit", ("X", "Y", "Z")), ("parts",)
-    ),
-    "block_chain": (_block_chain, ("cliques",)),
-    "windmill": (_windmill, ("n", "r")),
-    "friendship": (_friendship, ("r",)),
-    "wheel": (_wheel, ("m",)),
-    "cone": (_cone, ("m", "n")),
-    "cactus_chain": (_cactus_chain, ("cycles",)),
+    "complete_bisplit": (partial(_multipartite, "complete_bisplit", ("X", "Y", "Z")), {"parts": 1}),
+    "block_chain": (partial(_chain, "cliques", _clique_edges), {"cliques": 2}),
+    "windmill": (_windmill, {"n": 2, "r": 2}),
+    "friendship": (_friendship, {"r": 2}),
+    "wheel": (_wheel, {"m": 3}),
+    "cone": (_cone, {"m": 3, "n": 1}),
+    "cactus_chain": (partial(_chain, "cycles", _cycle_edges), {"cycles": 3}),
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
@@ -307,14 +293,15 @@ FAMILY_PARAMS = {name: _FAMILIES[name][1] for name in FAMILY_NAMES}
 def generate(spec: FamilySpec) -> LabeledGraph:
     """Build the family instance described by ``spec``.
 
-    Raises InvalidParam naming the violated domain constraint.
+    Raises InvalidParam naming the bad parameter, or the family's whole range.
     """
     if spec.family not in _FAMILIES:
         raise InvalidParam(f"unknown family {spec.family!r}")
-    build, order = _FAMILIES[spec.family]
-    for key in order:
-        if key != "adjacency":
+    build, least = _FAMILIES[spec.family]
+    for key, lo in least.items():
+        if lo is not None:
             checked_param(spec.params, key, spec.family)
+    check_range(spec.params, least, spec.family)
     graph, parts = build(spec.params)
     return LabeledGraph(graph, parts, spec)
 

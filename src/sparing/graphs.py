@@ -14,6 +14,7 @@ from .errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
 Edge = tuple[int, int]
 
 SOLVE_MAX_VERTICES = 64  # the largest graph any command or graph file may have
+MAX_GRAPH_TEXT = 1_000_000  # characters; a complete 64-vertex graph file has about 16,000
 
 
 def _canon(u: int, v: int) -> Edge:
@@ -243,7 +244,20 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int:
+    """``token`` as an integer if it is ASCII digits after an optional '-';
+    int() alone would also take '_', '+' and non-ASCII digits."""
+    if token.isascii() and "_" not in token and "+" not in token:
+        return int(token)
+    raise ValueError(token)
+
+
 def read_graph(text: str) -> Graph:
+    if len(text) > MAX_GRAPH_TEXT:
+        raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
+    # a text with no non-ASCII character, '_' or '+' has no token that
+    # int() reads and _decimal refuses
+    parse = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     n = m = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -254,7 +268,7 @@ def read_graph(text: str) -> Graph:
         if head == "e" and len(fields) == 3 and n is not None:
             # a well-formed edge line; the other edge lines fail below
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = parse(fields[1]), parse(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
             if u >= v:
@@ -269,7 +283,7 @@ def read_graph(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
             try:
-                n, m = int(fields[1]), int(fields[2])
+                n, m = parse(fields[1]), parse(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer header") from None
             if n > SOLVE_MAX_VERTICES:

@@ -9,8 +9,8 @@ from sparing.claims import (
     odd_cycle_block_count,
     predicted_value,
 )
-from sparing.errors import DomainError, MissingGraph
-from sparing.families import FamilySpec, LabeledGraph, generate, make
+from sparing.errors import DomainError, InvalidParam, MissingGraph
+from sparing.families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, LabeledGraph, generate, make
 from sparing.graphs import graph_from_edges
 from sparing.solver import sparing_exact
 
@@ -236,6 +236,80 @@ class TestCheckClaim:
     def test_parameter_types_are_the_family_checks(self, claim_id, params, err):
         with pytest.raises(DomainError, match=f"^{err}$"):
             check_claim(claim_by_id(claim_id), params)
+
+    @pytest.mark.parametrize(
+        "claim_id,params,err",
+        [
+            ("C1", {"n": 0}, "C1 requires n >= 1"),
+            ("C2", {"n": 4}, "C2 requires odd n >= 3"),
+            ("C3", {"a": 1, "b": 0}, "C3 requires a >= 1 and b >= 1"),
+            ("C4", {"n": 2}, "C4 requires n >= 3"),
+            ("C5", {"r": 0, "s": 1}, "C5 requires r >= 1 and s >= 1"),
+            ("C6", {"r": 1, "s": 0}, "C6 requires r >= 1 and s >= 1"),
+            ("C7", {"x": 1, "y": 0, "z": 1}, "C7 requires x >= 1 and y >= 1 and z >= 1"),
+            ("C8", {"a": 0, "b": 1, "c": 1}, "C8 requires a >= 1 and b >= 1 and c >= 1"),
+            ("C9", {"cliques": [2, 1]}, "C9 requires all clique sizes >= 2"),
+            ("C10", {"n": 1, "r": 2}, "C10 requires n >= 2 and r >= 2"),
+            ("C11", {"r": 1}, "C11 requires r >= 2"),
+            ("C12", {"base": "cycle"}, "C12 requires a 'base' FamilySpec parameter"),
+            (
+                "C13",
+                {"base": FamilySpec("cycle", {"n": 3}), "mode": "both"},
+                "C13 requires mode in {fresh, induced}",
+            ),
+            ("C14", {"cycles": [2]}, "C14 requires all cycle lengths >= 3"),
+            ("C15", {"m": 2}, "C15 requires m >= 3"),
+            ("C16", {"m": 3, "n": 1}, "C16 requires m >= 3 and n >= 2"),
+        ],
+    )
+    def test_range_messages(self, claim_id, params, err):
+        with pytest.raises(DomainError) as exc:
+            check_claim(claim_by_id(claim_id), params)
+        assert str(exc.value) == err
+
+
+# the least value of each parameter of every claim that states no range of
+# its own: its family's, or its family's list's for each item it names
+CLAIM_LEAST = {
+    "C1": {"n": 1},
+    "C3": {"a": 1, "b": 1},
+    "C4": {"n": 3},
+    "C5": {"r": 1, "s": 1},
+    "C6": {"r": 1, "s": 1},
+    "C7": {"x": 1, "y": 1, "z": 1},
+    "C8": {"a": 1, "b": 1, "c": 1},
+    "C9": {"cliques": 2},
+    "C10": {"n": 2, "r": 2},
+    "C11": {"r": 2},
+    "C14": {"cycles": 3},
+    "C15": {"m": 3},
+}
+
+
+class TestClaimDomainIsFamilyDomain:
+    def test_every_claim_on_a_family_is_listed(self):
+        # C2 and C16 narrow their family's range; C12 and C13 have no family
+        on_a_family = {c.id for c in catalog() if c.family in FAMILY_PARAMS}
+        assert on_a_family - {"C2", "C16"} == set(CLAIM_LEAST)
+
+    @pytest.mark.parametrize(
+        "claim_id,key", [(cid, key) for cid, least in CLAIM_LEAST.items() for key in least]
+    )
+    def test_least_value_is_the_edge(self, claim_id, key):
+        claim = claim_by_id(claim_id)
+        least = CLAIM_LEAST[claim_id]
+
+        def point(value):
+            p = {**least, key: value}
+            return {k: [v] if k in LIST_PARAMS else v for k, v in p.items()}
+
+        at, below = point(least[key]), point(least[key] - 1)
+        assert claim._point(at) == at
+        assert claim.build(claim, at).graph.n >= 1
+        with pytest.raises(DomainError):
+            claim._point(below)
+        with pytest.raises(InvalidParam):
+            claim.build(claim, below)
 
 
 class TestClaimSoundnessSweep:

@@ -216,6 +216,44 @@ class TestSpecStrings:
     @pytest.mark.parametrize(
         "family,params,err",
         [
+            ("path", {"n": 0}, "path requires n >= 1"),
+            ("cycle", {"n": 2}, "cycle requires n >= 3"),
+            ("complete", {"n": 0}, "complete requires n >= 1"),
+            (
+                "complete_bipartite",
+                {"parts": [1, 0]},
+                "complete_bipartite requires all part sizes >= 1",
+            ),
+            (
+                "complete_multipartite",
+                {"parts": [2, 0, 1]},
+                "complete_multipartite requires all part sizes >= 1",
+            ),
+            ("complete_sun", {"n": 2}, "complete_sun requires n >= 3"),
+            ("split", {"r": 0, "adjacency": []}, "split requires r >= 1"),
+            ("complete_split", {"r": 2, "s": 0}, "complete_split requires r >= 1 and s >= 1"),
+            ("bisplit", {"y": 1, "z": 0, "adjacency": []}, "bisplit requires y >= 1 and z >= 1"),
+            (
+                "complete_bisplit",
+                {"parts": [1, 1, 0]},
+                "complete_bisplit requires all part sizes >= 1",
+            ),
+            ("block_chain", {"cliques": [3, 1]}, "block_chain requires all clique sizes >= 2"),
+            ("windmill", {"n": 3, "r": 1}, "windmill requires n >= 2 and r >= 2"),
+            ("friendship", {"r": 1}, "friendship requires r >= 2"),
+            ("wheel", {"m": 2}, "wheel requires m >= 3"),
+            ("cone", {"m": 3, "n": 0}, "cone requires m >= 3 and n >= 1"),
+            ("cactus_chain", {"cycles": [3, 2]}, "cactus_chain requires all cycle lengths >= 3"),
+        ],
+    )
+    def test_range_messages(self, family, params, err):
+        with pytest.raises(InvalidParam) as exc:
+            generate(FamilySpec(family, params))
+        assert str(exc.value) == err
+
+    @pytest.mark.parametrize(
+        "family,params,err",
+        [
             ("cycle", {"n": "5"}, "cycle: n must be an integer"),
             ("cycle", {"n": True}, "cycle: n must be an integer"),
             ("windmill", {"n": 3}, "windmill requires parameter r"),

@@ -3,6 +3,7 @@ import pytest
 from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
 from sparing.families import make
 from sparing.graphs import (
+    MAX_GRAPH_TEXT,
     SOLVE_MAX_VERTICES,
     disjoint_union,
     edges_within,
@@ -273,3 +274,36 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError) as exc:
             read_graph(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 1_0 1\ne 0 9\n", "line 1: non-integer header"),
+            ("p \uff13 0\n", "line 1: non-integer header"),  # full-width 3
+            ("p +3 0\n", "line 1: non-integer header"),
+            ("p 10 1\ne 0 +9\n", "line 2: non-integer endpoint"),
+            ("p 10 1\ne 0 1_0\n", "line 2: non-integer endpoint"),
+            ("p 3 1\ne 0 \u0662\n", "line 2: non-integer endpoint"),  # Arabic-Indic 2
+            ("p 3 1\ne - 2\n", "line 2: non-integer endpoint"),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            read_graph(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("comment", ["", "# +_\u0662\n"])
+    def test_ascii_digits_read_with_any_comment(self, comment):
+        # a comment holding '+', '_' or a non-ASCII digit changes no reading
+        assert read_graph(comment + "p 010 1\ne 0 09\n") == graph_from_edges(10, [(0, 9)])
+        with pytest.raises(GraphFormatError, match="^vertex -1 not in 0..1$"):
+            read_graph(comment + "p 2 1\ne -1 1\n")
+
+    def test_text_length_cap(self):
+        body = "p 2 1\ne 0 1\n"
+        pad = "#" + "x" * (MAX_GRAPH_TEXT - len(body) - 2) + "\n"
+        assert len(pad + body) == MAX_GRAPH_TEXT
+        assert read_graph(pad + body) == graph_from_edges(2, [(0, 1)])
+        with pytest.raises(GraphFormatError) as exc:
+            read_graph("#" + pad + body)
+        assert str(exc.value) == f"graph text is longer than {MAX_GRAPH_TEXT} characters"
