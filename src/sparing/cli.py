@@ -23,8 +23,8 @@ from . import claims as claims_mod
 from .claims import check_claim, claim_by_id
 from .errors import GraphFormatError, SparingError, TooLarge
 from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph
-from .graphs import SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
-from .labels import FailureKind, read_labeling, verify_weak, write_labeling
+from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
+from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
 
 EXIT_OK = 0
@@ -133,17 +133,19 @@ def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
 def _load_graph(args) -> Graph:
     if args.graph:
         _refuse_unread(args, "--graph", ())
-        return read_graph(_read(args.graph))
+        return read_graph(_read(args.graph, MAX_GRAPH_TEXT))
     if args.family:
         (spec,) = _family_spec(args)
         return generate(spec).graph
     raise InputError("provide a graph via --graph FILE or --family NAME")
 
 
-def _read(path: str) -> str:
+def _read(path: str, limit: int) -> str:
+    """The file as UTF-8 text, cut one character past ``limit`` for its reader to refuse."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read(limit + 1)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -227,7 +229,7 @@ def _failure_line(failure) -> str:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    n, labeling = read_labeling(_read(args.labeling))
+    n, labeling = read_labeling(_read(args.labeling, MAX_LABELING_TEXT))
     if n != g.n:
         raise GraphFormatError(f"labeling covers {n} vertices, graph has {g.n}")
     verdict = verify_weak(g, labeling)

@@ -50,14 +50,7 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges in canonical (min, max) lexicographic order."""
-        out = []
-        for u, mask in enumerate(self._adj):
-            above = mask & -(2 << u)  # the neighbors above u
-            while above:
-                low = above & -above
-                out.append((u, low.bit_length() - 1))
-                above ^= low
-        return out
+        return edges_within_mask(self, (1 << self.n) - 1)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -118,21 +111,28 @@ def validate(g: Graph) -> None:
                 raise GraphFormatError(f"edge ({v},{u}) is not symmetric")
 
 
-def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff no edge of ``g`` has both endpoints in ``vertices``."""
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """The bitset of ``vertices``, each checked to be a vertex of ``g``."""
     m = 0
     for v in vertices:
         g._check_vertex(v)
         m |= 1 << v
+    return m
+
+
+def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff no edge of ``g`` has both endpoints in ``vertices``."""
+    m = _vertex_mask(g, vertices)
     return all(not (g._adj[v] & m) for v in iter_bits(m))
 
 
 def edges_within(g: Graph, vertices: Iterable[int]) -> list[Edge]:
     """Edges with both endpoints in ``vertices``, canonically ordered."""
-    m = 0
-    for v in vertices:
-        g._check_vertex(v)
-        m |= 1 << v
+    return edges_within_mask(g, _vertex_mask(g, vertices))
+
+
+def edges_within_mask(g: Graph, m: int) -> list[Edge]:
+    """Edges with both endpoints in the vertex bitset ``m``, canonically ordered."""
     out = []
     while m:
         low = m & -m
@@ -162,16 +162,9 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 
 def shadow(g: Graph) -> Graph:
-    """Add a twin n+i for each vertex i, joined to i's neighbors (not to i itself)."""
-    n = g.n
-    adj = [0] * (2 * n)
-    for v in range(n):
-        adj[v] = g._adj[v]
-    for v in range(n):
-        for u in iter_bits(g._adj[v]):
-            adj[n + v] |= 1 << u
-            adj[u] |= 1 << (n + v)
-    return Graph(2 * n, tuple(adj))
+    """Add a twin n+i for each vertex i, joined to i's neighbors (not to i itself):
+    vertex v gains its neighbors' twins, and twin n+v gets v's neighbors."""
+    return Graph(2 * g.n, tuple([m | m << g.n for m in g._adj] + list(g._adj)))
 
 
 def subdivide_edges(g: Graph, targets: Iterable[Edge]) -> Graph:
@@ -203,28 +196,24 @@ def subdivide_edges(g: Graph, targets: Iterable[Edge]) -> Graph:
 def is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A 2-coloring as (side0, side1), or None.
 
-    Deterministic: BFS from the lowest-index vertex of each component, which
-    is colored side 0.
+    Deterministic: BFS by levels from the lowest-index vertex of each
+    component, which is colored side 0; each level takes the side opposite
+    the level before it, and an edge inside a level closes an odd cycle.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in iter_bits(g._adj[v]):
-                    if color[u] == -1:
-                        color[u] = 1 - color[v]
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return None
-            queue = nxt
-    side0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    side1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+    sides = [0, 0]
+    unseen = (1 << g.n) - 1
+    while unseen:
+        level, side = unseen & -unseen, 0
+        while level:
+            unseen ^= level
+            sides[side] |= level
+            reach = 0
+            for v in iter_bits(level):
+                reach |= g._adj[v]
+            if reach & level:
+                return None
+            level, side = reach & unseen, 1 - side
+    return frozenset(iter_bits(sides[0])), frozenset(iter_bits(sides[1]))
 
 
 def triangles_through(g: Graph, v: int) -> int:
@@ -305,5 +294,5 @@ def read_graph(text: str) -> Graph:
         raise GraphFormatError("duplicate edge")
     try:
         return graph_from_edges(n, edges)
-    except (IndexOutOfRange, SelfLoop) as exc:
+    except IndexOutOfRange as exc:
         raise GraphFormatError(str(exc)) from None

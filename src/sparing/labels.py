@@ -33,6 +33,9 @@ MAX_SUM_PAIRS = 10**6
 # each kind are counted first and capped; labels that repeat a few values
 # collide in up to 2,031,120 edge pairs on 64 vertices.
 MAX_COLLISION_PAIRS = 10**5
+# json.loads takes about 21 times its text's size in memory, so the text is
+# capped first; a 29-vertex witness labeling has about 700 characters.
+MAX_LABELING_TEXT = 10_000_000
 
 
 def make_label(values: Iterable[int]) -> Label:
@@ -184,6 +187,8 @@ def write_labeling(n: int, f: Mapping[int, Label]) -> str:
 
 
 def read_labeling(text: str) -> tuple[int, Labeling]:
+    if len(text) > MAX_LABELING_TEXT:
+        raise GraphFormatError(f"labeling text is longer than {MAX_LABELING_TEXT} characters")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -41,7 +41,7 @@ from .graphs import (
     Edge,
     Graph,
     count_edges_within_mask,
-    edges_within,
+    edges_within_mask,
     is_independent,
     iter_bits,
     mask_of,
@@ -81,7 +81,7 @@ def _finish(
     g: Graph, witness_mask: int, nodes: int, value_nodes: int, t0: float
 ) -> SparingResult:
     witness = tuple(iter_bits(witness_mask))
-    mono = tuple(edges_within(g, iter_bits(((1 << g.n) - 1) & ~witness_mask)))
+    mono = tuple(edges_within_mask(g, ((1 << g.n) - 1) & ~witness_mask))
     stats = SearchStats(nodes, value_nodes, time.perf_counter() - t0)
     return SparingResult(len(mono), witness, mono, stats)
 

@@ -2,6 +2,7 @@
 guards, with exit 3 for a size limit and exit 2 for bad input."""
 
 import json
+import os
 
 import pytest
 
@@ -192,6 +193,46 @@ class TestFiles:
         out_dir = tmp_path / "corpus"
         assert run(capsys, "corpus", *flags, "--out-dir", str(out_dir)) == (2, "", err)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv,data,position",
+        [
+            (["solve", "--graph", "bad"], b"p 2 1\ne 0 1\xff", 11),
+            (
+                ["verify", "--graph", "g2.g", "--labeling", "bad"],
+                b'{"vertices": 2, "labels": {"0": [1], "1": [2]}}\xff',
+                47,
+            ),
+        ],
+    )
+    def test_undecodable_file(self, capsys, tmp_path, monkeypatch, argv, data, position):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g2.g").write_text("p 2 1\ne 0 1\n")
+        (tmp_path / "bad").write_bytes(data)
+        assert run(capsys, *argv) == (
+            2,
+            "",
+            f"error: cannot read bad: 'utf-8' codec can't decode byte 0xff in position "
+            f"{position}: invalid start byte\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["solve", "--graph", "big"], "graph text is longer than 1000000 characters"),
+            (
+                ["verify", "--graph", "g2.g", "--labeling", "big"],
+                "labeling text is longer than 10000000 characters",
+            ),
+        ],
+    )
+    def test_sparse_file_over_the_text_cap(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g2.g").write_text("p 2 1\ne 0 1\n")
+        (tmp_path / "big").touch()
+        os.truncate(tmp_path / "big", 2 * 10**7)  # 20,000,000 NUL characters
+        assert cli._read("big", 5) == "\0" * 6  # the read stops one character past its limit
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_labeling_over_the_vertex_cap(self, capsys, tmp_path):
         graph = tmp_path / "g2.g"

@@ -5,6 +5,7 @@ from sparing.errors import GraphFormatError, MissingLabel, TooLarge
 from sparing.families import make
 from sparing.graphs import graph_from_edges
 from sparing.labels import (
+    MAX_LABELING_TEXT,
     FailureKind,
     induced_edge_labels,
     make_label,
@@ -278,6 +279,14 @@ class TestLabelingFile:
         with pytest.raises(GraphFormatError) as exc:
             read_labeling(text)
         assert str(exc.value) == message
+
+    def test_text_length_cap(self):
+        body = '{"vertices": 1, "labels": {"0": [1]}}'
+        pad = " " * (MAX_LABELING_TEXT - len(body))  # JSON whitespace
+        assert read_labeling(body + pad) == (1, {0: (1,)})
+        with pytest.raises(GraphFormatError) as exc:
+            read_labeling(body + pad + "\n")
+        assert str(exc.value) == f"labeling text is longer than {MAX_LABELING_TEXT} characters"
 
     def test_largest_label_element(self):
         assert read_labeling('{"vertices": 1, "labels": {"0": [0, 18446744073709551615]}}') == (

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from sparing.families import make, random_graph
 from sparing.graphs import (
     edges_within,
     graph_from_edges,
+    is_bipartite,
     is_independent,
     shadow,
     subdivide_edges,
@@ -125,6 +127,47 @@ def test_shadow_edge_count_is_base_plus_degree_sum(g):
     s = shadow(g)
     validate(s)
     assert s.edge_count == g.edge_count + degree_sum == 3 * g.edge_count
+
+
+@given(small_graphs())
+def test_shadow_matches_its_definition(g):
+    n = g.n
+    twins = [(u, n + v) for u, v in g.edges()] + [(v, n + u) for u, v in g.edges()]
+    assert shadow(g) == graph_from_edges(2 * n, g.edges() + twins)
+
+
+def components(g):
+    """The vertex sets of ``g``'s components."""
+    seen, out = set(), []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for u in range(g.n):
+                if g.has_edge(u, v) and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+@given(small_graphs(max_n=10))
+def test_is_bipartite_matches_a_brute_force_coloring(g):
+    colorable = any(
+        all(color[u] != color[v] for u, v in g.edges())
+        for color in product((0, 1), repeat=g.n)
+    )
+    sides = is_bipartite(g)
+    assert (sides is not None) == colorable
+    if sides is None:
+        return
+    side0, side1 = sides
+    assert side0 | side1 == set(range(g.n)) and not side0 & side1
+    assert is_independent(g, side0) and is_independent(g, side1)
+    assert all(min(comp) in side0 for comp in components(g))
 
 
 @given(small_graphs(), st.data())
