@@ -15,7 +15,12 @@ branch-and-bound search maximizes that covered degree sum and stops once it
 reaches a goal, and keeps the included set of its best node: the value
 phase's goal is |E| less a greedy packing of edge-disjoint triangles, then
 shortest odd cycles (each keeps a mono edge), and it ends with an optimal set
-W. The lexicographically least optimal witness is then read off in one pass
+W. Each packed cycle has three or more edges, so the goal is never below
+|E| - |E| // 3: the value phase starts with that floor as its goal and packs
+only at the first exclude branch where the incumbent has reached it, so the
+dense graphs whose optimum lies below the floor never pack, while bipartite
+graphs and chains of odd cycles still stop at their first optimum. The
+lexicographically least optimal witness is then read off in one pass
 over the vertices: W's vertices are kept untested, every other vertex not
 blocked by the prefix is kept only if a search with the optimum as its goal
 reaches it (the set that search finds becomes W), and the pass stops once the
@@ -120,6 +125,7 @@ def sparing_bruteforce(g: Graph) -> SparingResult:
             visit(v + 1, mask | (1 << v))
 
     visit(0, 0)
+    del visit  # it refers to itself through its cell; a cycle would wait for the GC
     return _finish(g, best_mask, nodes, nodes, t0)  # one pass finds both
 
 
@@ -229,12 +235,14 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     n = g.n
     adj = g._adj  # the neighbor bitsets, read once
     deg = [m.bit_count() for m in adj]
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    order = sorted(range(n), key=deg.__getitem__, reverse=True)  # stable: ties keep index order
     full = (1 << n) - 1
     nodes = 0
     best = 0
     best_set = 0
-    goal = sum(deg) // 2 - _odd_cycle_packing(adj)
+    edges = sum(deg) // 2
+    goal = edges - edges // 3  # no packing's goal lies below this floor
+    packed = False
 
     def search(i: int, free: int, cov: int, inc: int) -> None:
         """Raise ``best`` with independent subsets of ``free`` added to ``inc``.
@@ -245,7 +253,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         kept in ``best_set``; nothing is searched once ``best`` reaches
         ``goal``.
         """
-        nonlocal nodes, best, best_set
+        nonlocal nodes, best, best_set, goal, packed
         nodes += 1
         # cap: cov plus the largest degree of each clique of a greedy clique
         # cover of the free vertices; an independent set takes at most one
@@ -289,11 +297,19 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         v = order[i]
         vbit = 1 << v
         search(i + 1, free & ~(adj[v] | vbit), cov + deg[v], inc | vbit)
-        if best < goal:
-            search(i + 1, free & ~vbit, cov, inc)
+        if best >= goal:
+            if packed:
+                return
+            # the incumbent reached the floor; the packing's goal decides
+            packed = True
+            goal = edges - _odd_cycle_packing(adj)
+            if best >= goal:
+                return
+        search(i + 1, free & ~vbit, cov, inc)
 
     search(0, full, 0, 0)
     goal = best
+    packed = True  # the witness phase's goal is the optimum itself
     value_nodes = nodes
 
     # the lexmin witness; ``known`` is an optimal set W that contains the
@@ -319,6 +335,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         c_mask |= jbit
         blocked |= adj[j]
         cov_c += deg[j]
+    del search  # it refers to itself through its cell; a cycle would wait for the GC
     if cov_c != goal:
         raise AssertionError("witness reconstruction ended below the optimum")
 

@@ -1,9 +1,11 @@
+import gc
 import random
 
 import pytest
 
+from sparing import solver
 from sparing.errors import CertificationFailed, NotIndependent, TooLarge
-from sparing.families import make, random_graph
+from sparing.families import FAMILY_NAMES, make, random_graph
 from sparing.graphs import (
     SOLVE_MAX_VERTICES,
     disjoint_union,
@@ -49,6 +51,24 @@ def assert_result_consistent(g, result):
     complement = [v for v in range(g.n) if v not in result.witness]
     assert list(result.mono) == edges_within(g, complement)
     assert len(result.mono) == result.value
+
+
+def adjacency(g):
+    return tuple(g.adjacency_mask(v) for v in range(g.n))
+
+
+@pytest.fixture
+def packings(monkeypatch):
+    """The size of each odd-cycle packing the solver computes, in call order."""
+    sizes = []
+    pack = solver._odd_cycle_packing
+
+    def counted(adj):
+        sizes.append(pack(adj))
+        return sizes[-1]
+
+    monkeypatch.setattr(solver, "_odd_cycle_packing", counted)
+    return sizes
 
 
 class TestBruteforce:
@@ -281,6 +301,85 @@ class TestExact:
             extra = non_edges[seed % len(non_edges)]
             bigger = graph_from_edges(g.n, g.edges() + [extra])
             assert sparing_bruteforce(bigger).value >= sparing_bruteforce(g).value
+
+
+class TestOddCyclePacking:
+    # a small instance of every family
+    FAMILY_CASES = [
+        ("path", {"n": 6}),
+        ("cycle", {"n": 7}),
+        ("complete", {"n": 6}),
+        ("complete_bipartite", {"parts": [2, 3]}),
+        ("complete_multipartite", {"parts": [1, 2, 3]}),
+        ("complete_sun", {"n": 4}),
+        ("split", {"r": 4, "adjacency": [[0, 1], [2], [0, 1, 2, 3]]}),
+        ("complete_split", {"r": 4, "s": 2}),
+        ("bisplit", {"y": 2, "z": 3, "adjacency": [[0, 2], [1, 3, 4]]}),
+        ("complete_bisplit", {"parts": [1, 2, 3]}),
+        ("block_chain", {"cliques": [3, 4, 2]}),
+        ("windmill", {"n": 4, "r": 3}),
+        ("friendship", {"r": 4}),
+        ("wheel", {"m": 7}),
+        ("cone", {"m": 5, "n": 2}),
+        ("cactus_chain", {"cycles": [3, 5, 4, 7]}),
+    ]
+
+    def test_never_packs_more_than_a_third_of_the_edges(self):
+        # every packed cycle has 3 or more edges of its own, which is what
+        # lets the solver start its value phase at |E| - |E| // 3
+        assert sorted(family for family, _ in self.FAMILY_CASES) == list(FAMILY_NAMES)
+        graphs = [make(family, **params).graph for family, params in self.FAMILY_CASES]
+        graphs += [random_graph(4 + seed % 40, 0.05 + 0.1 * (seed % 9), seed) for seed in range(90)]
+        for g in graphs:
+            assert solver._odd_cycle_packing(adjacency(g)) <= g.edge_count // 3
+
+    @pytest.mark.parametrize("count", [1, 2, 21])
+    def test_disjoint_triangles_meet_the_third(self, count):
+        g = shuffled(cycle_union(count, 3), count)
+        assert solver._odd_cycle_packing(adjacency(g)) == count == g.edge_count // 3
+
+
+class TestLazyPacking:
+    # the value phase starts at the floor |E| - |E| // 3 and packs odd cycles
+    # only once the incumbent reaches it
+
+    @pytest.mark.parametrize(
+        "build,phi",
+        [(lambda: make("complete", n=64).graph, 1953), (lambda: random_graph(64, 0.5, 1), 748)],
+        ids=["K64", "G(64,0.5)"],
+    )
+    def test_dense_graphs_never_pack(self, packings, build, phi):
+        assert sparing_exact(build()).value == phi
+        assert packings == []
+
+    def test_odd_cycles_pack_once(self, packings):
+        r = sparing_exact(shuffled(cycle_union(12, 5), 0))
+        assert packings == [12]
+        assert r.value == 12
+        assert r.stats.value_nodes < 100
+
+    def test_packing_that_meets_the_floor(self, packings):
+        # 21 triangles on one center: the packing is |E| / 3, so its goal is
+        # the floor itself, and the first incumbent reaches it
+        r = sparing_exact(make("windmill", n=3, r=21).graph)
+        assert packings == [21]
+        assert r.value == 21
+        assert r.stats.nodes == 2
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # the recursive closures drop their reference to themselves on return,
+    # so a solve's frames are freed without the cyclic collector
+    exact_graph, brute_graph = random_graph(40, 0.2, 3), random_graph(16, 0.3, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            sparing_exact(exact_graph)
+            sparing_bruteforce(brute_graph)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestConstructWitness:
