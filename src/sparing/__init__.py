@@ -20,15 +20,12 @@ from .errors import (
     SelfLoop,
     SparingError,
     TooLarge,
-    UnknownPartition,
 )
-from .families import FamilySpec, LabeledGraph, generate, make, partition_of, random_graph
+from .families import FamilySpec, LabeledGraph, generate, make, random_graph
 from .graphs import (
     Graph,
-    disjoint_union,
     edges_within,
     graph_from_edges,
-    is_bipartite,
     is_independent,
     read_graph,
     shadow,
@@ -45,7 +42,6 @@ from .labels import (
     mono_edges,
     read_labeling,
     sumset,
-    verify_iasi,
     verify_weak,
     write_labeling,
 )
@@ -75,17 +71,14 @@ __all__ = [
     "check_claim",
     "claim_by_id",
     "construct_witness",
-    "disjoint_union",
     "edges_within",
     "generate",
     "graph_from_edges",
     "induced_edge_labels",
-    "is_bipartite",
     "is_independent",
     "make",
     "make_label",
     "mono_edges",
-    "partition_of",
     "predicted_value",
     "random_graph",
     "read_graph",
@@ -97,7 +90,6 @@ __all__ = [
     "subdivide_edges",
     "sumset",
     "triangles_through",
-    "verify_iasi",
     "verify_weak",
     "write_graph",
     "write_labeling",
@@ -113,5 +105,4 @@ __all__ = [
     "SelfLoop",
     "SparingError",
     "TooLarge",
-    "UnknownPartition",
 ]

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .errors import DomainError, MissingGraph
 from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate
-from .graphs import Graph, iter_bits, subdivide_edges, shadow, triangles_through
+from .graphs import subdivide_edges, shadow, triangles_through
 from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
 
@@ -196,61 +196,6 @@ def _cross_paths_through_least_part(lg: LabeledGraph) -> int:
     )
 
 
-def _blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Biconnected components as edge lists (standard low-link edge stack).
-
-    The depth-first search keeps its own stack of (vertex, parent, neighbour
-    iterator) frames, so a long path needs no Python recursion.
-    """
-    disc = [0] * g.n
-    low = [0] * g.n
-    counter = 1
-    stack: list[tuple[int, int]] = []
-    blocks: list[list[tuple[int, int]]] = []
-    for root in range(g.n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        frames = [(root, -1, iter_bits(g.adjacency_mask(root)))]
-        while frames:
-            u, parent, neighbours = frames[-1]
-            for v in neighbours:
-                if disc[v] == 0:
-                    stack.append((u, v))
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    frames.append((v, u, iter_bits(g.adjacency_mask(v))))
-                    break
-                if v != parent and disc[v] < disc[u]:
-                    stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            else:
-                frames.pop()
-                if parent < 0:
-                    continue
-                low[parent] = min(low[parent], low[u])
-                if low[u] >= disc[parent]:
-                    block = []
-                    while True:
-                        e = stack.pop()
-                        block.append(e)
-                        if e == (parent, u):
-                            break
-                    blocks.append(block)
-    return blocks
-
-
-def odd_cycle_block_count(g: Graph) -> int:
-    """Number of blocks that are odd cycles (every cactus block is a cycle or an edge)."""
-    count = 0
-    for block in _blocks(g):
-        vertices = {v for e in block for v in e}
-        if len(block) == len(vertices) and len(block) % 2 == 1:
-            count += 1
-    return count
-
-
 def _twice_phi_of_base(p: Params, lg: LabeledGraph | None) -> int:
     if isinstance(lg, _Subdivision):
         return 2 * lg.result.value
@@ -294,7 +239,7 @@ _CATALOG: tuple[Claim, ...] = (
     Claim("C13", "max_subdivision", "phi(maximal subdivision of G) = 2 phi(G)", ("base", "mode"),
           predict=_twice_phi_of_base, build=_maximal_subdivision, exact=_exact_subdivision),
     Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles", ("cycles",),
-          needs_graph=True, predict=lambda p, lg: odd_cycle_block_count(lg.graph)),
+          predict=lambda p, lg: sum(c % 2 for c in p["cycles"])),
     Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)", ("m",),
           predict=lambda p, lg: p["m"] // 2),  # == ceil((m - 1) / 2)
     Claim("C16", "cone", "phi(cone(m,n)) = m for n >= 2", ("m", "n"),

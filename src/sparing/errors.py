@@ -27,10 +27,6 @@ class InvalidParam(SparingError):
     """A family parameter violates its domain constraint."""
 
 
-class UnknownPartition(SparingError):
-    """A named vertex partition does not exist for this family."""
-
-
 class MissingLabel(SparingError):
     """A labeling does not assign a set to every vertex."""
 

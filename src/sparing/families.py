@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from .errors import InvalidParam, UnknownPartition
+from .errors import InvalidParam
 from .graphs import Edge, Graph, graph_from_edges
 
 Partitions = dict[str, frozenset[int]]
@@ -56,13 +56,6 @@ class LabeledGraph:
     graph: Graph
     partitions: Partitions
     spec: FamilySpec
-
-
-def partition_of(lg: LabeledGraph, name: str) -> frozenset[int]:
-    if name not in lg.partitions:
-        known = ", ".join(sorted(lg.partitions)) or "none"
-        raise UnknownPartition(f"{lg.spec.family} has no partition {name!r} (known: {known})")
-    return lg.partitions[name]
 
 
 def _need(cond: bool, message: str) -> None:

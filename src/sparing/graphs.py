@@ -98,19 +98,6 @@ def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def validate(g: Graph) -> None:
-    """Assert adjacency symmetry and looplessness (used by the test suite)."""
-    for v in range(g.n):
-        mask = g._adj[v]
-        if mask >> v & 1:
-            raise SelfLoop(f"vertex {v} is adjacent to itself")
-        if mask >> g.n:
-            raise IndexOutOfRange(f"adjacency of {v} mentions vertices >= {g.n}")
-        for u in iter_bits(mask):
-            if not g._adj[u] >> v & 1:
-                raise GraphFormatError(f"edge ({v},{u}) is not symmetric")
-
-
 def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """The bitset of ``vertices``, each checked to be a vertex of ``g``."""
     m = 0
@@ -154,13 +141,6 @@ def count_edges_within_mask(g: Graph, m: int) -> int:
     return total // 2
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """G1 with G2's vertices appended (shifted by |V(G1)|) and edge sets concatenated."""
-    shift = g1.n
-    adj = list(g1._adj) + [m << shift for m in g2._adj]
-    return Graph(g1.n + g2.n, tuple(adj))
-
-
 def shadow(g: Graph) -> Graph:
     """Add a twin n+i for each vertex i, joined to i's neighbors (not to i itself):
     vertex v gains its neighbors' twins, and twin n+v gets v's neighbors."""
@@ -191,29 +171,6 @@ def subdivide_edges(g: Graph, targets: Iterable[Edge]) -> Graph:
         adj[v] |= 1 << w
         adj[w] = (1 << u) | (1 << v)
     return Graph(n + len(targets), tuple(adj))
-
-
-def is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A 2-coloring as (side0, side1), or None.
-
-    Deterministic: BFS by levels from the lowest-index vertex of each
-    component, which is colored side 0; each level takes the side opposite
-    the level before it, and an edge inside a level closes an odd cycle.
-    """
-    sides = [0, 0]
-    unseen = (1 << g.n) - 1
-    while unseen:
-        level, side = unseen & -unseen, 0
-        while level:
-            unseen ^= level
-            sides[side] |= level
-            reach = 0
-            for v in iter_bits(level):
-                reach |= g._adj[v]
-            if reach & level:
-                return None
-            level, side = reach & unseen, 1 - side
-    return frozenset(iter_bits(sides[0])), frozenset(iter_bits(sides[1]))
 
 
 def triangles_through(g: Graph, v: int) -> int:

@@ -129,23 +129,14 @@ def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> l
     ]
 
 
-def verify_iasi(g: Graph, f: Mapping[int, Label]) -> Verdict:
-    """Check vertex labels pairwise distinct and induced edge labels pairwise distinct.
-
-    Every colliding pair is enumerated, not just the first; more than
-    ``MAX_COLLISION_PAIRS`` of either kind raise TooLarge instead.
-    """
-    weak = verify_weak(g, f)
-    failures = tuple(
-        x for x in weak.failures if x.kind is not FailureKind.WEAK_CONDITION_VIOLATED
-    )
-    return Verdict(not failures, failures, weak.mono)
-
-
 def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
-    """verify_iasi plus the per-edge cardinality condition |f(u)+f(v)| = max(|f(u)|,|f(v)|).
+    """Check that ``f`` is a weak set-indexer of ``g``: vertex labels pairwise
+    distinct, edge sum sets pairwise distinct, and |f(u)+f(v)| = max(|f(u)|,|f(v)|)
+    on every edge.
 
-    Its failures follow the collisions; each edge's sum set is computed once."""
+    Every colliding pair is listed, vertex pairs then edge pairs, and the
+    cardinality failures follow them; more than ``MAX_COLLISION_PAIRS`` pairs
+    of either kind raise TooLarge instead. Each edge's sum set is computed once."""
     edge_labels = induced_edge_labels(g, f)
     vertex_labels = [f[v] for v in range(g.n)]
     failures = []

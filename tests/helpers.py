@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random trees and independent-set enumeration."""
+"""Shared test utilities: seeded random trees, independent-set enumeration,
+disjoint unions and a graph's structural check."""
 
 import random
 
@@ -39,3 +40,17 @@ def independent_sets(g: Graph):
         members = tuple(v for v in range(g.n) if mask >> v & 1)
         if is_independent(g, members):
             yield members
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """G1 with G2's vertices appended, shifted by |V(G1)|."""
+    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges()]
+    return graph_from_edges(g1.n + g2.n, g1.edges() + shifted)
+
+
+def validate(g: Graph) -> None:
+    """Assert that g's adjacency is symmetric, loopless and inside 0..n-1.
+
+    Rebuilding a graph from the edges it lists changes it exactly when it
+    has a loop, a one-sided adjacency bit or a bit at index n or above."""
+    assert graph_from_edges(g.n, g.edges()) == g

@@ -6,12 +6,10 @@ from sparing.claims import (
     catalog,
     check_claim,
     claim_by_id,
-    odd_cycle_block_count,
     predicted_value,
 )
 from sparing.errors import DomainError, InvalidParam, MissingGraph
 from sparing.families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, LabeledGraph, generate, make
-from sparing.graphs import graph_from_edges
 from sparing.solver import sparing_exact
 
 
@@ -28,7 +26,7 @@ class TestCatalog:
 
     def test_graph_dependent_flags(self):
         needs = {c.id for c in catalog() if c.needs_graph}
-        assert needs == {"C5", "C7", "C14"}
+        assert needs == {"C5", "C7"}
 
 
 class TestPredicted:
@@ -86,32 +84,12 @@ class TestPredicted:
         lg = make("bisplit", y=2, z=2, adjacency=[(0, 2)])
         assert predicted_value(claim, {"x": 1, "y": 2, "z": 2}, lg) == 1
 
+    def test_cactus_counts_odd_cycles_without_instance(self):
+        assert predicted_value(claim_by_id("C14"), {"cycles": [3, 4, 5, 7]}) == 3
+
     def test_shadow_doubles_base(self):
         base = FamilySpec("cycle", {"n": 5})
         assert predicted_value(claim_by_id("C12"), {"base": base}) == 2
-
-
-class TestOddCycleBlocks:
-    def test_cactus_chain(self):
-        g = make("cactus_chain", cycles=[3, 4, 5]).graph
-        assert odd_cycle_block_count(g) == 2
-
-    def test_tree_has_none(self):
-        assert odd_cycle_block_count(make("path", n=6).graph) == 0
-
-    def test_disconnected(self):
-        from sparing.graphs import disjoint_union
-
-        g = disjoint_union(make("cycle", n=3).graph, make("cycle", n=7).graph)
-        assert odd_cycle_block_count(g) == 2
-
-    def test_clique_block_is_not_a_cycle(self):
-        assert odd_cycle_block_count(make("complete", n=4).graph) == 0
-
-    def test_long_chain_needs_no_deep_recursion(self):
-        # 1,201 vertices on one DFS path: deeper than the default recursion limit
-        g = make("cactus_chain", cycles=[3] * 600).graph
-        assert odd_cycle_block_count(g) == 600
 
 
 class TestCheckClaim:
@@ -354,8 +332,3 @@ class TestClaimSoundnessSweep:
     def test_cacti(self):
         for lengths in ([3], [4], [5, 5], [3, 4], [3, 3, 5], [4, 4, 4]):
             assert check_claim(claim_by_id("C14"), {"cycles": lengths}).verdict == "MATCH"
-
-
-def test_isolated_vertices_do_not_confuse_block_counting():
-    g = graph_from_edges(3, [])
-    assert odd_cycle_block_count(g) == 0

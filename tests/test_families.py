@@ -1,8 +1,10 @@
 import pytest
 
-from sparing.errors import InvalidParam, UnknownPartition
-from sparing.families import FamilySpec, generate, make, partition_of, random_graph
-from sparing.graphs import edges_within, is_bipartite, is_independent, validate
+from helpers import validate
+from sparing.errors import InvalidParam
+from sparing.families import FamilySpec, generate, make, random_graph
+from sparing.graphs import edges_within, is_independent
+from sparing.solver import sparing_exact
 
 
 class TestCounting:
@@ -13,7 +15,7 @@ class TestCounting:
     def test_windmill(self):
         lg = make("windmill", n=3, r=2)
         assert (lg.graph.n, lg.graph.edge_count) == (5, 6)
-        assert partition_of(lg, "hub") == frozenset({0})
+        assert lg.partitions["hub"] == frozenset({0})
         # the shared vertex touches everything
         assert lg.graph.degree(0) == 4
 
@@ -53,14 +55,10 @@ class TestCounting:
 
 class TestPartitions:
     def test_sun_rim(self):
-        assert partition_of(make("complete_sun", n=3), "W") == frozenset({3, 4, 5})
+        assert make("complete_sun", n=3).partitions["W"] == frozenset({3, 4, 5})
 
     def test_wheel_hub(self):
-        assert partition_of(make("wheel", m=4), "hub") == frozenset({4})
-
-    def test_unknown_partition(self):
-        with pytest.raises(UnknownPartition):
-            partition_of(make("cycle", n=5), "X")
+        assert make("wheel", m=4).partitions["hub"] == frozenset({4})
 
     def test_partitions_cover_and_are_disjoint(self):
         for lg in (
@@ -85,24 +83,24 @@ class TestStructure:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sun_rim_independent_with_degree_two(self, n):
         lg = make("complete_sun", n=n)
-        rim = partition_of(lg, "W")
+        rim = lg.partitions["W"]
         assert is_independent(lg.graph, rim)
         assert all(lg.graph.degree(w) == 2 for w in rim)
-        clique = partition_of(lg, "U")
+        clique = lg.partitions["U"]
         assert len(edges_within(lg.graph, clique)) == n * (n - 1) // 2
 
     @pytest.mark.parametrize("r,s", [(2, 1), (3, 2), (4, 3), (5, 2)])
     def test_complete_split_structure(self, r, s):
         lg = make("complete_split", r=r, s=s)
-        clique = partition_of(lg, "clique")
-        indep = partition_of(lg, "independent")
+        clique = lg.partitions["clique"]
+        indep = lg.partitions["independent"]
         assert len(edges_within(lg.graph, clique)) == r * (r - 1) // 2
         assert is_independent(lg.graph, indep)
         assert all(lg.graph.degree(v) == r for v in indep)
 
     def test_complete_bisplit_is_complete_tripartite(self):
         lg = make("complete_bisplit", parts=[2, 3, 4])
-        parts = [partition_of(lg, name) for name in ("X", "Y", "Z")]
+        parts = [lg.partitions[name] for name in ("X", "Y", "Z")]
         for part in parts:
             assert is_independent(lg.graph, part)
         for i in range(3):
@@ -117,7 +115,7 @@ class TestStructure:
         assert g.n == 5
         assert g.has_edge(0, 3) and g.has_edge(1, 3) and g.has_edge(2, 4)
         assert not g.has_edge(2, 3) and not g.has_edge(0, 4)
-        assert is_independent(g, partition_of(lg, "independent"))
+        assert is_independent(g, lg.partitions["independent"])
 
     def test_general_bisplit(self):
         # X = {0}, Y = {1, 2}, Z = {3}; the lone X vertex sees one Y and one Z vertex
@@ -127,7 +125,7 @@ class TestStructure:
         # Y-Z biclique is always present
         assert g.has_edge(1, 3) and g.has_edge(2, 3)
         for name in ("X", "Y", "Z"):
-            assert is_independent(g, partition_of(lg, name))
+            assert is_independent(g, lg.partitions[name])
 
     def test_friendship_is_triangle_windmill(self):
         assert make("friendship", r=3).graph == make("windmill", n=3, r=3).graph
@@ -164,7 +162,7 @@ class TestStructure:
             make("cycle", n=8),
             make("complete_bipartite", parts=[3, 4]),
         ):
-            assert is_bipartite(lg.graph) is not None
+            assert sparing_exact(lg.graph).value == 0  # phi is 0 exactly on bipartite graphs
 
     def test_all_generated_graphs_validate(self):
         for lg in (

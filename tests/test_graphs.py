@@ -1,22 +1,21 @@
 import pytest
 
+from helpers import disjoint_union, validate
 from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
 from sparing.families import make
 from sparing.graphs import (
     MAX_GRAPH_TEXT,
     SOLVE_MAX_VERTICES,
-    disjoint_union,
     edges_within,
     graph_from_edges,
-    is_bipartite,
     is_independent,
     read_graph,
     shadow,
     subdivide_edges,
     triangles_through,
-    validate,
     write_graph,
 )
+from sparing.solver import sparing_exact
 
 
 def cycle(n):
@@ -141,7 +140,7 @@ class TestSubdivideEdges:
         assert (g.n, g.edge_count) == (4, 4)
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 3) and g.has_edge(1, 3)
-        assert is_bipartite(g) is not None
+        assert sparing_exact(g).value == 0  # phi is 0 exactly on bipartite graphs
 
     def test_empty_list_is_identity(self):
         g = make("wheel", m=4).graph
@@ -151,7 +150,7 @@ class TestSubdivideEdges:
         g = subdivide_edges(cycle(4), cycle(4).edges())
         assert (g.n, g.edge_count) == (8, 8)
         assert all(g.degree(v) == 2 for v in range(8))
-        assert is_bipartite(g) is not None
+        assert sparing_exact(g).value == 0  # phi is 0 exactly on bipartite graphs
 
     def test_counts(self):
         base = make("complete_sun", n=4).graph
@@ -171,22 +170,18 @@ class TestSubdivideEdges:
 
 
 class TestIsBipartite:
+    """phi is 0 exactly on bipartite graphs, so ``sparing_exact(g).value == 0``
+    is how the tests here and elsewhere ask whether ``g`` is bipartite."""
+
     def test_even_cycle(self):
-        assert is_bipartite(cycle(4)) == (frozenset({0, 2}), frozenset({1, 3}))
+        assert sparing_exact(cycle(4)).value == 0
 
     def test_odd_cycle(self):
-        assert is_bipartite(cycle(5)) is None
-
-    def test_edgeless_all_on_side_zero(self):
-        assert is_bipartite(graph_from_edges(3, [])) == (frozenset({0, 1, 2}), frozenset())
+        assert sparing_exact(cycle(5)).value != 0
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_cycle_parity(self, n):
-        assert (is_bipartite(cycle(n)) is not None) == (n % 2 == 0)
-
-    def test_components_colored_from_lowest_index(self):
-        g = disjoint_union(graph_from_edges(2, [(0, 1)]), graph_from_edges(2, [(0, 1)]))
-        assert is_bipartite(g) == (frozenset({0, 2}), frozenset({1, 3}))
+        assert (sparing_exact(cycle(n)).value == 0) == (n % 2 == 0)
 
 
 class TestTrianglesThrough:

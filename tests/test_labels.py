@@ -12,7 +12,6 @@ from sparing.labels import (
     mono_edges,
     read_labeling,
     sumset,
-    verify_iasi,
     verify_weak,
     write_labeling,
 )
@@ -89,32 +88,35 @@ class TestInducedEdgeLabels:
 
 
 class TestVerifyIasi:
+    """The set-indexer (IASI) half of verify_weak: vertex and edge collisions.
+    These labels are singletons, so no cardinality failure joins them."""
+
     def test_distinct_singletons_ok(self):
-        assert verify_iasi(path(2), {0: (1,), 1: (2,)}).ok
+        assert verify_weak(path(2), {0: (1,), 1: (2,)}).ok
 
     def test_edge_collision_on_path(self):
         # both end edges get the sum set {3}
-        verdict = verify_iasi(path(4), {0: (1,), 1: (2,), 2: (3,), 3: (0,)})
+        verdict = verify_weak(path(4), {0: (1,), 1: (2,), 2: (3,), 3: (0,)})
         assert not verdict.ok
         kinds = {f.kind for f in verdict.failures}
         assert kinds == {FailureKind.EDGE_COLLISION}
         assert verdict.failures[0].where == ((0, 1), (2, 3))
 
     def test_vertex_collision(self):
-        verdict = verify_iasi(path(2), {0: (1,), 1: (1,)})
+        verdict = verify_weak(path(2), {0: (1,), 1: (1,)})
         assert not verdict.ok
         assert verdict.failures[0].kind is FailureKind.VERTEX_COLLISION
 
     def test_all_collisions_enumerated(self):
         g = graph_from_edges(3, [])
-        verdict = verify_iasi(g, {0: (7,), 1: (7,), 2: (7,)})
+        verdict = verify_weak(g, {0: (7,), 1: (7,), 2: (7,)})
         assert len(verdict.failures) == 3
 
     def test_collision_pairs_over_the_cap_refused_before_any_failure(self, monkeypatch):
         monkeypatch.setattr(labels, "MAX_COLLISION_PAIRS", 3)
         k5 = make("complete", n=5).graph
         f = {v: (v,) for v in range(5)}  # the sums 3, 4 and 5 each label two edges
-        assert len(verify_iasi(k5, f).failures) == 3  # at the cap
+        assert len(verify_weak(k5, f).failures) == 3  # at the cap
         built = []
         monkeypatch.setattr(labels, "Failure", lambda *args: built.append(args))
         monkeypatch.setattr(labels, "MAX_COLLISION_PAIRS", 2)
@@ -159,7 +161,6 @@ class TestVerifyWeak:
             FailureKind.WEAK_CONDITION_VIOLATED,
         ]
         assert [failure.where for failure in weak.failures[2:]] == [((0, 1),), ((1, 2),)]
-        assert verify_iasi(path(3), f).failures == weak.failures[:2]
 
     def test_failing_labeling_still_reports_mono_edges(self):
         # vertices 0 and 2 collide, so do the mono edges (0,1) and (1,2);
@@ -172,7 +173,6 @@ class TestVerifyWeak:
             FailureKind.WEAK_CONDITION_VIOLATED,
         ]
         assert weak.mono == ((0, 1), (1, 2))
-        assert verify_iasi(path(5), f).mono == weak.mono
         assert mono_edges(path(5), f) == [(0, 1), (1, 2)]
 
 

@@ -4,16 +4,14 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import independent_sets
+from helpers import independent_sets, validate
 from sparing.families import make, random_graph
 from sparing.graphs import (
     edges_within,
     graph_from_edges,
-    is_bipartite,
     is_independent,
     shadow,
     subdivide_edges,
-    validate,
 )
 from sparing.labels import Failure, FailureKind, mono_edges, sumset, verify_weak
 from sparing.solver import construct_witness, sparing_bruteforce, sparing_exact
@@ -136,38 +134,14 @@ def test_shadow_matches_its_definition(g):
     assert shadow(g) == graph_from_edges(2 * n, g.edges() + twins)
 
 
-def components(g):
-    """The vertex sets of ``g``'s components."""
-    seen, out = set(), []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            v = stack.pop()
-            for u in range(g.n):
-                if g.has_edge(u, v) and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
 @given(small_graphs(max_n=10))
 def test_is_bipartite_matches_a_brute_force_coloring(g):
+    # phi is 0 exactly on the graphs that have a proper 2-coloring
     colorable = any(
         all(color[u] != color[v] for u, v in g.edges())
         for color in product((0, 1), repeat=g.n)
     )
-    sides = is_bipartite(g)
-    assert (sides is not None) == colorable
-    if sides is None:
-        return
-    side0, side1 = sides
-    assert side0 | side1 == set(range(g.n)) and not side0 & side1
-    assert is_independent(g, side0) and is_independent(g, side1)
-    assert all(min(comp) in side0 for comp in components(g))
+    assert (sparing_exact(g).value == 0) == colorable
 
 
 @given(small_graphs(), st.data())

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from helpers import disjoint_union
 from sparing import solver
 from sparing.errors import CertificationFailed, NotIndependent, TooLarge
 from sparing.families import FAMILY_NAMES, make, random_graph
 from sparing.graphs import (
     SOLVE_MAX_VERTICES,
-    disjoint_union,
     edges_within,
     graph_from_edges,
     is_independent,
