@@ -76,8 +76,8 @@ class Claim:
       names, as C3 names ``a`` and ``b``). A claim that holds on less narrows
       it with ``requires`` and ``in_domain``, in words for the DomainError and
       as a test of the type-checked parameters.
-    - ``predict`` gives the claimed value from the parameters and, when
-      ``needs_graph`` is set, from the instance too.
+    - ``predict`` gives the claimed value from the parameters and the
+      instance; C5 and C7 read the instance and raise MissingGraph without it.
     - ``build`` makes the instance; by default ``family`` at the parameters.
     - ``exact`` gives the value, witness size and mono count the prediction
       is compared with; by default the exact solver on the instance.
@@ -87,7 +87,6 @@ class Claim:
     family: str
     statement: str
     param_order: tuple[str, ...]
-    needs_graph: bool = False
     _: KW_ONLY
     predict: Callable[[Params, LabeledGraph | None], int]
     requires: str = ""
@@ -138,14 +137,13 @@ class _Subdivision(LabeledGraph):
 
 
 def _shadow(claim: Claim, p: Params) -> LabeledGraph:
-    return LabeledGraph(shadow(generate(p["base"]).graph), {}, FamilySpec(claim.family, dict(p)))
+    return LabeledGraph(shadow(generate(p["base"]).graph), {})
 
 
 def _maximal_subdivision(claim: Claim, p: Params) -> _Subdivision:
     g = generate(p["base"]).graph
     result, labeling = solve_and_certify(g)
-    spec = FamilySpec(claim.family, dict(p))
-    return _Subdivision(subdivide_edges(g, result.mono), {}, spec, result, labeling)
+    return _Subdivision(subdivide_edges(g, result.mono), {}, result, labeling)
 
 
 def _exact_subdivision(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
@@ -170,18 +168,19 @@ def _exact_subdivision(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
     return len(verdict.mono), non_singleton, len(verdict.mono)
 
 
-def _min_clique_triangles(lg: LabeledGraph) -> int:
-    clique = lg.partitions.get("clique")
+def _min_clique_triangles(lg: LabeledGraph | None) -> int:
+    clique = None if lg is None else lg.partitions.get("clique")
     if clique is None:
         raise MissingGraph("C5 needs an instance with a 'clique' partition")
     return min(triangles_through(lg.graph, u) for u in sorted(clique))
 
 
-def _cross_paths_through_least_part(lg: LabeledGraph) -> int:
+def _cross_paths_through_least_part(lg: LabeledGraph | None) -> int:
     # paths u-v-w with v in the least-cardinality part and u, w in the two
     # different remaining parts; ties between parts resolve in X, Y, Z order
+    parts = {} if lg is None else lg.partitions
     try:
-        named = [(name, lg.partitions[name]) for name in ("X", "Y", "Z")]
+        named = [(name, parts[name]) for name in ("X", "Y", "Z")]
     except KeyError:
         raise MissingGraph("C7 needs an instance with X, Y, Z partitions") from None
     named.sort(key=lambda item: (len(item[1]), ("X", "Y", "Z").index(item[0])))
@@ -218,12 +217,12 @@ _CATALOG: tuple[Claim, ...] = (
     Claim("C4", "complete_sun", "phi(sun_n) = (n^2 - 3n + 6)/2", ("n",),
           predict=lambda p, lg: (p["n"] ** 2 - 3 * p["n"] + 6) // 2),
     Claim("C5", "complete_split", "phi(split) = fewest triangles through any one clique vertex",
-          ("r", "s"), needs_graph=True,
+          ("r", "s"),
           predict=lambda p, lg: _min_clique_triangles(lg)),
     Claim("C6", "complete_split", "phi(K_S(r,s)) = r(r-1)/2", ("r", "s"),
           predict=lambda p, lg: p["r"] * (p["r"] - 1) // 2),
     Claim("C7", "complete_bisplit", "phi(bisplit) = cross paths of length 2 through the least part",
-          ("x", "y", "z"), needs_graph=True,
+          ("x", "y", "z"),
           predict=lambda p, lg: _cross_paths_through_least_part(lg)),
     Claim("C8", "complete_multipartite", "phi(K_{a,b,c}) = product of the two smallest part sizes",
           ("a", "b", "c"),
@@ -262,10 +261,7 @@ def claim_by_id(claim_id: str) -> Claim:
 
 def predicted_value(claim: Claim, params: Params, lg: LabeledGraph | None = None) -> int:
     """The claimed closed-form value at ``params`` (graph-dependent claims need ``lg``)."""
-    point = claim._point(params)
-    if claim.needs_graph and lg is None:
-        raise MissingGraph(f"{claim.id} is graph-dependent; pass its instance")
-    return claim.predict(point, lg)
+    return claim.predict(claim._point(params), lg)
 
 
 def check_claim(

@@ -55,7 +55,6 @@ class LabeledGraph:
 
     graph: Graph
     partitions: Partitions
-    spec: FamilySpec
 
 
 def _need(cond: bool, message: str) -> None:
@@ -296,7 +295,7 @@ def generate(spec: FamilySpec) -> LabeledGraph:
             checked_param(spec.params, key, spec.family)
     check_range(spec.params, least, spec.family)
     graph, parts = build(spec.params)
-    return LabeledGraph(graph, parts, spec)
+    return LabeledGraph(graph, parts)
 
 
 def make(family: str, **params) -> LabeledGraph:

@@ -13,9 +13,9 @@ and, because every edge has at most one endpoint in an independent set, the
 count inside the complement equals |E| minus the total degree of I. One
 branch-and-bound search maximizes that covered degree sum and stops once it
 reaches a goal, and keeps the included set of its best node: the value
-phase's goal is |E| less a greedy packing of edge-disjoint triangles, then
-shortest odd cycles (each keeps a mono edge), and it ends with an optimal set
-W. Each packed cycle has three or more edges, so the goal is never below
+phase's goal is |E| less a greedy packing of edge-disjoint shortest odd
+cycles (each keeps a mono edge), and it ends with an optimal set W. Each
+packed cycle has three or more edges, so the goal is never below
 |E| - |E| // 3: the value phase starts with that floor as its goal and packs
 only at the first exclude branch where the incumbent has reached it, so the
 dense graphs whose optimum lies below the floor never pack, while bipartite
@@ -134,10 +134,10 @@ def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
 
     An independent set holds at most (k - 1) / 2 vertices of a k-cycle with k
     odd, so each packed cycle keeps a mono edge, and no independent set covers
-    more than |E| minus this count. Triangles are packed first. Then, from
-    each start vertex s in turn, a breadth-first search in the edges left
-    stops at its first level d that holds an edge ab; walking a and b back to
-    a shared predecessor gives an odd cycle of length at most 2d + 1, which is
+    more than |E| minus this count. From each start vertex s in turn, a
+    breadth-first search in the edges left stops at its first level d that
+    holds an edge ab; walking a and b back to a shared predecessor gives an
+    odd cycle of length at most 2d + 1 (a triangle when d = 1), which is
     packed before the search from s runs again. A search that finds no such
     edge has 2-colored its component by level parity, so the component is
     never searched again.
@@ -145,22 +145,6 @@ def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
     n = len(adj)
     rest = list(adj)  # the edges no packed cycle uses yet
     packed = 0
-    for u in range(n):
-        scan = rest[u] & -(2 << u)  # the neighbors above u
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            if not rest[u] & low:
-                continue  # uv is in a triangle packed from u already
-            v = low.bit_length() - 1
-            common = rest[u] & rest[v]
-            if common:
-                w = (common & -common).bit_length() - 1
-                ubit, wbit = 1 << u, 1 << w
-                rest[u] &= ~(low | wbit)
-                rest[v] &= ~(ubit | wbit)
-                rest[w] &= ~(ubit | low)
-                packed += 1
 
     def cut(u: int, v: int) -> None:
         rest[u] &= ~(1 << v)

@@ -24,10 +24,6 @@ class TestCatalog:
         with pytest.raises(KeyError):
             claim_by_id("C17")
 
-    def test_graph_dependent_flags(self):
-        needs = {c.id for c in catalog() if c.needs_graph}
-        assert needs == {"C5", "C7"}
-
 
 class TestPredicted:
     def test_complete(self):
@@ -57,9 +53,14 @@ class TestPredicted:
         with pytest.raises(DomainError):
             predicted_value(claim_by_id("C16"), {"m": 4})
 
-    def test_graph_dependent_needs_instance(self):
+    @pytest.mark.parametrize(
+        "claim_id,params",
+        [("C5", {"r": 3, "s": 2}), ("C7", {"x": 1, "y": 2, "z": 3})],
+        ids=["C5", "C7"],
+    )
+    def test_graph_dependent_needs_instance(self, claim_id, params):
         with pytest.raises(MissingGraph):
-            predicted_value(claim_by_id("C5"), {"r": 3, "s": 2})
+            predicted_value(claim_by_id(claim_id), params)
 
     def test_split_counts_triangles_through_best_vertex(self):
         claim = claim_by_id("C5")
@@ -182,7 +183,7 @@ class TestCheckClaim:
         assert verdict(lg) == expected
         assert len(calls) == solves
         # one that carries no base solve still gets the same verdict
-        plain = LabeledGraph(lg.graph, {}, lg.spec)
+        plain = LabeledGraph(lg.graph, {})
         assert verdict(plain) == expected
 
     def test_cactus(self):

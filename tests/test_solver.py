@@ -326,12 +326,17 @@ class TestOddCyclePacking:
 
     def test_never_packs_more_than_a_third_of_the_edges(self):
         # every packed cycle has 3 or more edges of its own, which is what
-        # lets the solver start its value phase at |E| - |E| // 3
+        # lets the solver start its value phase at |E| - |E| // 3; and each
+        # keeps a mono edge, so no packing exceeds phi and the goal
+        # |E| - packing never lies below the optimum
         assert sorted(family for family, _ in self.FAMILY_CASES) == list(FAMILY_NAMES)
         graphs = [make(family, **params).graph for family, params in self.FAMILY_CASES]
         graphs += [random_graph(4 + seed % 40, 0.05 + 0.1 * (seed % 9), seed) for seed in range(90)]
         for g in graphs:
-            assert solver._odd_cycle_packing(adjacency(g)) <= g.edge_count // 3
+            packed = solver._odd_cycle_packing(adjacency(g))
+            assert packed <= g.edge_count // 3
+            if g.n <= solver.BRUTEFORCE_MAX_VERTICES:
+                assert packed <= sparing_bruteforce(g).value
 
     @pytest.mark.parametrize("count", [1, 2, 21])
     def test_disjoint_triangles_meet_the_third(self, count):
