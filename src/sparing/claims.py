@@ -2,10 +2,11 @@
 
 Each claim pairs a family template with the closed-form value it predicts.
 `check_claim` builds the instance, asks the exact solver for the true value,
-and reports MATCH or MISMATCH; predicted values come only from the formulas
-here, exact values only from the solver, and a MISMATCH is a finding about
-the claim, not a failure of the checker. Claims whose stated value is
-contested are encoded exactly as stated so the solver can adjudicate them.
+and returns the report row with its MATCH or MISMATCH; predicted values come
+only from the formulas here, exact values only from the solver, and a
+MISMATCH is a finding about the claim, not a failure of the checker. Claims
+whose stated value is contested are encoded exactly as stated so the solver
+can adjudicate them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import KW_ONLY, dataclass
 from functools import partial
 from typing import Callable, Mapping
 
-from .errors import DomainError, MissingGraph
+from .errors import DomainError, MissingGraph, TooLarge
 from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate
-from .graphs import subdivide_edges, shadow, triangles_through
+from .graphs import SOLVE_MAX_VERTICES, subdivide_edges, shadow, triangles_through
 from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
 
@@ -116,8 +117,14 @@ class Claim:
 
 @dataclass(frozen=True)
 class ClaimVerdict:
-    claim_id: str
-    params: dict
+    """One report row of `check_claim`, its fields in the report's column order:
+    the row family (``shadow(cycle)`` for a claim on a base), the point as
+    ``a=35,b=30`` or ``base=cycle,n=5,mode=fresh``, the predicted and exact
+    values, MATCH or MISMATCH, the witness size and mono count of the exact
+    side, and the milliseconds that side took."""
+
+    family: str
+    where: str
     predicted: int
     exact: int
     verdict: str  # MATCH | MISMATCH
@@ -146,22 +153,20 @@ def _maximal_subdivision(claim: Claim, p: Params) -> _Subdivision:
     return _Subdivision(subdivide_edges(g, result.mono), {}, result, labeling)
 
 
-def _exact_subdivision(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
+def _exact_subdivision(p: Params, lg: _Subdivision) -> tuple[int, int, int]:
     """The solver on the subdivided graph (``fresh``), or the mono count of the
     labeling the subdivision inherits from its base (``induced``).
 
     Each subdivided edge's fresh vertex (numbered in mono order after the
     base vertices) takes over the edge's old sum set, so both replacement
-    edges come out mono. An ``lg`` that does not carry its base solve has
-    the instance built anew for ``induced``.
+    edges come out mono.
     """
     if p["mode"] == "fresh":
         return _solve_instance(p, lg)
-    sub = lg if isinstance(lg, _Subdivision) else claim_by_id("C13").instance(p)
-    extended = dict(sub.labeling)
-    for u, v in sub.result.mono:
+    extended = dict(lg.labeling)
+    for u, v in lg.result.mono:
         extended[len(extended)] = sumset(extended[u], extended[v])
-    verdict = verify_weak(sub.graph, extended)
+    verdict = verify_weak(lg.graph, extended)
     if not verdict.ok:
         raise AssertionError("inherited subdivision labeling failed verification")
     non_singleton = sum(1 for lab in extended.values() if len(lab) > 1)
@@ -264,26 +269,50 @@ def predicted_value(claim: Claim, params: Params, lg: LabeledGraph | None = None
     return claim.predict(claim._point(params), lg)
 
 
-def check_claim(
-    claim: Claim,
-    params: Params,
-    lg: LabeledGraph | None = None,
-) -> ClaimVerdict:
-    """Compare the claim's predicted value against the exact solver on one instance."""
+def _where(claim: Claim, point: Params) -> str:
+    """The type-checked point in report form: ``a=35,b=30`` or ``base=cycle,n=5,mode=fresh``."""
+    parts = []
+    for key in claim.param_order:
+        value = point[key]
+        if isinstance(value, FamilySpec):
+            parts += [f"base={value.family}", value.param_string()]
+        elif isinstance(value, list):
+            parts.append(f"{key}=" + ",".join(map(str, value)))
+        else:
+            parts.append(f"{key}={value}")
+    return ",".join(parts)
+
+
+def check_claim(claim: Claim, params: Params) -> ClaimVerdict:
+    """The report row comparing the claim's predicted value with the exact
+    solver on the claim's instance at ``params``.
+
+    Raises DomainError for a point outside the claim, and TooLarge, naming
+    the claim and the point, for an instance over 64 vertices or one that
+    cannot be built; both before any solve of the instance.
+    """
     point = claim._point(params)
-    if lg is None:
-        lg = claim.instance(point)
+    where = _where(claim, point)
+    try:
+        lg = claim.build(claim, point)
+    except TooLarge as exc:
+        raise TooLarge(f"claim {claim.id} at {where}: {exc}") from None
+    if lg.graph.n > SOLVE_MAX_VERTICES:
+        raise TooLarge(
+            f"claim {claim.id} at {where} needs "
+            f"{lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}"
+        )
     t0 = time.perf_counter()
     exact, witness_size, mono_count = claim.exact(point, lg)
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     predicted = predicted_value(claim, point, lg)
-    verdict = "MATCH" if predicted == exact else "MISMATCH"
+    base = point.get("base")
     return ClaimVerdict(
-        claim_id=claim.id,
-        params=dict(params),
+        family=claim.family if base is None else f"{claim.family}({base.family})",
+        where=where,
         predicted=predicted,
         exact=exact,
-        verdict=verdict,
+        verdict="MATCH" if predicted == exact else "MISMATCH",
         witness_size=witness_size,
         mono_count=mono_count,
         runtime_ms=runtime_ms,

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationFailed, NotIndependent, TooLarge
 from .graphs import (
+    SOLVE_MAX_VERTICES,
     Edge,
     Graph,
     count_edges_within_mask,
@@ -211,10 +212,12 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
 
     ``threads`` is validated for interface compatibility; branch evaluation
     is sequential, which makes the result trivially identical at any thread
-    count.
+    count. A graph over 64 vertices raises TooLarge before any search.
     """
     if threads is not None and (not isinstance(threads, int) or threads < 1):
         raise ValueError("threads must be a positive integer")
+    if g.n > SOLVE_MAX_VERTICES:
+        raise TooLarge(f"solve is limited to {SOLVE_MAX_VERTICES} vertices")
     t0 = time.perf_counter()
     n = g.n
     adj = g._adj  # the neighbor bitsets, read once

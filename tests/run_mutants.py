@@ -25,6 +25,8 @@ SOLVER = "src/sparing/solver.py"
 
 # (rule, file, target text, mutated text)
 MUTANTS = [
+    ("the solve cap", SOLVER,
+     "if g.n > SOLVE_MAX_VERTICES:", "if g.n > SOLVE_MAX_VERTICES + 1:"),
     ("the clique-cover cap", SOLVER,
      "if not free or cap <= best:", "if not free or cap - 1 <= best:"),
     ("the packing count", SOLVER,

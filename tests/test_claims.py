@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from sparing.claims import (
@@ -8,8 +6,8 @@ from sparing.claims import (
     claim_by_id,
     predicted_value,
 )
-from sparing.errors import DomainError, InvalidParam, MissingGraph
-from sparing.families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, LabeledGraph, generate, make
+from sparing.errors import DomainError, InvalidParam, MissingGraph, TooLarge
+from sparing.families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, make
 from sparing.solver import sparing_exact
 
 
@@ -168,23 +166,9 @@ class TestCheckClaim:
         # solve_and_certify looks the solver up in its own module
         monkeypatch.setattr(sparing.claims, "sparing_exact", counted)
         monkeypatch.setattr(sparing.solver, "sparing_exact", counted)
-        claim = claim_by_id("C13")
-        params = {"base": FamilySpec("cycle", {"n": 7}), "mode": mode}
-
-        def verdict(lg=None):  # the verdict apart from its runtime
-            return replace(check_claim(claim, params, lg=lg), runtime_ms=0)
-
-        expected = verdict()
+        check_claim(claim_by_id("C13"), {"base": FamilySpec("cycle", {"n": 7}), "mode": mode})
         # fresh: the base, then the subdivided graph; induced: the base only
         assert len(calls) == solves
-        # an instance the caller built carries the same one base solve
-        calls.clear()
-        lg = claim.instance(params)
-        assert verdict(lg) == expected
-        assert len(calls) == solves
-        # one that carries no base solve still gets the same verdict
-        plain = LabeledGraph(lg.graph, {})
-        assert verdict(plain) == expected
 
     def test_cactus(self):
         v = check_claim(claim_by_id("C14"), {"cycles": [3, 4, 5]})
@@ -196,8 +180,26 @@ class TestCheckClaim:
 
     def test_exact_value_comes_from_solver(self):
         lg = generate(FamilySpec("windmill", {"n": 3, "r": 4}))
-        v = check_claim(claim_by_id("C10"), {"n": 3, "r": 4}, lg=lg)
+        v = check_claim(claim_by_id("C10"), {"n": 3, "r": 4})
         assert v.exact == sparing_exact(lg.graph).value
+
+    def test_instance_over_the_cap_is_refused_before_any_solve(self, monkeypatch):
+        import sparing.claims
+
+        calls = []
+        monkeypatch.setattr(sparing.claims, "sparing_exact", calls.append)
+        with pytest.raises(TooLarge) as exc:
+            check_claim(claim_by_id("C3"), {"a": 35, "b": 30})
+        assert str(exc.value) == "claim C3 at a=35,b=30 needs 65 vertices; solve is limited to 64"
+        assert calls == []
+
+    def test_build_refusal_names_the_claim_and_point(self):
+        params = {"base": FamilySpec("cycle", {"n": 30}), "mode": "fresh"}
+        with pytest.raises(TooLarge) as exc:
+            check_claim(claim_by_id("C13"), params)
+        assert str(exc.value) == (
+            "claim C13 at base=cycle,n=30,mode=fresh: certification needs 29 or fewer vertices"
+        )
 
     def test_domain_violation_raises(self):
         with pytest.raises(DomainError):

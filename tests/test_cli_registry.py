@@ -182,9 +182,11 @@ def test_check_row_matches_library(capsys, claim_id, params, family, rendered):
     assert header[-1] == "runtime_ms"
     assert len(rows) == 1
     verdict = check_claim(claim, params)
+    assert (verdict.family, verdict.where) == (family, rendered)
+    # the CLI prints the verdict's fields in order, so this pins them to the columns
     assert rows[0][:-1] == [
-        family,
-        rendered,
+        verdict.family,
+        verdict.where,
         str(verdict.predicted),
         str(verdict.exact),
         verdict.verdict,

@@ -1,5 +1,6 @@
 import gc
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -173,6 +174,20 @@ class TestExact:
     @pytest.mark.parametrize("family", ["path", "cycle"])
     def test_bipartite_at_the_vertex_cap(self, family):
         assert sparing_exact(make(family, n=SOLVE_MAX_VERTICES).graph).value == 0
+
+    def test_over_the_vertex_cap_is_refused_before_any_search(self, monkeypatch):
+        clock = []  # the solve's clock starts before its first node
+
+        def tick():
+            clock.append(0)
+            return 0.0
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=tick))
+        with pytest.raises(TooLarge) as exc:
+            sparing_exact(make("path", n=SOLVE_MAX_VERTICES + 1).graph)
+        assert str(exc.value) == "solve is limited to 64 vertices"
+        assert clock == []
+        assert sparing_exact(make("path", n=SOLVE_MAX_VERTICES).graph).value == 0
 
     @pytest.mark.parametrize(
         "family,params,phi",
