@@ -23,6 +23,7 @@ from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
 
 Params = Mapping[str, object]
+MODES = ("fresh", "induced")  # C13's evaluation modes; see _exact_subdivision
 
 
 def _as_base(params: Params, key: str, claim: str) -> FamilySpec:
@@ -33,8 +34,8 @@ def _as_base(params: Params, key: str, claim: str) -> FamilySpec:
 
 
 def _as_mode(params: Params, key: str, claim: str) -> str:
-    if params.get(key) not in ("fresh", "induced"):
-        raise DomainError(f"{claim} requires {key} in {{fresh, induced}}")
+    if params.get(key) not in MODES:
+        raise DomainError(f"{claim} requires {key} in {{{', '.join(MODES)}}}")
     return params[key]
 
 
@@ -44,16 +45,10 @@ _PARAM_TYPES = {"base": _as_base, "mode": _as_mode}
 _family_param = partial(checked_param, error=DomainError)
 
 
-def _item_list(claim: Claim) -> str | None:
-    """The family's one list parameter (``parts``) if the claim names its items."""
-    order = tuple(FAMILY_PARAMS.get(claim.family, claim.param_order))
-    return None if order == claim.param_order else order[0]
-
-
 def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
     """The claim's family at ``p``; a family that takes one list (``parts``)
     gets the claim's parameters as that list, in param_order."""
-    key = _item_list(claim)
+    key = claim.item_list()
     params = dict(p) if key is None else {key: [p[k] for k in claim.param_order]}
     return generate(FamilySpec(claim.family, params))
 
@@ -69,10 +64,11 @@ class Claim:
 
     - ``id`` and ``statement`` name the claim in reports.
     - ``family`` is the family the claim is about and the report's row family.
-    - ``param_order`` lists the parameters in report order. Each name decides
-      its type check: ``base`` is a FamilySpec, ``mode`` is ``fresh`` or
-      ``induced``, and any other name is checked as the family parameter of
-      that name (``families.checked_param``).
+    - ``param_order`` lists the parameters in report order, by default the
+      family's; a claim names its own only for a list's items (C3's ``a`` and
+      ``b`` fill ``parts``) or for a base and mode. Each name decides its type
+      check: ``base`` is a FamilySpec, ``mode`` one of MODES, and any other
+      name is checked as the family parameter of that name.
     - The range is the family's least values (a list's for each item a claim
       names, as C3 names ``a`` and ``b``). A claim that holds on less narrows
       it with ``requires`` and ``in_domain``, in words for the DomainError and
@@ -87,17 +83,22 @@ class Claim:
     id: str
     family: str
     statement: str
-    param_order: tuple[str, ...]
     _: KW_ONLY
+    param_order: tuple[str, ...] = ()
     predict: Callable[[Params, LabeledGraph | None], int]
     requires: str = ""
     in_domain: Callable[[Params], bool] | None = None
     build: Callable[[Claim, Params], LabeledGraph] = _family_instance
     exact: Callable[[Params, LabeledGraph], tuple[int, int, int]] = _solve_instance
 
-    def instance(self, params: Params) -> LabeledGraph:
-        """The labeled graph whose exact sparing number the claim predicts."""
-        return self.build(self, self._point(params))
+    def __post_init__(self):
+        if not self.param_order:
+            object.__setattr__(self, "param_order", tuple(FAMILY_PARAMS[self.family]))
+
+    def item_list(self) -> str | None:
+        """The family's list parameter (``parts``) if the claim names its items."""
+        order = tuple(FAMILY_PARAMS.get(self.family, self.param_order))
+        return None if order == self.param_order else order[0]
 
     def _point(self, params: Params) -> dict:
         """The type-checked parameters in param_order; raises DomainError."""
@@ -107,7 +108,7 @@ class Claim:
         }
         if self.in_domain is None:
             least = FAMILY_PARAMS.get(self.family, {})
-            if (key := _item_list(self)) is not None:
+            if (key := self.item_list()) is not None:
                 least = dict.fromkeys(self.param_order, least[key])
             check_range(point, least, self.id, DomainError)
         elif not self.in_domain(point):
@@ -212,41 +213,41 @@ def _product_of_two_smallest(a: int, b: int, c: int) -> int:
 
 
 _CATALOG: tuple[Claim, ...] = (
-    Claim("C1", "complete", "phi(K_n) = (n-1)(n-2)/2", ("n",),
+    Claim("C1", "complete", "phi(K_n) = (n-1)(n-2)/2",
           predict=lambda p, lg: (p["n"] - 1) * (p["n"] - 2) // 2),
-    Claim("C2", "cycle", "phi(C_n) = 1 for odd n", ("n",),
+    Claim("C2", "cycle", "phi(C_n) = 1 for odd n",
           requires="odd n >= 3", in_domain=lambda p: p["n"] >= 3 and p["n"] % 2 == 1,
           predict=lambda p, lg: 1),
-    Claim("C3", "complete_bipartite", "phi(K_{a,b}) = 0", ("a", "b"),
+    Claim("C3", "complete_bipartite", "phi(K_{a,b}) = 0", param_order=("a", "b"),
           predict=lambda p, lg: 0),
-    Claim("C4", "complete_sun", "phi(sun_n) = (n^2 - 3n + 6)/2", ("n",),
+    Claim("C4", "complete_sun", "phi(sun_n) = (n^2 - 3n + 6)/2",
           predict=lambda p, lg: (p["n"] ** 2 - 3 * p["n"] + 6) // 2),
     Claim("C5", "complete_split", "phi(split) = fewest triangles through any one clique vertex",
-          ("r", "s"),
           predict=lambda p, lg: _min_clique_triangles(lg)),
-    Claim("C6", "complete_split", "phi(K_S(r,s)) = r(r-1)/2", ("r", "s"),
+    Claim("C6", "complete_split", "phi(K_S(r,s)) = r(r-1)/2",
           predict=lambda p, lg: p["r"] * (p["r"] - 1) // 2),
     Claim("C7", "complete_bisplit", "phi(bisplit) = cross paths of length 2 through the least part",
-          ("x", "y", "z"),
+          param_order=("x", "y", "z"),
           predict=lambda p, lg: _cross_paths_through_least_part(lg)),
     Claim("C8", "complete_multipartite", "phi(K_{a,b,c}) = product of the two smallest part sizes",
-          ("a", "b", "c"),
+          param_order=("a", "b", "c"),
           predict=lambda p, lg: _product_of_two_smallest(p["a"], p["b"], p["c"])),
-    Claim("C9", "block_chain", "phi(block graph) = sum (n_i-1)(n_i-2)/2", ("cliques",),
+    Claim("C9", "block_chain", "phi(block graph) = sum (n_i-1)(n_i-2)/2",
           predict=lambda p, lg: sum((s - 1) * (s - 2) // 2 for s in p["cliques"])),
-    Claim("C10", "windmill", "phi(W(n,r)) = r(n-1)(n-2)/2", ("n", "r"),
+    Claim("C10", "windmill", "phi(W(n,r)) = r(n-1)(n-2)/2",
           predict=lambda p, lg: p["r"] * (p["n"] - 1) * (p["n"] - 2) // 2),
-    Claim("C11", "friendship", "phi(F_r) = r", ("r",),
+    Claim("C11", "friendship", "phi(F_r) = r",
           predict=lambda p, lg: p["r"]),
-    Claim("C12", "shadow", "phi(shadow(G)) = 2 phi(G)", ("base",),
+    Claim("C12", "shadow", "phi(shadow(G)) = 2 phi(G)", param_order=("base",),
           predict=_twice_phi_of_base, build=_shadow),
-    Claim("C13", "max_subdivision", "phi(maximal subdivision of G) = 2 phi(G)", ("base", "mode"),
+    Claim("C13", "max_subdivision", "phi(maximal subdivision of G) = 2 phi(G)",
+          param_order=("base", "mode"),
           predict=_twice_phi_of_base, build=_maximal_subdivision, exact=_exact_subdivision),
-    Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles", ("cycles",),
+    Claim("C14", "cactus_chain", "phi(cactus) = number of odd cycles",
           predict=lambda p, lg: sum(c % 2 for c in p["cycles"])),
-    Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)", ("m",),
+    Claim("C15", "wheel", "phi(wheel on m+1 vertices) = ceil((m-1)/2)",
           predict=lambda p, lg: p["m"] // 2),  # == ceil((m - 1) / 2)
-    Claim("C16", "cone", "phi(cone(m,n)) = m for n >= 2", ("m", "n"),
+    Claim("C16", "cone", "phi(cone(m,n)) = m for n >= 2",
           requires="m >= 3 and n >= 2", in_domain=lambda p: p["m"] >= 3 and p["n"] >= 2,
           predict=lambda p, lg: p["m"]),
 )

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import claims as claims_mod
-from .claims import check_claim, claim_by_id
+from .claims import MODES, check_claim, claim_by_id
 from .errors import GraphFormatError, SparingError, TooLarge
 from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
@@ -261,16 +261,15 @@ def _claim_points(claim, args) -> Iterator[dict]:
             raise InputError(f"{claim.id} requires --family for the base graph")
         values = {
             "base": _family_spec(args, ranged=True),
-            "mode": ("fresh", "induced") if args.mode in (None, "both") else (args.mode,),
+            "mode": MODES if args.mode is None else (args.mode,),
         }
         dims = [values[key] for key in claim.param_order]  # base is first: iterated once
         return (dict(zip(claim.param_order, point)) for point in _sweep(dims))
-    family_order = FAMILY_PARAMS[claim.family]
-    _refuse_unread(args, owner, family_order)
-    if tuple(family_order) == claim.param_order:
+    _refuse_unread(args, owner, FAMILY_PARAMS[claim.family])
+    flag = claim.item_list()
+    if flag is None:
         return _family_params(args, claim.family, True, owner)
-    # a one-list family (--parts) whose claim names each item
-    (flag,) = family_order
+    # a list family (--parts) whose claim names each item
     raw = getattr(args, flag)
     if raw is not None and len([i for i in raw.split(",") if i != ""]) != len(claim.param_order):
         raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
@@ -375,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser("check", help="check cataloged claims against the solver")
     _add_family_flags(check)
     check.add_argument("--claim", required=True, help="claim id (C1..C16)")
-    check.add_argument("--mode", choices=("fresh", "induced", "both"),
-                       help="evaluation mode of the maximal-subdivision claim (default both)")
+    check.add_argument("--mode", choices=MODES,
+                       help="evaluation mode of the maximal-subdivision claim (default: each mode)")
     check.add_argument("--format", choices=("text", "csv", "json"), default="text")
     check.add_argument("--threads", default=None)
     check.set_defaults(func=cmd_check, parser=check)

@@ -161,10 +161,10 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
     x = len(adjacency)
     edges = []
     for i, row in enumerate(adjacency):
-        for rel in row:
-            _need(isinstance(rel, int) and 0 <= rel < y + z,
-                  f"bisplit adjacency entries must lie in 0..{y + z - 1}")
-            edges.append((i, x + rel))
+        _need(isinstance(row, (list, tuple)), "bisplit adjacency rows must be lists")
+        _need(all(_is_int(rel) and 0 <= rel < y + z for rel in row),
+              f"bisplit adjacency entries must lie in 0..{y + z - 1}")
+        edges.extend((i, x + rel) for rel in row)
     edges.extend((x + i, x + y + j) for i in range(y) for j in range(z))
     parts = {
         "X": frozenset(range(x)),
@@ -195,10 +195,10 @@ def _split(params) -> tuple[Graph, Partitions]:
     s = len(adjacency)
     edges = _clique_edges(range(r))
     for j, row in enumerate(adjacency):
-        for u in row:
-            _need(isinstance(u, int) and 0 <= u < r,
-                  f"split adjacency entries must be clique indices 0..{r - 1}")
-            edges.append((u, r + j))
+        _need(isinstance(row, (list, tuple)), "split adjacency rows must be lists")
+        _need(all(_is_int(u) and 0 <= u < r for u in row),
+              f"split adjacency entries must be clique indices 0..{r - 1}")
+        edges.extend((u, r + j) for u in row)
     parts = {"clique": frozenset(range(r)), "independent": frozenset(range(r, r + s))}
     return graph_from_edges(r + s, edges), parts
 

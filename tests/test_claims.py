@@ -22,6 +22,32 @@ class TestCatalog:
         with pytest.raises(KeyError):
             claim_by_id("C17")
 
+    def test_param_orders(self):
+        assert {c.id: c.param_order for c in catalog()} == {
+            "C1": ("n",),
+            "C2": ("n",),
+            "C3": ("a", "b"),
+            "C4": ("n",),
+            "C5": ("r", "s"),
+            "C6": ("r", "s"),
+            "C7": ("x", "y", "z"),
+            "C8": ("a", "b", "c"),
+            "C9": ("cliques",),
+            "C10": ("n", "r"),
+            "C11": ("r",),
+            "C12": ("base",),
+            "C13": ("base", "mode"),
+            "C14": ("cycles",),
+            "C15": ("m",),
+            "C16": ("m", "n"),
+        }
+
+    def test_item_lists(self):
+        # a claim that names its own parameters on a registry family names the
+        # items of the family's one list; C12 and C13 are on no registry family
+        lists = {c.id: c.item_list() for c in catalog() if c.item_list() is not None}
+        assert lists == {"C3": "parts", "C7": "parts", "C8": "parts"}
+
 
 class TestPredicted:
     def test_complete(self):

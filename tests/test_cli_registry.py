@@ -10,7 +10,7 @@ import csv
 
 import pytest
 
-from sparing.claims import catalog, check_claim
+from sparing.claims import MODES, catalog, check_claim
 from sparing.cli import main
 from sparing.families import FAMILY_NAMES, FamilySpec, generate
 from sparing.solver import sparing_exact
@@ -94,20 +94,22 @@ def family_flags(params: dict) -> list[str]:
 def claim_flags(claim, params: dict) -> list[str]:
     """Flags for one claim point, one per name in the claim's param_order.
 
-    Single part sizes (a, b, c, x, y, z) are passed together as --parts.
+    The items a claim names (C3's a and b) are passed together as the flag of
+    the family list they fill (--parts).
     """
-    argv, parts = [], []
+    items = claim.item_list()
+    if items is not None:
+        return family_flags({items: [params[key] for key in claim.param_order]})
+    argv = []
     for key in claim.param_order:
         value = params[key]
         if key == "base":
             argv += ["--family", value.family, *family_flags(dict(value.params))]
         elif key == "mode":
             argv += ["--mode", value]
-        elif key in ("n", "r", "s", "m", "cliques", "cycles"):
-            argv += family_flags({key: value})
         else:
-            parts.append(value)
-    return argv + (family_flags({"parts": parts}) if parts else [])
+            argv += family_flags({key: value})
+    return argv
 
 
 class TestInputErrors:
@@ -197,6 +199,20 @@ def test_check_row_matches_library(capsys, claim_id, params, family, rendered):
 
 def test_check_points_cover_the_catalog():
     assert {point[0] for point in CLAIM_POINTS} == {c.id for c in catalog()}
+
+
+def test_check_mode_is_one_of_the_claim_modes(capsys):
+    base = ["check", "--claim", "C13", "--family", "cycle", "--n", "5", "--format", "csv"]
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    _, *rows = list(csv.reader(out.splitlines()))
+    assert [row[1] for row in rows] == [f"base=cycle,n=5,mode={mode}" for mode in MODES]
+    for mode in MODES:
+        code, out, _ = run(capsys, *base, "--mode", mode)
+        assert (code, len(out.splitlines())) == (0, 2)
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--mode", "both"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)

@@ -278,6 +278,29 @@ class TestSpecStrings:
         with pytest.raises(InvalidParam, match=f"^{err}$"):
             generate(FamilySpec(family, params))
 
+    @pytest.mark.parametrize(
+        "family,params,err",
+        [
+            ("split", {"r": 3, "adjacency": [5]}, "split adjacency rows must be lists"),
+            ("split", {"r": 3, "adjacency": [[0], 1]}, "split adjacency rows must be lists"),
+            (
+                "split",
+                {"r": 3, "adjacency": [[True]]},
+                "split adjacency entries must be clique indices 0..2",
+            ),
+            ("bisplit", {"y": 1, "z": 1, "adjacency": [7]}, "bisplit adjacency rows must be lists"),
+            (
+                "bisplit",
+                {"y": 1, "z": 1, "adjacency": [[0, False]]},
+                "bisplit adjacency entries must lie in 0..1",
+            ),
+        ],
+    )
+    def test_adjacency_rows(self, family, params, err):
+        # a row that is not a list, or a bool entry, is refused like any other bad value
+        with pytest.raises(InvalidParam, match=f"^{err}$"):
+            generate(FamilySpec(family, params))
+
     def test_missing_param_names_flag(self):
         with pytest.raises(InvalidParam, match="requires parameter n"):
             make("cycle")
