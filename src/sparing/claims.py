@@ -17,7 +17,9 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .errors import DomainError, MissingGraph, TooLarge
-from .families import FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate
+from .families import (
+    FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate, render_params,
+)
 from .graphs import SOLVE_MAX_VERTICES, subdivide_edges, shadow, triangles_through
 from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
@@ -53,9 +55,12 @@ def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
     return generate(FamilySpec(claim.family, params))
 
 
-def _solve_instance(p: Params, lg: LabeledGraph) -> tuple[int, int, int]:
+def _solve_instance(p: Params, lg: LabeledGraph) -> tuple[int, int]:
+    """The exact solver on the instance; one over 64 vertices is refused first."""
+    if lg.graph.n > SOLVE_MAX_VERTICES:
+        raise TooLarge(f"needs {lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}")
     result = sparing_exact(lg.graph)
-    return result.value, len(result.witness), len(result.mono)
+    return result.value, len(result.witness)
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,9 @@ class Claim:
     - ``predict`` gives the claimed value from the parameters and the
       instance; C5 and C7 read the instance and raise MissingGraph without it.
     - ``build`` makes the instance; by default ``family`` at the parameters.
-    - ``exact`` gives the value, witness size and mono count the prediction
-      is compared with; by default the exact solver on the instance.
+    - ``exact`` gives the value the prediction is compared with and the
+      witness size; by default the exact solver on the instance, which
+      refuses an instance over 64 vertices before it solves.
     """
 
     id: str
@@ -89,7 +95,7 @@ class Claim:
     requires: str = ""
     in_domain: Callable[[Params], bool] | None = None
     build: Callable[[Claim, Params], LabeledGraph] = _family_instance
-    exact: Callable[[Params, LabeledGraph], tuple[int, int, int]] = _solve_instance
+    exact: Callable[[Params, LabeledGraph], tuple[int, int]] = _solve_instance
 
     def __post_init__(self):
         if not self.param_order:
@@ -122,7 +128,8 @@ class ClaimVerdict:
     the row family (``shadow(cycle)`` for a claim on a base), the point as
     ``a=35,b=30`` or ``base=cycle,n=5,mode=fresh``, the predicted and exact
     values, MATCH or MISMATCH, the witness size and mono count of the exact
-    side, and the milliseconds that side took."""
+    side (the mono count is the exact value), and the milliseconds that side
+    took."""
 
     family: str
     where: str
@@ -154,9 +161,10 @@ def _maximal_subdivision(claim: Claim, p: Params) -> _Subdivision:
     return _Subdivision(subdivide_edges(g, result.mono), {}, result, labeling)
 
 
-def _exact_subdivision(p: Params, lg: _Subdivision) -> tuple[int, int, int]:
-    """The solver on the subdivided graph (``fresh``), or the mono count of the
-    labeling the subdivision inherits from its base (``induced``).
+def _exact_subdivision(p: Params, lg: _Subdivision) -> tuple[int, int]:
+    """The solver on the subdivided graph (``fresh``), or the mono count and
+    non-singleton count of the labeling the subdivision inherits from its
+    base (``induced``), which solves nothing and so has no vertex cap.
 
     Each subdivided edge's fresh vertex (numbered in mono order after the
     base vertices) takes over the edge's old sum set, so both replacement
@@ -171,7 +179,7 @@ def _exact_subdivision(p: Params, lg: _Subdivision) -> tuple[int, int, int]:
     if not verdict.ok:
         raise AssertionError("inherited subdivision labeling failed verification")
     non_singleton = sum(1 for lab in extended.values() if len(lab) > 1)
-    return len(verdict.mono), non_singleton, len(verdict.mono)
+    return len(verdict.mono), non_singleton
 
 
 def _min_clique_triangles(lg: LabeledGraph | None) -> int:
@@ -270,41 +278,27 @@ def predicted_value(claim: Claim, params: Params, lg: LabeledGraph | None = None
     return claim.predict(claim._point(params), lg)
 
 
-def _where(claim: Claim, point: Params) -> str:
-    """The type-checked point in report form: ``a=35,b=30`` or ``base=cycle,n=5,mode=fresh``."""
-    parts = []
-    for key in claim.param_order:
-        value = point[key]
-        if isinstance(value, FamilySpec):
-            parts += [f"base={value.family}", value.param_string()]
-        elif isinstance(value, list):
-            parts.append(f"{key}=" + ",".join(map(str, value)))
-        else:
-            parts.append(f"{key}={value}")
-    return ",".join(parts)
-
-
 def check_claim(claim: Claim, params: Params) -> ClaimVerdict:
     """The report row comparing the claim's predicted value with the exact
     solver on the claim's instance at ``params``.
 
     Raises DomainError for a point outside the claim, and TooLarge, naming
-    the claim and the point, for an instance over 64 vertices or one that
-    cannot be built; both before any solve of the instance.
+    the claim and the point, for an instance that cannot be built or one
+    over 64 vertices that the claim would solve; both before any solve of
+    the instance. The claim's exact rule returns the value and the witness
+    size, and the value is also the row's mono count.
     """
     point = claim._point(params)
-    where = _where(claim, point)
+    where = render_params(point, claim.param_order)
     try:
         lg = claim.build(claim, point)
     except TooLarge as exc:
         raise TooLarge(f"claim {claim.id} at {where}: {exc}") from None
-    if lg.graph.n > SOLVE_MAX_VERTICES:
-        raise TooLarge(
-            f"claim {claim.id} at {where} needs "
-            f"{lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}"
-        )
     t0 = time.perf_counter()
-    exact, witness_size, mono_count = claim.exact(point, lg)
+    try:
+        exact, witness_size = claim.exact(point, lg)
+    except TooLarge as exc:
+        raise TooLarge(f"claim {claim.id} at {where} {exc}") from None
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     predicted = predicted_value(claim, point, lg)
     base = point.get("base")
@@ -315,6 +309,6 @@ def check_claim(claim: Claim, params: Params) -> ClaimVerdict:
         exact=exact,
         verdict="MATCH" if predicted == exact else "MISMATCH",
         witness_size=witness_size,
-        mono_count=mono_count,
+        mono_count=exact,
         runtime_ms=runtime_ms,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidParam
 from .graphs import Edge, Graph, graph_from_edges
@@ -30,23 +30,24 @@ class FamilySpec:
     def param_string(self) -> str:
         """Canonical 'k=v,...' rendering in the family's documented parameter order."""
         order = FAMILY_PARAMS.get(self.family) or sorted(self.params)
-        parts = []
-        for key in order:
-            if key not in self.params:
-                continue
-            value = self.params[key]
-            if isinstance(value, (list, tuple)):
-                if value and isinstance(value[0], (list, tuple)):
-                    rendered = "[" + ";".join(",".join(map(str, row)) for row in value) + "]"
-                else:
-                    rendered = ",".join(map(str, value))
-            else:
-                rendered = str(value)
-            parts.append(f"{key}={rendered}")
-        return ",".join(parts) if parts else "-"
+        return render_params(self.params, order) or "-"
 
-    def __str__(self) -> str:
-        return f"family={self.family};params={self.param_string()}"
+
+def render_params(params: Mapping[str, object], order: Iterable[str]) -> str:
+    """The parameters named in ``order`` as ``k=v,...``; names not in ``params``
+    are skipped. A list renders as ``3,4``, adjacency rows as ``[0,1;2]``, and a
+    FamilySpec as its family followed by its own parameters (``base=cycle,n=5``)."""
+    return ",".join(f"{key}={_rendered(params[key])}" for key in order if key in params)
+
+
+def _rendered(value: object) -> str:
+    if isinstance(value, FamilySpec):
+        return f"{value.family},{value.param_string()}"
+    if not isinstance(value, (list, tuple)):
+        return str(value)
+    if value and isinstance(value[0], (list, tuple)):  # adjacency rows
+        return "[" + ";".join(",".join(map(str, row)) for row in value) + "]"
+    return ",".join(map(str, value))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,24 @@ from sparing.families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, m
 from sparing.solver import sparing_exact
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The graphs handed to the exact solver, from claims and certification alike."""
+    import sparing.claims
+    import sparing.solver
+
+    calls = []
+
+    def counted(g, threads=None):
+        calls.append(g)
+        return sparing_exact(g, threads)
+
+    # solve_and_certify looks the solver up in its own module
+    monkeypatch.setattr(sparing.claims, "sparing_exact", counted)
+    monkeypatch.setattr(sparing.solver, "sparing_exact", counted)
+    return calls
+
+
 class TestCatalog:
     def test_sixteen_claims(self):
         cat = catalog()
@@ -179,22 +197,30 @@ class TestCheckClaim:
         assert (induced.exact, induced.verdict) == (2, "MATCH")
 
     @pytest.mark.parametrize("mode,solves", [("fresh", 2), ("induced", 1)])
-    def test_subdivision_solves_its_base_once(self, monkeypatch, mode, solves):
-        import sparing.claims
-        import sparing.solver
-
-        calls = []
-
-        def counted(g, threads=None):
-            calls.append(g)
-            return sparing_exact(g, threads)
-
-        # solve_and_certify looks the solver up in its own module
-        monkeypatch.setattr(sparing.claims, "sparing_exact", counted)
-        monkeypatch.setattr(sparing.solver, "sparing_exact", counted)
+    def test_subdivision_solves_its_base_once(self, solver_calls, mode, solves):
         check_claim(claim_by_id("C13"), {"base": FamilySpec("cycle", {"n": 7}), "mode": mode})
         # fresh: the base, then the subdivided graph; induced: the base only
-        assert len(calls) == solves
+        assert len(solver_calls) == solves
+
+    @pytest.mark.parametrize("n,value", [(12, 110), (29, 756)])
+    def test_induced_subdivision_has_no_solve_cap(self, solver_calls, n, value):
+        # K12's subdivision has 67 vertices and K29's, the largest base
+        # certification accepts, 407; induced mode only verifies a labeling
+        params = {"base": FamilySpec("complete", {"n": n}), "mode": "induced"}
+        v = check_claim(claim_by_id("C13"), params)
+        assert (v.where, v.predicted, v.exact, v.verdict) == (
+            f"base=complete,n={n},mode=induced", value, value, "MATCH"
+        )
+        assert len(solver_calls) == 1
+
+    def test_fresh_subdivision_over_the_cap_is_refused_after_its_base(self, solver_calls):
+        params = {"base": FamilySpec("complete", {"n": 12}), "mode": "fresh"}
+        with pytest.raises(TooLarge) as exc:
+            check_claim(claim_by_id("C13"), params)
+        assert str(exc.value) == (
+            "claim C13 at base=complete,n=12,mode=fresh needs 67 vertices; solve is limited to 64"
+        )
+        assert [g.n for g in solver_calls] == [12]
 
     def test_cactus(self):
         v = check_claim(claim_by_id("C14"), {"cycles": [3, 4, 5]})

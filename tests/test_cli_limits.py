@@ -94,6 +94,23 @@ class TestVertexCapOnFlags:
             "certification needs 29 or fewer vertices\n"
         )
 
+    def test_induced_subdivision_over_the_solve_cap(self, capsys):
+        # only fresh mode solves the 67-vertex subdivision of K12
+        c13 = ["check", "--claim", "C13", "--family", "complete", "--format", "csv", "--mode"]
+        for n, row in [
+            (12, 'max_subdivision(complete),"base=complete,n=12,mode=induced",110,110,MATCH,1,110,'),
+            (29, 'max_subdivision(complete),"base=complete,n=29,mode=induced",756,756,MATCH,1,756,'),
+        ]:
+            code, out, err = run(capsys, *c13, "induced", "--n", str(n))
+            assert (code, err) == (0, "MATCH=1 MISMATCH=0\n")
+            assert out.splitlines()[1].startswith(row)
+        assert run(capsys, *c13, "fresh", "--n", "12") == (
+            3,
+            "",
+            "error: claim C13 at base=complete,n=12,mode=fresh needs 67 vertices; "
+            "solve is limited to 64\n",
+        )
+
     def test_values_at_the_cap_still_build(self, capsys):
         code, out, _ = run(capsys, "solve", "--family", "path", "--n", "64")
         assert code == 0

@@ -185,6 +185,7 @@ def test_check_row_matches_library(capsys, claim_id, params, family, rendered):
     assert len(rows) == 1
     verdict = check_claim(claim, params)
     assert (verdict.family, verdict.where) == (family, rendered)
+    assert verdict.mono_count == verdict.exact
     # the CLI prints the verdict's fields in order, so this pins them to the columns
     assert rows[0][:-1] == [
         verdict.family,

