@@ -25,13 +25,19 @@ over the vertices: W's vertices are kept untested, every other vertex not
 blocked by the prefix is kept only if a search with the optimum as its goal
 reaches it (the set that search finds becomes W), and the pass stops once the
 prefix is optimal. The search branches in descending original degree (ties
-to the lower index), and takes unconditionally a free vertex whose
-neighbors are all decided-out, since enlarging an independent set never
-adds mono edges. A branch is pruned by a clique-cover bound: the free
-vertices are split greedily into cliques, and a branch dies when the covered
-degree sum plus the largest degree of each clique cannot beat the
-incumbent. The scan visits each free vertex once, either as a clique's seed
-or inside the clique that claims it.
+to the lower index). Two dominance rules cut it, and each keeps some best
+extension of a node, so both hold in the value phase and in every witness
+test. The pendant rule takes a free vertex v with at most one free neighbor
+u and deg v >= deg u, and decides u out: in any extension, u can be traded
+for v (or v added) without covering less. The simplicial rule skips the
+exclude child of the branching vertex, which has the largest degree of all
+free vertices, when its free neighbors form a clique: an extension holds at
+most one of them, and trading it for the branching vertex covers no less.
+A branch is pruned by a clique-cover bound: the free vertices are split
+greedily into cliques, and a branch dies when the covered degree sum plus
+the largest degree of each clique cannot beat the incumbent. The scan
+visits each free vertex once, either as a clique's seed or inside the
+clique that claims it, and tests the pendant rule on each seed.
 The brute-force oracle scores complements by counting their edges directly,
 so the two routes stay independent.
 """
@@ -246,9 +252,10 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         # cover of the free vertices; an independent set takes at most one
         # vertex of each clique, so no extension covers more than cap. Each
         # free vertex is visited once: the lowest unclaimed one seeds the next
-        # clique, and the members a clique claims are never visited. A member
-        # is adjacent to its seed, which stays free, so it never needs the
-        # forced inclusion.
+        # clique, and the members a clique claims are never visited. A seed v
+        # with at most one free neighbor u, and deg[v] >= deg[u], is a
+        # pendant instead: v is taken and u leaves free (the module docstring
+        # says why); a clique that counted u before still bounds the rest.
         cap = cov
         unclaimed = free  # free vertices in no clique yet
         while unclaimed:
@@ -256,15 +263,9 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
             unclaimed ^= low
             v = low.bit_length() - 1
             near = adj[v] & free
-            if not near:
-                # no free neighbor: taking v is always at least as good
-                free ^= low
-                inc |= low
-                cov += deg[v]
-                cap += deg[v]
-            else:
+            top = deg[v]
+            if near.bit_count() > 1 or near and deg[near.bit_length() - 1] > top:
                 # a clique from v, grown greedily over the unclaimed vertices
-                top = deg[v]
                 extend = near & unclaimed
                 while extend:
                     ubit = extend & -extend
@@ -273,6 +274,13 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
                     extend &= adj[u]
                     if deg[u] > top:
                         top = deg[u]
+                cap += top
+            else:
+                # pendant: take v, and drop its free neighbor u if it has one
+                free ^= low | near
+                unclaimed &= ~near
+                inc |= low
+                cov += top
                 cap += top
         if cov > best:
             best = cov
@@ -292,6 +300,16 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
             goal = edges - _odd_cycle_packing(adj)
             if best >= goal:
                 return
+        # the simplicial rule: skip the exclude child when v's free
+        # neighbors form a clique; a non-adjacent pair usually shows at once
+        near = adj[v] & free
+        while near:
+            u = near.bit_length() - 1
+            near ^= 1 << u
+            if near & adj[u] != near:
+                break
+        else:
+            return
         search(i + 1, free & ~vbit, cov, inc)
 
     search(0, full, 0, 0)

@@ -33,8 +33,14 @@ MUTANTS = [
      "    return packed\n", "    return packed + 1\n"),
     ("the floor", SOLVER,
      "goal = edges - edges // 3", "goal = edges - edges // 4"),
-    ("forced inclusion", SOLVER,
-     "if not near:", "if False:"),
+    ("the pendant rule", SOLVER,
+     "if near.bit_count() > 1 or near and deg[near.bit_length() - 1] > top:", "if True:"),
+    ("the pendant rule's degree test", SOLVER,
+     "deg[near.bit_length() - 1] > top:", "deg[near.bit_length() - 1] > top + 1:"),
+    ("the pendant's neighbor decided out", SOLVER,
+     "free ^= low | near", "free ^= low"),
+    ("the simplicial rule's clique test", SOLVER,
+     "if near & adj[u] != near:", "if near & adj[u] == near:"),
     ("W's vertices kept untested", SOLVER,
      "if not known & jbit:", "if True:"),
     ("W kept after a successful witness test", SOLVER,

@@ -228,20 +228,40 @@ class TestExact:
         assert r.stats.nodes < 10_000
 
     @pytest.mark.parametrize(
+        "build,phi",
+        [
+            (lambda: make("block_chain", cliques=[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 8]).graph, 186),
+            (lambda: make("block_chain", cliques=[12, 11, 10, 9, 8, 7, 6, 5, 4]).graph, 219),
+            (lambda: shuffled(cycle_ring(9, 7, 1), 0), 9),
+        ],
+        ids=["block-chain-2..11,8", "block-chain-12..4", "C7-ring-x9-offset-1-shuffled"],
+    )
+    def test_dominance_rules_at_the_vertex_cap(self, build, phi):
+        # without the pendant and simplicial rules these take 8,847,186 /
+        # 312,187 / 540,136 nodes, and 481 / 183 / 424 with both; the
+        # simplicial rule alone settles the block chains, the pendant rule
+        # alone takes the ring to 698
+        r = sparing_exact(build())
+        assert r.value == phi
+        assert r.stats.nodes < 1000
+
+    @pytest.mark.parametrize(
         "p,seed,phi,ceiling",
         [
-            (0.05, 2024, 8, 7_186),
-            (0.1, 1, 71, 10_907),
-            (0.2, 1, 201, 3_782),
-            (0.3, 1, 375, 2_308),
-            (0.5, 1, 748, 1_010),
+            (0.05, 2024, 8, 2_399),
+            (0.1, 1, 71, 7_738),
+            (0.2, 1, 201, 3_467),
+            (0.3, 1, 375, 2_082),
+            (0.5, 1, 748, 967),
         ],
     )
     def test_clique_cover_node_ceilings(self, p, seed, phi, ceiling):
         # the ceilings are the node counts of the greedy clique cover over the
-        # unclaimed free vertices; a weaker cover goes over them (one whose
-        # members stay unclaimed takes G(64,0.1,1) to 655,357 nodes), and a
-        # tighter bound stays under
+        # unclaimed free vertices, with the pendant and simplicial rules; a
+        # weaker cover goes over them (one whose members stay unclaimed takes
+        # G(64,0.1,1) to 655,357 nodes), and so does a search without either
+        # rule (7,186 / 10,907 / 3,782 / 2,308 / 1,010); a tighter bound
+        # stays under
         r = sparing_exact(random_graph(64, p, seed))
         assert r.value == phi
         assert r.stats.nodes <= ceiling
