@@ -20,7 +20,7 @@ from .errors import DomainError, MissingGraph, TooLarge
 from .families import (
     FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate, render_params,
 )
-from .graphs import SOLVE_MAX_VERTICES, subdivide_edges, shadow, triangles_through
+from .graphs import SOLVE_MAX_VERTICES, mask_of, subdivide_edges, shadow, triangles_through
 from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
 
@@ -200,8 +200,7 @@ def _cross_paths_through_least_part(lg: LabeledGraph | None) -> int:
     named.sort(key=lambda item: (len(item[1]), ("X", "Y", "Z").index(item[0])))
     (_, least), (_, part_a), (_, part_b) = named
     g = lg.graph
-    mask_a = sum(1 << v for v in part_a)
-    mask_b = sum(1 << v for v in part_b)
+    mask_a, mask_b = mask_of(part_a), mask_of(part_b)
     return sum(
         (g.adjacency_mask(v) & mask_a).bit_count()
         * (g.adjacency_mask(v) & mask_b).bit_count()

@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import astuple
 from pathlib import Path
 from typing import Iterator
 
@@ -285,7 +284,7 @@ def cmd_check(args) -> int:
         raise InputError(f"unknown claim {args.claim!r} (known: {known})") from None
     _threads(args)
     verdicts = [check_claim(claim, params) for params in _claim_points(claim, args)]
-    rows = [list(map(str, astuple(v))) for v in verdicts]
+    rows = [list(map(str, vars(v).values())) for v in verdicts]
     matches = sum(v.verdict == "MATCH" for v in verdicts)
     mismatches = len(verdicts) - matches
     summary = f"MATCH={matches} MISMATCH={mismatches}"

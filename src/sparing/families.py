@@ -1,10 +1,12 @@
 """Deterministic generators for the named graph families.
 
-Every generator documents its vertex numbering so the named partitions are
+Every family documents its vertex numbering so the named partitions are
 addressable: clique/cycle vertices come first (0-based, consecutive), then
-independent/apex/rim-attachment vertices. Partitions are returned alongside
-the graph and satisfy their defining structural property (independent sets
-are independent, cliques are complete, ...).
+independent/apex/rim-attachment vertices. A family derived from another (a
+wheel is a cone with one apex) documents it through the builder it calls.
+Partitions are returned alongside the graph and satisfy their defining
+structural property (independent sets are independent, cliques are
+complete, ...).
 """
 
 from __future__ import annotations
@@ -115,16 +117,6 @@ def _path(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]), {}
 
 
-def _cycle(params) -> tuple[Graph, Partitions]:
-    n = params["n"]
-    return graph_from_edges(n, _cycle_edges(range(n))), {}
-
-
-def _complete(params) -> tuple[Graph, Partitions]:
-    n = params["n"]
-    return graph_from_edges(n, _clique_edges(range(n))), {}
-
-
 def _multipartite(family: str, names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
     # the complete multipartite graph on params["parts"], one part per size,
     # numbered consecutively in order; ``names`` also fixes the part count,
@@ -187,11 +179,9 @@ def _complete_sun(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(2 * n, edges), parts
 
 
-def _split(params) -> tuple[Graph, Partitions]:
+def _split(r: int, adjacency) -> tuple[Graph, Partitions]:
     # clique vertices 0..r-1, independent vertices r..r+s-1; adjacency rows
     # (one per independent vertex) list that vertex's clique neighbors.
-    r = params["r"]
-    adjacency = params.get("adjacency")
     _need(isinstance(adjacency, (list, tuple)), "split requires an adjacency list")
     s = len(adjacency)
     edges = _clique_edges(range(r))
@@ -204,15 +194,9 @@ def _split(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(r + s, edges), parts
 
 
-def _complete_split(params) -> tuple[Graph, Partitions]:
-    r = params["r"]
-    return _split({"r": r, "adjacency": [tuple(range(r))] * params["s"]})
-
-
-def _chain(key: str, block_edges, params) -> tuple[Graph, Partitions]:
-    # blocks of the sizes params[key] laid along a path; each block reuses
-    # the last vertex of the previous one as its cut vertex
-    sizes = params[key]
+def _chain(sizes: Sequence[int], block_edges) -> tuple[Graph, Partitions]:
+    # blocks of the given sizes laid along a path, numbered in order; each
+    # block reuses the last vertex of the previous one as its cut vertex
     edges = []
     start = 0
     for size in sizes:
@@ -221,9 +205,7 @@ def _chain(key: str, block_edges, params) -> tuple[Graph, Partitions]:
     return graph_from_edges(start + 1, edges), {}
 
 
-def _windmill(params) -> tuple[Graph, Partitions]:
-    n = params["n"]
-    r = params["r"]
+def _windmill(n: int, r: int) -> tuple[Graph, Partitions]:
     # shared vertex 0; copy i occupies {0} plus 1+i(n-1) .. i(n-1)+n-1
     edges = []
     for i in range(r):
@@ -234,49 +216,38 @@ def _windmill(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(total, edges), parts
 
 
-def _friendship(params) -> tuple[Graph, Partitions]:
-    return _windmill({"n": 3, "r": params["r"]})
-
-
-def _wheel(params) -> tuple[Graph, Partitions]:
-    m = params["m"]
-    # rim cycle 0..m-1, hub m
-    edges = _cycle_edges(range(m)) + [(i, m) for i in range(m)]
-    parts = {"rim": frozenset(range(m)), "hub": frozenset({m})}
-    return graph_from_edges(m + 1, edges), parts
-
-
-def _cone(params) -> tuple[Graph, Partitions]:
-    m = params["m"]
-    n = params["n"]
+def _cone(m: int, n: int, cycle: str, apex: str) -> tuple[Graph, Partitions]:
     # cycle 0..m-1, apex vertices m..m+n-1 each joined to the whole cycle
     edges = _cycle_edges(range(m))
     edges.extend((i, m + j) for j in range(n) for i in range(m))
-    parts = {"cycle": frozenset(range(m)), "apex": frozenset(range(m, m + n))}
+    parts = {cycle: frozenset(range(m)), apex: frozenset(range(m, m + n))}
     return graph_from_edges(m + n, edges), parts
 
 
 # each family's builder and the least value of each of its parameters, in
 # report order; a list parameter's least value bounds every item, and None
-# marks the adjacency rows of split and bisplit, which their builders check
+# marks the adjacency rows of split and bisplit, which their builders check;
+# a derived family calls the builder it derives from, whose comment gives its
+# numbering (a cycle or K_n is one block on 0..n-1, a wheel's rim 0..m-1 and
+# hub m are a cone's cycle and one apex)
 _FAMILIES: dict[str, tuple[Callable, dict[str, int | None]]] = {
     "path": (_path, {"n": 1}),
-    "cycle": (_cycle, {"n": 3}),
-    "complete": (_complete, {"n": 1}),
+    "cycle": (lambda p: _chain([p["n"]], _cycle_edges), {"n": 3}),
+    "complete": (lambda p: _chain([p["n"]], _clique_edges), {"n": 1}),
     "complete_bipartite": (partial(_multipartite, "complete_bipartite", ("X", "Y")), {"parts": 1}),
     "complete_multipartite": (partial(_multipartite, "complete_multipartite", None), {"parts": 1}),
     "complete_sun": (_complete_sun, {"n": 3}),
-    "split": (_split, {"r": 1, "adjacency": None}),
-    "complete_split": (_complete_split, {"r": 1, "s": 1}),
+    "split": (lambda p: _split(p["r"], p.get("adjacency")), {"r": 1, "adjacency": None}),
+    "complete_split": (lambda p: _split(p["r"], [tuple(range(p["r"]))] * p["s"]), {"r": 1, "s": 1}),
     "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None}),
     # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
     "complete_bisplit": (partial(_multipartite, "complete_bisplit", ("X", "Y", "Z")), {"parts": 1}),
-    "block_chain": (partial(_chain, "cliques", _clique_edges), {"cliques": 2}),
-    "windmill": (_windmill, {"n": 2, "r": 2}),
-    "friendship": (_friendship, {"r": 2}),
-    "wheel": (_wheel, {"m": 3}),
-    "cone": (_cone, {"m": 3, "n": 1}),
-    "cactus_chain": (partial(_chain, "cycles", _cycle_edges), {"cycles": 3}),
+    "block_chain": (lambda p: _chain(p["cliques"], _clique_edges), {"cliques": 2}),
+    "windmill": (lambda p: _windmill(p["n"], p["r"]), {"n": 2, "r": 2}),
+    "friendship": (lambda p: _windmill(3, p["r"]), {"r": 2}),
+    "wheel": (lambda p: _cone(p["m"], 1, "rim", "hub"), {"m": 3}),
+    "cone": (lambda p: _cone(p["m"], p["n"], "cycle", "apex"), {"m": 3, "n": 1}),
+    "cactus_chain": (lambda p: _chain(p["cycles"], _cycle_edges), {"cycles": 3}),
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))

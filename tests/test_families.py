@@ -128,8 +128,27 @@ class TestStructure:
         for name in ("X", "Y", "Z"):
             assert is_independent(g, lg.partitions[name])
 
-    def test_friendship_is_triangle_windmill(self):
-        assert make("friendship", r=3).graph == make("windmill", n=3, r=3).graph
+    @pytest.mark.parametrize(
+        "family,params,base,base_params,renamed",
+        [
+            pytest.param(*case, id=f"{case[0]}-{FamilySpec(case[0], case[1]).param_string()}")
+            for case in [
+                *[("friendship", {"r": r}, "windmill", {"n": 3, "r": r}, {}) for r in (2, 3, 5)],
+                *[("wheel", {"m": m}, "cone", {"m": m, "n": 1}, {"cycle": "rim", "apex": "hub"})
+                  for m in (3, 4, 7)],
+                *[("cycle", {"n": n}, "cactus_chain", {"cycles": [n]}, {}) for n in (3, 4, 9)],
+                *[("complete", {"n": n}, "block_chain", {"cliques": [n]}, {}) for n in (2, 3, 6)],
+                *[("complete_split", {"r": r, "s": s}, "split",
+                   {"r": r, "adjacency": [list(range(r))] * s}, {}) for r, s in ((1, 1), (3, 2), (4, 3))],
+            ]
+        ],
+    )
+    def test_derived_family_is_its_base(self, family, params, base, base_params, renamed):
+        # a derived family is the family it derives from: the same graph, and
+        # the same partitions under the derived family's part names
+        lg, base_lg = make(family, **params), make(base, **base_params)
+        assert lg.graph == base_lg.graph
+        assert lg.partitions == {renamed.get(k, k): v for k, v in base_lg.partitions.items()}
 
     def test_block_chain_cliques_share_at_most_one_vertex(self):
         sizes = [3, 4, 2, 3]
