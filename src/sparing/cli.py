@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import random
@@ -289,12 +288,9 @@ def cmd_check(args) -> int:
     mismatches = len(verdicts) - matches
     summary = f"MATCH={matches} MISMATCH={mismatches}"
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buffer.getvalue())
+        writer.writerows(rows)
         print(summary, file=sys.stderr)
     elif args.format == "json":
         records = [dict(zip(_REPORT_COLUMNS, row)) for row in rows]

@@ -13,7 +13,7 @@ which the sparing number counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -77,12 +77,12 @@ class Verdict:
     """Whether a labeling passed, every failure if not, and its mono edges
     (singleton sum sets, in canonical order) either way."""
 
-    ok: bool
-    failures: tuple[Failure, ...] = field(default=())
-    mono: tuple[Edge, ...] = field(default=())
+    failures: tuple[Failure, ...] = ()
+    mono: tuple[Edge, ...] = ()
 
-    def __post_init__(self):
-        assert self.ok == (not self.failures)
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
@@ -153,7 +153,7 @@ def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
             mono.append(e)  # |A + B| >= max(|A|, |B|), so both labels are singletons
         elif size != max(sizes[e[0]], sizes[e[1]]):
             failures.append(Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,)))
-    return Verdict(not failures, tuple(failures), tuple(mono))
+    return Verdict(tuple(failures), tuple(mono))
 
 
 def mono_edges(g: Graph, f: Mapping[int, Label]) -> list[Edge]:

@@ -140,6 +140,8 @@ class TestStructure:
                 *[("complete", {"n": n}, "block_chain", {"cliques": [n]}, {}) for n in (2, 3, 6)],
                 *[("complete_split", {"r": r, "s": s}, "split",
                    {"r": r, "adjacency": [list(range(r))] * s}, {}) for r, s in ((1, 1), (3, 2), (4, 3))],
+                *[("complete_sun", {"n": n}, "split", {"r": n, "adjacency": [[j, (j + 1) % n] for j in range(n)]},
+                   {"clique": "U", "independent": "W"}) for n in (3, 4, 7)],
             ]
         ],
     )
@@ -208,6 +210,14 @@ class TestSpecStrings:
         assert spec.param_string() == "r=3,adjacency=[0,1;2]"
         verdict = check_claim(claim_by_id("C12"), {"base": spec})
         assert verdict.where == "base=split,r=3,adjacency=[0,1;2]"
+
+    def test_mixed_rows_render_before_the_build_refuses_them(self):
+        # only a list of lists renders as rows; a bad row then reaches the
+        # builder's own message instead of a TypeError from the renderer
+        spec = FamilySpec("split", {"r": 3, "adjacency": [[0], 5]})
+        assert spec.param_string() == "r=3,adjacency=[0],5"
+        with pytest.raises(InvalidParam, match="^split adjacency rows must be lists$"):
+            check_claim(claim_by_id("C12"), {"base": spec})
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParam):
