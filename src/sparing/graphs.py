@@ -3,10 +3,17 @@
 Adjacency is stored as one Python-int bitset per vertex, which keeps the
 structural operations (independence tests, induced edge counts, shadows,
 subdivisions) branch-free and cheap to share across solver branches.
+
+Edge lists hold canonical ``(u, v)`` tuples, ``u < v``. In a graph of at most
+64 vertices these tuples are shared: every edge list (``Graph.edges()``, a
+solve's ``mono``, a verdict's edge keys) holds the same immutable tuple for the
+same edge, taken from one table of at most 2,016 tuples, so a kept list costs
+one reference per edge. Larger graphs get fresh tuples.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator
 
 from .errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
@@ -15,6 +22,26 @@ Edge = tuple[int, int]
 
 SOLVE_MAX_VERTICES = 64  # the largest graph any command or graph file may have
 MAX_GRAPH_TEXT = 1_000_000  # characters; a complete 64-vertex graph file has about 16,000
+
+
+# Row u holds the shared tuple (u, v) at index v for every u < v < len(_ROWS),
+# and None at and below the diagonal. The table grows in place, and only up to
+# SOLVE_MAX_VERTICES, to the largest graph listed so far: old rows are
+# extended before new full-length rows are appended, so every row is at least
+# len(_ROWS) long whenever another thread reads it.
+_ROWS: list[list[Edge | None]] = []
+_ROWS_LOCK = threading.Lock()
+
+
+def _grow_rows(n: int) -> None:
+    with _ROWS_LOCK:
+        old = len(_ROWS)  # read under the lock: another thread may have grown it
+        if n <= old:
+            return
+        for u, row in enumerate(_ROWS):
+            row.extend([(u, v) for v in range(old, n)])
+        for u in range(old, n):
+            _ROWS.append([None] * (u + 1) + [(u, v) for v in range(u + 1, n)])
 
 
 def _canon(u: int, v: int) -> Edge:
@@ -119,16 +146,25 @@ def edges_within(g: Graph, vertices: Iterable[int]) -> list[Edge]:
 
 
 def edges_within_mask(g: Graph, m: int) -> list[Edge]:
-    """Edges with both endpoints in the vertex bitset ``m``, canonically ordered."""
+    """Edges with both endpoints in the vertex bitset ``m``, canonically ordered.
+
+    In a graph of at most 64 vertices each edge is the shared, immutable
+    ``(u, v)`` tuple of the module's table, the same object in every list;
+    a larger graph's edges are fresh tuples."""
+    shared = g.n <= SOLVE_MAX_VERTICES
+    if shared and g.n > len(_ROWS):
+        _grow_rows(g.n)
     out = []
     while m:
         low = m & -m
         m ^= low  # now the members above u
         u = low.bit_length() - 1
+        row = _ROWS[u] if shared else None
         inside = g._adj[u] & m
         while inside:
             vbit = inside & -inside
-            out.append((u, vbit.bit_length() - 1))
+            v = vbit.bit_length() - 1
+            out.append(row[v] if shared else (u, v))
             inside ^= vbit
     return out
 

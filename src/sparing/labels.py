@@ -101,9 +101,11 @@ def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
             f"the sum sets need {pairs} pairs of label elements; "
             f"verification is limited to {MAX_SUM_PAIRS}"
         )
+    # keyed by the edge list's own tuples, which graphs of at most 64 vertices share
     return {
-        (u, v): (f[u][0] + f[v][0],) if sizes[u] == 1 == sizes[v] else sumset(f[u], f[v])
-        for u, v in edges
+        e: (f[u][0] + f[v][0],) if sizes[u] == 1 == sizes[v] else sumset(f[u], f[v])
+        for e in edges
+        for u, v in (e,)
     }
 
 

@@ -216,11 +216,13 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
     those of the value phase.
 
-    ``threads`` is validated for interface compatibility; branch evaluation
-    is sequential, which makes the result trivially identical at any thread
-    count. A graph over 64 vertices raises TooLarge before any search.
+    ``threads`` is validated for interface compatibility (a positive int,
+    not a bool); branch evaluation is sequential, which makes the result
+    trivially identical at any thread count. A graph over 64 vertices raises TooLarge before any search.
     """
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
+    if threads is not None and (
+        isinstance(threads, bool) or not isinstance(threads, int) or threads < 1
+    ):
         raise ValueError("threads must be a positive integer")
     if g.n > SOLVE_MAX_VERTICES:
         raise TooLarge(f"solve is limited to {SOLVE_MAX_VERTICES} vertices")

@@ -3,9 +3,10 @@
 Usage: python tests/run_mutants.py
 
 Copies ``src/`` and ``tests/`` to a temporary directory and, for each rule
-below, applies one textual mutation there and runs the solver, acceptance and
-digest tests on the mutated copy. Each target text must occur exactly once,
-so that code which moved fails here instead of leaving its rule unchecked.
+below, applies one textual mutation there and runs the solver, acceptance,
+digest and graph tests on the mutated copy. Each target text must occur
+exactly once, so that code which moved fails here instead of leaving its rule
+unchecked.
 The unmutated copy must pass first. Exits 1 if a target is missing or a
 mutant survives, that is, if the tests pass with a rule broken.
 """
@@ -20,7 +21,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_solver.py", "tests/test_acceptance.py", "tests/test_solver_digest.py"]
+TESTS = [
+    "tests/test_solver.py", "tests/test_acceptance.py", "tests/test_solver_digest.py",
+    "tests/test_graphs.py",
+]
 SOLVER = "src/sparing/solver.py"
 
 # (rule, file, target text, mutated text)
@@ -52,6 +56,9 @@ MUTANTS = [
     ("construct_witness's labels", SOLVER,
      "(base, 2 * base) if chosen >> v & 1 else (base,)",
      "(base,) if chosen >> v & 1 else (base, 2 * base)"),
+    ("the shared edge rows' growth", "src/sparing/graphs.py",
+     "row.extend([(u, v) for v in range(old, n)])",
+     "row.extend([(u, v) for v in range(old + 1, n + 1)])"),
 ]
 
 

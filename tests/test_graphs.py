@@ -1,12 +1,17 @@
+import sys
+import threading
+
 import pytest
 
 from helpers import disjoint_union, validate
+from sparing import graphs
 from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
-from sparing.families import make
+from sparing.families import make, random_graph
 from sparing.graphs import (
     MAX_GRAPH_TEXT,
     SOLVE_MAX_VERTICES,
     edges_within,
+    edges_within_mask,
     graph_from_edges,
     is_independent,
     read_graph,
@@ -15,7 +20,8 @@ from sparing.graphs import (
     triangles_through,
     write_graph,
 )
-from sparing.solver import sparing_exact
+from sparing.labels import verify_weak
+from sparing.solver import solve_and_certify, sparing_exact
 
 
 def cycle(n):
@@ -84,6 +90,105 @@ class TestEdgesWithin:
         for extra in range(g.n):
             bigger = small | {extra}
             assert len(edges_within(g, bigger)) >= len(edges_within(g, small))
+
+
+def listed_directly(g, m):
+    """The edges inside the vertex bitset ``m`` by a double loop over the
+    adjacency bitsets, bypassing the shared edge table."""
+    return [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if m >> u & 1 and m >> v & 1 and g._adj[u] >> v & 1
+    ]
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """A fresh shared edge table for one test, so it grows from zero vertices."""
+    rows = []
+    monkeypatch.setattr(graphs, "_ROWS", rows)
+    return rows
+
+
+def assert_table_canonical(rows):
+    assert len(rows) <= SOLVE_MAX_VERTICES
+    for u, row in enumerate(rows):
+        assert len(row) == len(rows)
+        assert row[: u + 1] == [None] * (u + 1)
+        assert row[u + 1:] == [(u, v) for v in range(u + 1, len(rows))]
+
+
+class TestSharedEdgeTuples:
+    def test_equal_edges_of_different_graphs_are_one_object(self):
+        g, h = complete(5), random_graph(40, 0.5, 3)
+        listed = {e: e for e in h.edges()}
+        common = [e for e in g.edges() if e in listed]
+        assert common
+        assert all(e is listed[e] for e in common)
+        r, s = sparing_exact(g), sparing_exact(complete(6))
+        kept = {e: e for e in s.mono}
+        assert set(r.mono) <= set(kept)
+        assert all(e is kept[e] for e in r.mono)
+        assert all(e is listed[e] for e in r.mono if e in listed)
+        _, labeling = solve_and_certify(g)
+        assert all(e is kept[e] for e in verify_weak(g, labeling).mono)
+
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_matches_a_direct_double_loop(self, empty_table, order):
+        sizes = range(SOLVE_MAX_VERTICES + 1)
+        for n in sizes if order == "rising" else reversed(sizes):
+            for g in (complete(n) if n else graph_from_edges(0, []), random_graph(n, 0.3, n)):
+                full = (1 << n) - 1
+                assert edges_within_mask(g, full) == listed_directly(g, full)
+                odd = full & 0xAAAA_AAAA_AAAA_AAAA
+                assert edges_within_mask(g, odd) == listed_directly(g, odd)
+        assert_table_canonical(empty_table)
+
+    def test_graphs_above_the_cap_list_the_same_edges(self, empty_table):
+        k12 = complete(12)
+        big = subdivide_edges(k12, k12.edges())
+        assert big.n == 78
+        full = (1 << big.n) - 1
+        before = big.edges()
+        assert before == listed_directly(big, full)
+        assert len(empty_table) == 12  # grown by K12's own edges, not by the subdivision
+        for n in (5, 40, SOLVE_MAX_VERTICES):
+            complete(n).edges()
+        assert big.edges() == before
+        assert_table_canonical(empty_table)
+
+    def test_threads_growing_the_table_at_once(self, empty_table):
+        # each round starts from an empty table, and eight threads released
+        # together each list a clique of their own size, so they grow it at once
+        graphs_by_thread = [complete(8 * (k + 1)) for k in range(8)]
+        failures = []
+
+        def work(g, start):
+            try:
+                start.wait(timeout=60)
+                if g.edges() != listed_directly(g, (1 << g.n) - 1):
+                    failures.append(g.n)
+            except Exception as exc:  # reported by the assert below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                empty_table.clear()
+                start = threading.Barrier(len(graphs_by_thread))
+                workers = [threading.Thread(target=work, args=(g, start)) for g in graphs_by_thread]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in workers)
+                assert failures == []
+                assert_table_canonical(empty_table)
+                assert len(empty_table) == SOLVE_MAX_VERTICES
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDisjointUnion:

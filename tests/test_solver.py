@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -309,8 +310,10 @@ class TestExact:
         assert r1.stats.nodes == r8.stats.nodes
 
     def test_bad_threads(self):
-        with pytest.raises(ValueError):
-            sparing_exact(make("complete", n=3).graph, threads=0)
+        g = make("complete", n=3).graph
+        for threads in (0, -1, 2.0, "2", True, False):
+            with pytest.raises(ValueError, match="^threads must be a positive integer$"):
+                sparing_exact(g, threads=threads)
 
     def test_disjoint_union_additivity(self):
         pairs = [
@@ -420,6 +423,24 @@ def test_solves_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_kept_results_share_their_edge_tuples():
+    # mono lists hold the shared canonical tuples, so a kept result costs about
+    # one reference per mono edge; one new tuple per edge would retain about 61 B
+    sparing_exact(random_graph(64, 0.5, 100))  # grows the shared edge table
+    gc.collect()  # a full collection also empties the tuple free lists
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [sparing_exact(random_graph(64, 0.5, s)) for s in range(20)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    mono = sum(len(r.mono) for r in kept)
+    assert mono > 10_000
+    assert retained / mono <= 16
 
 
 class TestConstructWitness:
