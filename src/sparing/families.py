@@ -268,13 +268,28 @@ def make(family: str, **params) -> LabeledGraph:
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
-    """Seeded Erdos-Renyi G(n, p) graph; used by the test corpus and `corpus` command."""
-    if n < 0:
-        raise InvalidParam("random_graph requires n >= 0")
-    if not 0.0 <= density <= 1.0:
-        raise InvalidParam("random_graph requires density in [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
-    ]
-    return graph_from_edges(n, edges)
+    """Seeded Erdos-Renyi G(n, p) graph; used by the test corpus and `corpus` command.
+
+    The draw contract, which every seeded corpus, the solver digest and the
+    benchmark inputs rely on: ``random.Random(seed)`` makes one ``random()``
+    draw per vertex pair (u, v) with u < v, row by row (u rising, then v
+    rising), and uv is an edge exactly when that draw is below ``density``.
+    A change to this order or count changes every seeded graph.
+    """
+    _need(_is_int(n), "random_graph: n must be an integer")
+    _need(isinstance(density, (int, float)) and not isinstance(density, bool),
+          "random_graph: density must be a number")
+    _need(n >= 0, "random_graph requires n >= 0")
+    _need(0.0 <= density <= 1.0, "random_graph requires density in [0, 1]")
+    draw = random.Random(seed).random
+    bits = [1 << v for v in range(n)]
+    adj = [0] * n
+    for u in range(n):
+        bit = bits[u]
+        row = 0
+        for v in range(u + 1, n):
+            if draw() < density:
+                row |= bits[v]
+                adj[v] |= bit
+        adj[u] |= row
+    return Graph(n, tuple(adj))

@@ -54,7 +54,9 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        # internal: callers go through graph_from_edges / the derived operations
+        # internal: the builders that hand over symmetric loopless bitsets call it
+        # directly (graph_from_edges, shadow, subdivide_edges, families.random_graph);
+        # everyone else goes through them
         self.n = n
         self._adj = adj
 

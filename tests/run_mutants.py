@@ -1,10 +1,10 @@
-"""Check that the solver tests still catch a break of each solver rule.
+"""Check that the tests still catch a break of each solver and generator rule.
 
 Usage: python tests/run_mutants.py
 
 Copies ``src/`` and ``tests/`` to a temporary directory and, for each rule
 below, applies one textual mutation there and runs the solver, acceptance,
-digest and graph tests on the mutated copy. Each target text must occur
+digest, graph and family tests on the mutated copy. Each target text must occur
 exactly once, so that code which moved fails here instead of leaving its rule
 unchecked.
 The unmutated copy must pass first. Exits 1 if a target is missing or a
@@ -23,9 +23,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_solver.py", "tests/test_acceptance.py", "tests/test_solver_digest.py",
-    "tests/test_graphs.py",
+    "tests/test_graphs.py", "tests/test_families.py",
 ]
 SOLVER = "src/sparing/solver.py"
+FAMILIES = "src/sparing/families.py"
 
 # (rule, file, target text, mutated text)
 MUTANTS = [
@@ -59,6 +60,22 @@ MUTANTS = [
     ("the shared edge rows' growth", "src/sparing/graphs.py",
      "row.extend([(u, v) for v in range(old, n)])",
      "row.extend([(u, v) for v in range(old + 1, n + 1)])"),
+    ("random_graph's symmetric bit", FAMILIES,
+     "                adj[v] |= bit\n", ""),
+    ("random_graph's row-by-row draw order", FAMILIES,
+     "    for u in range(n):\n"
+     "        bit = bits[u]\n"
+     "        row = 0\n"
+     "        for v in range(u + 1, n):\n"
+     "            if draw() < density:\n"
+     "                row |= bits[v]\n"
+     "                adj[v] |= bit\n"
+     "        adj[u] |= row\n",
+     "    for v in range(n):\n"
+     "        for u in range(v):\n"
+     "            if draw() < density:\n"
+     "                adj[u] |= bits[v]\n"
+     "                adj[v] |= bits[u]\n"),
 ]
 
 

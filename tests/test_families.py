@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from helpers import validate
 from sparing.claims import check_claim, claim_by_id
 from sparing.errors import InvalidParam
 from sparing.families import FamilySpec, generate, make, random_graph
-from sparing.graphs import edges_within, is_independent
+from sparing.graphs import edges_within, graph_from_edges, is_independent
 from sparing.solver import sparing_exact
 
 
@@ -351,3 +353,35 @@ class TestRandomGraph:
 
     def test_validates(self):
         validate(random_graph(12, 0.5, 3))
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.5, 1.0, 0, 1])
+    def test_matches_the_edge_list_reference(self, density):
+        # the draw contract: one random() per pair u < v, row by row, and an
+        # edge wherever the draw is below density; above 64 vertices the
+        # edges are listed as fresh tuples
+        for n in [*range(65), 65, 70]:
+            for seed in (0, 7, 2**31 - 1):
+                rng = random.Random(seed)
+                edges = [
+                    (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+                ]
+                want, got = graph_from_edges(n, edges), random_graph(n, density, seed)
+                assert (got.n, got._adj, got.edges()) == (want.n, want._adj, want.edges())
+
+    @pytest.mark.parametrize(
+        "n,density,err",
+        [
+            (True, 0.5, "random_graph: n must be an integer"),
+            (5.0, 0.5, "random_graph: n must be an integer"),
+            ("5", 0.5, "random_graph: n must be an integer"),
+            (5, True, "random_graph: density must be a number"),
+            (5, "0.5", "random_graph: density must be a number"),
+            (5, None, "random_graph: density must be a number"),
+            (-1, 0.5, "random_graph requires n >= 0"),
+            (5, 1.5, r"random_graph requires density in \[0, 1\]"),
+            (5, float("nan"), r"random_graph requires density in \[0, 1\]"),
+        ],
+    )
+    def test_refuses_bad_arguments(self, n, density, err):
+        with pytest.raises(InvalidParam, match=f"^{err}$"):
+            random_graph(n, density, 1)
