@@ -20,6 +20,9 @@ packed cycle has three or more edges, so the goal is never below
 only at the first exclude branch where the incumbent has reached it, so the
 dense graphs whose optimum lies below the floor never pack, while bipartite
 graphs and chains of odd cycles still stop at their first optimum. The
+packing itself stops once it holds |E| - best cycles for the incumbent best:
+the goal is then best, the search stops just as it would at any lower goal,
+and the witness phase sets its own goal to the optimum either way. The
 lexicographically least optimal witness is then read off in one pass
 over the vertices: W's vertices are kept untested, every other vertex not
 blocked by the prefix is kept only if a search with the optimum as its goal
@@ -90,9 +93,13 @@ class SparingResult:
 
 
 def _finish(
-    g: Graph, witness_mask: int, nodes: int, value_nodes: int, t0: float
+    g: Graph,
+    witness: tuple[int, ...],
+    witness_mask: int,
+    nodes: int,
+    value_nodes: int,
+    t0: float,
 ) -> SparingResult:
-    witness = tuple(iter_bits(witness_mask))
     mono = tuple(edges_within_mask(g, ((1 << g.n) - 1) & ~witness_mask))
     stats = SearchStats(nodes, value_nodes, time.perf_counter() - t0)
     return SparingResult(len(mono), witness, mono, stats)
@@ -133,11 +140,13 @@ def sparing_bruteforce(g: Graph) -> SparingResult:
 
     visit(0, 0)
     del visit  # it refers to itself through its cell; a cycle would wait for the GC
-    return _finish(g, best_mask, nodes, nodes, t0)  # one pass finds both
+    # one pass finds both
+    return _finish(g, tuple(iter_bits(best_mask)), best_mask, nodes, nodes, t0)
 
 
-def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
-    """The size of a greedy packing of edge-disjoint odd cycles.
+def _odd_cycle_packing(adj: tuple[int, ...], need: int) -> int:
+    """The size of a greedy packing of edge-disjoint odd cycles, or ``need``
+    once it has packed that many.
 
     An independent set holds at most (k - 1) / 2 vertices of a k-cycle with k
     odd, so each packed cycle keeps a mono edge, and no independent set covers
@@ -147,8 +156,16 @@ def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
     odd cycle of length at most 2d + 1 (a triangle when d = 1), which is
     packed before the search from s runs again. A search that finds no such
     edge has 2-colored its component by level parity, so the component is
-    never searched again.
+    never searched again, and a start vertex with no edge left is skipped.
+
+    The solver passes ``need = |E| - best`` for its incumbent ``best``:
+    ``need`` cycles already prove the incumbent optimal, and a longer
+    packing would only lower a goal that the incumbent already meets, so
+    the greedy stops there. With ``need <= 0`` the incumbent covers every
+    edge and nothing is searched.
     """
+    if need <= 0:
+        return 0
     n = len(adj)
     rest = list(adj)  # the edges no packed cycle uses yet
     packed = 0
@@ -159,7 +176,7 @@ def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
 
     bipartite = 0  # vertices whose component in rest has no odd cycle
     for s in range(n):
-        while not bipartite >> s & 1:
+        while rest[s] and not bipartite >> s & 1:
             levels = [1 << s]  # breadth-first levels from s, as masks
             seen = levels[0]
             a = -1
@@ -203,6 +220,8 @@ def _odd_cycle_packing(adj: tuple[int, ...]) -> int:
                 cut(b, pb)
                 a, b = pa, pb
             packed += 1
+            if packed == need:
+                return need
     return packed
 
 
@@ -297,9 +316,10 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         if best >= goal:
             if packed:
                 return
-            # the incumbent reached the floor; the packing's goal decides
+            # the incumbent reached the floor; the packing's goal decides,
+            # and the packing stops once it proves the incumbent
             packed = True
-            goal = edges - _odd_cycle_packing(adj)
+            goal = edges - _odd_cycle_packing(adj, edges - best)
             if best >= goal:
                 return
         # the simplicial rule: skip the exclude child when v's free
@@ -323,6 +343,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     # prefix, so W's vertices need no test. Stop once the prefix is optimal:
     # a prefix precedes its extensions.
     known = best_set
+    witness = []
     c_mask = 0
     blocked = 0
     cov_c = 0
@@ -339,6 +360,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
             if best < goal:
                 continue
             known = best_set
+        witness.append(j)
         c_mask |= jbit
         blocked |= adj[j]
         cov_c += deg[j]
@@ -346,7 +368,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     if cov_c != goal:
         raise AssertionError("witness reconstruction ended below the optimum")
 
-    return _finish(g, c_mask, nodes, value_nodes, t0)
+    return _finish(g, tuple(witness), c_mask, nodes, value_nodes, t0)
 
 
 def construct_witness(g: Graph, independent: tuple[int, ...] | frozenset[int]) -> Labeling:

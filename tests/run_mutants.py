@@ -36,6 +36,10 @@ MUTANTS = [
      "if not free or cap <= best:", "if not free or cap - 1 <= best:"),
     ("the packing count", SOLVER,
      "    return packed\n", "    return packed + 1\n"),
+    ("the packing stopping one cycle short", SOLVER,
+     "_odd_cycle_packing(adj, edges - best)", "_odd_cycle_packing(adj, edges - best - 1)"),
+    ("the packing's stop test", SOLVER,
+     "            if packed == need:\n                return need\n", ""),
     ("the floor", SOLVER,
      "goal = edges - edges // 3", "goal = edges - edges // 4"),
     ("the pendant rule", SOLVER,

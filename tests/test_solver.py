@@ -65,8 +65,8 @@ def packings(monkeypatch):
     sizes = []
     pack = solver._odd_cycle_packing
 
-    def counted(adj):
-        sizes.append(pack(adj))
+    def counted(*args):
+        sizes.append(pack(*args))
         return sizes[-1]
 
     monkeypatch.setattr(solver, "_odd_cycle_packing", counted)
@@ -371,7 +371,7 @@ class TestOddCyclePacking:
         graphs = [make(family, **params).graph for family, params in self.FAMILY_CASES]
         graphs += [random_graph(4 + seed % 40, 0.05 + 0.1 * (seed % 9), seed) for seed in range(90)]
         for g in graphs:
-            packed = solver._odd_cycle_packing(adjacency(g))
+            packed = solver._odd_cycle_packing(adjacency(g), g.edge_count)
             assert packed <= g.edge_count // 3
             if g.n <= solver.BRUTEFORCE_MAX_VERTICES:
                 assert packed <= sparing_bruteforce(g).value
@@ -379,7 +379,30 @@ class TestOddCyclePacking:
     @pytest.mark.parametrize("count", [1, 2, 21])
     def test_disjoint_triangles_meet_the_third(self, count):
         g = shuffled(cycle_union(count, 3), count)
-        assert solver._odd_cycle_packing(adjacency(g)) == count == g.edge_count // 3
+        assert solver._odd_cycle_packing(adjacency(g), g.edge_count) == count == g.edge_count // 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: shuffled(cycle_union(12, 5), 0),
+            lambda: cycle_union(4, 7),
+            lambda: make("windmill", n=3, r=21).graph,
+            lambda: make("windmill", n=4, r=3).graph,
+            lambda: make("cactus_chain", cycles=[3, 5, 4, 7]).graph,
+            lambda: shuffled(make("cactus_chain", cycles=[5] * 15).graph, 0),
+        ],
+        ids=["12xC5", "4xC7", "friendship21", "windmill4x3", "cactus3547", "cactus15xC5"],
+    )
+    def test_stops_once_it_has_packed_need_cycles(self, build):
+        # the greedy order does not depend on need, so the packing returns
+        # need once the full packing reaches it, the full count otherwise,
+        # and 0 for need <= 0
+        g = build()
+        adj = adjacency(g)
+        full = solver._odd_cycle_packing(adj, g.edge_count)
+        assert full > 0
+        for need in range(-2, full + 3):
+            assert solver._odd_cycle_packing(adj, need) == min(max(need, 0), full)
 
 
 class TestLazyPacking:
