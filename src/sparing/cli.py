@@ -148,9 +148,24 @@ def _read(path: str, limit: int) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+# O_BINARY (Windows only) keeps os.write from turning "\n" into "\r\n"
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def _write(path: str | Path, text: str) -> None:
+    r"""Replace the file with ``text`` as UTF-8 with "\n" line ends on every
+    platform (a text-mode write would use the locale's encoding, and "\r\n"
+    on Windows). One ``os.write`` system call writes it, looped only if the
+    system writes part of it."""
+    data = text.encode()
     try:
-        Path(path).write_text(text)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
@@ -340,7 +355,8 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     _add_family_flags(sub)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command sub-parsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="sparing",
         description="Exact sparing numbers: solve, certify, verify, and check closed-form claims.",
@@ -383,19 +399,41 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--out-dir", required=True)
     corpus.set_defaults(func=cmd_corpus, parser=corpus)
 
-    return parser
+    return parser, subparsers.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call: parsing leaves it
-    unchanged, and building it costs more than most calls it serves."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers ``main`` uses, built on its first call: parsing leaves them
+    unchanged, and building them costs more than most calls they serve.
+    For a command argv the top-level parser was only a pass-through (it hands
+    everything after the command name to that command's sub-parser), so
+    ``main`` calls the sub-parser itself; the top-level parser words help and
+    errors for every other argv."""
+    return _build()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args, extras = parser.parse_known_args(argv)
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    When ``argv[0]`` names a command, the rest goes straight to that command's
+    sub-parser: the top-level parse would only pass it through. An argv with
+    ``--`` anywhere keeps the top-level route, since argparse versions differ
+    in how a parent parser reads ``--`` (3.11 refuses ``sparing -- solve``
+    as an unknown command)."""
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv and "--" not in argv else None
+    if command is None:
+        args, extras = parser.parse_known_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        args.command = argv[0]
     if extras:
         # the chosen command's usage lists the flags it does take
         args.parser.print_usage(sys.stderr)

@@ -1,12 +1,12 @@
-"""Check that the tests still catch a break of each solver and generator rule.
+"""Check that the tests still catch a break of each solver, generator and CLI rule.
 
 Usage: python tests/run_mutants.py
 
 Copies ``src/`` and ``tests/`` to a temporary directory and, for each rule
 below, applies one textual mutation there and runs the solver, acceptance,
-digest, graph and family tests on the mutated copy. Each target text must occur
-exactly once, so that code which moved fails here instead of leaving its rule
-unchecked.
+digest, graph, family, CLI and CLI parser tests on the mutated copy. Each
+target text must occur exactly once, so that code which moved fails here
+instead of leaving its rule unchecked.
 The unmutated copy must pass first. Exits 1 if a target is missing or a
 mutant survives, that is, if the tests pass with a rule broken.
 """
@@ -23,10 +23,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_solver.py", "tests/test_acceptance.py", "tests/test_solver_digest.py",
-    "tests/test_graphs.py", "tests/test_families.py",
+    "tests/test_graphs.py", "tests/test_families.py", "tests/test_cli.py",
+    "tests/test_cli_parser.py",
 ]
 SOLVER = "src/sparing/solver.py"
 FAMILIES = "src/sparing/families.py"
+CLI = "src/sparing/cli.py"
 
 # (rule, file, target text, mutated text)
 MUTANTS = [
@@ -80,6 +82,11 @@ MUTANTS = [
      "            if draw() < density:\n"
      "                adj[u] |= bits[v]\n"
      "                adj[v] |= bits[u]\n"),
+    ("_write's loop over partial writes", CLI,
+     "            while written < len(data):\n", "            if True:\n"),
+    ("the direct route's extras", CLI,
+     "args, extras = command.parse_known_args(argv[1:])",
+     "args, extras = command.parse_known_args(argv[1:])[0], []"),
 ]
 
 

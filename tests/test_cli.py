@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from sparing import labels
+from sparing import cli, labels
 from sparing.claims import check_claim, claim_by_id
 from sparing.cli import main
 from sparing.families import FamilySpec, make
@@ -154,6 +155,42 @@ class TestCertify:
         )
         assert code == 0
         assert out == f"weak-IASI: ok, mono={mono}\n"
+
+
+class TestWrite:
+    def test_certify_over_a_longer_file_leaves_no_stale_tail(self, capsys, tmp_path):
+        fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+        reused.write_text("x" * 5000)
+        for out_file in (fresh, reused):
+            code, _, _ = run(
+                capsys, "certify", "--family", "cycle", "--n", "9", "--out", str(out_file)
+            )
+            assert code == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert json.loads(reused.read_bytes())["vertices"] == 9
+
+    def test_one_system_call_writes_the_file(self, tmp_path, monkeypatch):
+        calls = []
+        real_write = os.write
+
+        def counted(fd, data):
+            calls.append(len(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted)
+        cli._write(tmp_path / "w.json", "[1]\n" * 200)
+        assert calls == [800]
+
+    def test_partial_writes_are_finished(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1]))
+        text = "0123456789\n" * 70
+        cli._write(tmp_path / "w.json", text)
+        assert (tmp_path / "w.json").read_text(encoding="utf-8") == text
+
+    def test_utf8_with_newline_ends(self, tmp_path):
+        cli._write(tmp_path / "w.txt", "# é\np 0 0\n")
+        assert (tmp_path / "w.txt").read_bytes() == b"# \xc3\xa9\np 0 0\n"
 
 
 class TestVerify:

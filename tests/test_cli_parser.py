@@ -1,8 +1,10 @@
-"""`sparing.cli.main` parses with one parser for the life of the process.
+"""`sparing.cli.main` parses with one set of parsers for the life of the process.
 
-Successive calls on the shared parser must print the same bytes and return
+Successive calls on the shared parsers must print the same bytes and return
 the same exit codes as calls that each build a fresh parser, across
 subcommands and after an argparse error has ended a call with SystemExit.
+A command argv goes straight to that command's sub-parser; it must print and
+return what the top-level parser's route does.
 """
 
 from types import SimpleNamespace
@@ -61,3 +63,78 @@ def test_shared_parser_prints_what_fresh_parsers_print(capsys, tmp_path, frozen_
     assert cli._parser.cache_info().misses == 1
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0, 0, 2, 3, 0, 0, 0]
+
+
+def command_argvs(tmp_path):
+    graph = tmp_path / "g.g"
+    graph.write_text("p 5 6\ne 0 1\ne 0 2\ne 1 2\ne 2 3\ne 2 4\ne 3 4\n")
+    labeling = tmp_path / "w.json"
+    g, w = str(graph), str(labeling)
+    return [
+        ["solve", "--family", "cycle", "--n", "9", "--format", "json"],
+        ["solve", "--family=wheel", "--m=7"],
+        ["solve", "--family", "cycle", "--n", "5", "--form", "json"],  # an abbreviation
+        ["solve", "-h"],
+        ["solve", "--family", "cycle", "--n", "5", "stray", "--bogus"],  # extras
+        ["solve", "--format", "xml"],
+        ["solve", "--", "--family", "cycle", "--n", "9"],
+        ["solve"],
+        ["certify", "--graph", g, "--out", w, "--format", "json"],
+        ["certify", "--graph", g],  # --out is required
+        ["certify", "--graph", g, "--out", w, "--threads", "1", "--n", "4"],
+        ["certify", "--help"],
+        ["verify", "--graph", g, "--labeling", w],
+        ["verify", "--graph=" + g, "--lab", w, "--format", "json"],
+        ["verify", "--graph", g],  # --labeling is required
+        ["verify", "--graph", g, "--labeling", w, "--format", "csv"],
+        ["verify", "--graph", g, "--labeling", w, "--mode", "fresh"],  # an extra flag
+        ["check", "--claim", "C1", "--n", "3..5", "--format", "csv"],
+        ["check", "--claim=C13", "--family", "cycle", "--n", "5", "--mo", "induced"],
+        ["check", "--claim", "C1", "--n", "5", "--graph", g],
+        ["check", "--n", "5"],  # --claim is required
+        ["check", "--claim", "C1", "--n", "4", "--format", "yaml"],
+        ["check", "-h"],
+        ["corpus", "--count", "2", "--n", "4..6", "--out-dir", str(tmp_path / "corpus")],
+        ["corpus", "--count=1", "--dens", "0.5", "--out-dir", str(tmp_path / "c2"), "x"],
+        ["corpus", "--count", "2"],  # --out-dir is required
+        ["corpus", "--count", "two", "--out-dir", str(tmp_path / "c3")],
+        ["corpus", "-h"],
+    ]
+
+
+def top_level_route(monkeypatch):
+    """Send every argv through a fresh top-level parser, as before the direct route."""
+    monkeypatch.setattr(cli, "_parser", lambda: (cli.build_parser(), {}))
+
+
+def test_command_argvs_print_what_the_top_level_route_prints(
+    capsys, tmp_path, frozen_clock, monkeypatch
+):
+    argvs = command_argvs(tmp_path)
+    direct = [run(capsys, argv) for argv in argvs]
+    top_level_route(monkeypatch)
+    assert [run(capsys, argv) for argv in argvs] == direct
+    assert [code for code, _, _ in direct] == [
+        0, 0, 0, 0, 2, 2, 2, 2,
+        0, 2, 2, 0,
+        0, 0, 2, 2, 2,
+        0, 0, 2, 2, 2, 0,
+        0, 2, 2, 2, 0,
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["bogus"], ["--", "solve", "--family", "cycle", "--n", "9"], ["--help", "solve"]],
+)
+def test_other_argvs_keep_the_top_level_parser(capsys, frozen_clock, monkeypatch, argv):
+    got = run(capsys, argv)
+    top_level_route(monkeypatch)
+    assert got == run(capsys, argv)
+    code, out, err = got
+    if argv in ([], ["bogus"]):
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sparing [-h] {solve,certify,verify,check,corpus}")
+    elif argv[0] != "--":  # whether argparse drops a leading -- depends on its version
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: sparing [-h] {solve,certify,verify,check,corpus}")
