@@ -7,13 +7,13 @@ subdivisions) branch-free and cheap to share across solver branches.
 Edge lists hold canonical ``(u, v)`` tuples, ``u < v``. In a graph of at most
 64 vertices these tuples are shared: every edge list (``Graph.edges()``, a
 solve's ``mono``, a verdict's edge keys) holds the same immutable tuple for the
-same edge, taken from one table of at most 2,016 tuples, so a kept list costs
-one reference per edge. Larger graphs get fresh tuples.
+same edge, taken from one table of 2,016 tuples that is built once at import
+and never changes, so a kept list costs one reference per edge. Larger graphs
+get fresh tuples.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Iterator
 
 from .errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
@@ -24,24 +24,13 @@ SOLVE_MAX_VERTICES = 64  # the largest graph any command or graph file may have
 MAX_GRAPH_TEXT = 1_000_000  # characters; a complete 64-vertex graph file has about 16,000
 
 
-# Row u holds the shared tuple (u, v) at index v for every u < v < len(_ROWS),
-# and None at and below the diagonal. The table grows in place, and only up to
-# SOLVE_MAX_VERTICES, to the largest graph listed so far: old rows are
-# extended before new full-length rows are appended, so every row is at least
-# len(_ROWS) long whenever another thread reads it.
-_ROWS: list[list[Edge | None]] = []
-_ROWS_LOCK = threading.Lock()
-
-
-def _grow_rows(n: int) -> None:
-    with _ROWS_LOCK:
-        old = len(_ROWS)  # read under the lock: another thread may have grown it
-        if n <= old:
-            return
-        for u, row in enumerate(_ROWS):
-            row.extend([(u, v) for v in range(old, n)])
-        for u in range(old, n):
-            _ROWS.append([None] * (u + 1) + [(u, v) for v in range(u + 1, n)])
+# Row u holds the shared tuple (u, v) at index v for every u < v <
+# SOLVE_MAX_VERTICES, and None at and below the diagonal. Built once at import;
+# nothing changes it or its rows.
+_ROWS: list[list[Edge | None]] = [
+    [None] * (u + 1) + [(u, v) for v in range(u + 1, SOLVE_MAX_VERTICES)]
+    for u in range(SOLVE_MAX_VERTICES)
+]
 
 
 def _canon(u: int, v: int) -> Edge:
@@ -112,6 +101,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a graph on vertices 0..n-1 from an (unordered, possibly repeated) edge list."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise IndexOutOfRange(f"vertex count {n!r} is not an integer")
     if n < 0:
         raise IndexOutOfRange(f"vertex count {n} is negative")
     adj = [0] * n
@@ -154,8 +145,6 @@ def edges_within_mask(g: Graph, m: int) -> list[Edge]:
     ``(u, v)`` tuple of the module's table, the same object in every list;
     a larger graph's edges are fresh tuples."""
     shared = g.n <= SOLVE_MAX_VERTICES
-    if shared and g.n > len(_ROWS):
-        _grow_rows(g.n)
     out = []
     while m:
         low = m & -m

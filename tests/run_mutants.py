@@ -63,9 +63,8 @@ MUTANTS = [
     ("construct_witness's labels", SOLVER,
      "(base, 2 * base) if chosen >> v & 1 else (base,)",
      "(base,) if chosen >> v & 1 else (base, 2 * base)"),
-    ("the shared edge rows' growth", "src/sparing/graphs.py",
-     "row.extend([(u, v) for v in range(old, n)])",
-     "row.extend([(u, v) for v in range(old + 1, n + 1)])"),
+    ("the shared edge table's diagonal", "src/sparing/graphs.py",
+     "[None] * (u + 1)", "[None] * u"),
     ("random_graph's symmetric bit", FAMILIES,
      "                adj[v] |= bit\n", ""),
     ("random_graph's row-by-row draw order", FAMILIES,

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,12 @@ class TestGraphFromEdges:
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
             graph_from_edges(3, [(1, 1)])
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "3", None, -1])
+    def test_vertex_count_must_be_a_non_negative_int(self, n):
+        # a bool would pass as an int: Graph(n=True) writes 'p True 0', which read_graph refuses
+        with pytest.raises(IndexOutOfRange):
+            graph_from_edges(n, [])
 
     def test_generated_graphs_are_valid(self):
         for g in (complete(5), cycle(7), make("complete_sun", n=4).graph):
@@ -103,20 +112,17 @@ def listed_directly(g, m):
     ]
 
 
-@pytest.fixture
-def empty_table(monkeypatch):
-    """A fresh shared edge table for one test, so it grows from zero vertices."""
-    rows = []
-    monkeypatch.setattr(graphs, "_ROWS", rows)
-    return rows
-
-
 def assert_table_canonical(rows):
-    assert len(rows) <= SOLVE_MAX_VERTICES
+    assert len(rows) == SOLVE_MAX_VERTICES
     for u, row in enumerate(rows):
-        assert len(row) == len(rows)
+        assert len(row) == SOLVE_MAX_VERTICES
         assert row[: u + 1] == [None] * (u + 1)
-        assert row[u + 1:] == [(u, v) for v in range(u + 1, len(rows))]
+        assert row[u + 1:] == [(u, v) for v in range(u + 1, SOLVE_MAX_VERTICES)]
+
+
+def table_identity():
+    """The ids of the shared table's rows and of every tuple in them."""
+    return [id(row) for row in graphs._ROWS] + [id(e) for row in graphs._ROWS for e in row]
 
 
 class TestSharedEdgeTuples:
@@ -134,8 +140,23 @@ class TestSharedEdgeTuples:
         _, labeling = solve_and_certify(g)
         assert all(e is kept[e] for e in verify_weak(g, labeling).mono)
 
+    def test_table_is_full_right_after_import(self):
+        # a fresh interpreter, so that no edge list is made before the check
+        code = (
+            "from sparing.graphs import SOLVE_MAX_VERTICES as N, _ROWS\n"
+            "assert _ROWS == [[None] * (u + 1) + [(u, v) for v in range(u + 1, N)]"
+            " for u in range(N)]\n"
+            "assert len(_ROWS) == N == 64\n"
+        )
+        src = str(Path(graphs.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert_table_canonical(graphs._ROWS)
+
     @pytest.mark.parametrize("order", ["rising", "falling"])
-    def test_matches_a_direct_double_loop(self, empty_table, order):
+    def test_matches_a_direct_double_loop(self, order):
+        before = table_identity()
         sizes = range(SOLVE_MAX_VERTICES + 1)
         for n in sizes if order == "rising" else reversed(sizes):
             for g in (complete(n) if n else graph_from_edges(0, []), random_graph(n, 0.3, n)):
@@ -143,26 +164,27 @@ class TestSharedEdgeTuples:
                 assert edges_within_mask(g, full) == listed_directly(g, full)
                 odd = full & 0xAAAA_AAAA_AAAA_AAAA
                 assert edges_within_mask(g, odd) == listed_directly(g, odd)
-        assert_table_canonical(empty_table)
+        assert_table_canonical(graphs._ROWS)
+        assert table_identity() == before
 
-    def test_graphs_above_the_cap_list_the_same_edges(self, empty_table):
+    def test_graphs_above_the_cap_list_the_same_edges(self):
         k12 = complete(12)
         big = subdivide_edges(k12, k12.edges())
         assert big.n == 78
         full = (1 << big.n) - 1
         before = big.edges()
         assert before == listed_directly(big, full)
-        assert len(empty_table) == 12  # grown by K12's own edges, not by the subdivision
         for n in (5, 40, SOLVE_MAX_VERTICES):
             complete(n).edges()
         assert big.edges() == before
-        assert_table_canonical(empty_table)
+        assert_table_canonical(graphs._ROWS)
 
-    def test_threads_growing_the_table_at_once(self, empty_table):
-        # each round starts from an empty table, and eight threads released
-        # together each list a clique of their own size, so they grow it at once
+    def test_threads_listing_at_once(self):
+        # eight threads released together each list a clique of their own
+        # size from the one table, which none of them may change
         graphs_by_thread = [complete(8 * (k + 1)) for k in range(8)]
         failures = []
+        before = table_identity()
 
         def work(g, start):
             try:
@@ -176,7 +198,6 @@ class TestSharedEdgeTuples:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                empty_table.clear()
                 start = threading.Barrier(len(graphs_by_thread))
                 workers = [threading.Thread(target=work, args=(g, start)) for g in graphs_by_thread]
                 for t in workers:
@@ -185,8 +206,8 @@ class TestSharedEdgeTuples:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in workers)
                 assert failures == []
-                assert_table_canonical(empty_table)
-                assert len(empty_table) == SOLVE_MAX_VERTICES
+                assert_table_canonical(graphs._ROWS)
+                assert table_identity() == before
         finally:
             sys.setswitchinterval(interval)
 

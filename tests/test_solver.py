@@ -451,7 +451,7 @@ def test_solves_leave_no_cyclic_garbage():
 def test_kept_results_share_their_edge_tuples():
     # mono lists hold the shared canonical tuples, so a kept result costs about
     # one reference per mono edge; one new tuple per edge would retain about 61 B
-    sparing_exact(random_graph(64, 0.5, 100))  # grows the shared edge table
+    sparing_exact(random_graph(64, 0.5, 100))  # one-time allocations fall before the measure
     gc.collect()  # a full collection also empties the tuple free lists
     tracemalloc.start()
     try:
