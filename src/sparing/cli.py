@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import random
+import stat
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -140,23 +142,48 @@ def _load_graph(args) -> Graph:
 
 
 def _read(path: str, limit: int) -> str:
-    """The file as UTF-8 text, cut one character past ``limit`` for its reader to refuse."""
+    r"""The file as UTF-8 text with "\r\n" and "\r" read as "\n", cut one
+    character past ``limit`` for its reader to refuse.
+
+    A regular file of at most ``limit`` bytes holds at most ``limit``
+    characters, so it is read whole in one read sized by fstat and decoded at
+    once. Every other file, one whose size changed under the read, and one
+    that is not UTF-8 go through the text layer, which stops at ``limit + 1``
+    characters and words a decode error by the chunk it read."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read(limit + 1)
+        with open(path, "rb", buffering=0) as raw:
+            info = os.fstat(raw.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size <= limit:
+                data = raw.read(info.st_size + 1)
+                if len(data) == info.st_size:
+                    try:
+                        return data.decode().replace("\r\n", "\n").replace("\r", "\n")
+                    except UnicodeDecodeError:
+                        pass
+                raw.seek(0)
+            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
+                return fh.read(limit + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
 # O_BINARY (Windows only) keeps os.write from turning "\n" into "\r\n"
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _write(path: str | Path, text: str) -> None:
     r"""Replace the file with ``text`` as UTF-8 with "\n" line ends on every
     platform (a text-mode write would use the locale's encoding, and "\r\n"
     on Windows). One ``os.write`` system call writes it, looped only if the
-    system writes part of it."""
+    system writes part of it.
+
+    The file is rewritten in place: opened without O_TRUNC, written from its
+    start, then cut to the new length if it was longer. It is never emptied
+    first, since truncating a file to zero and writing it again makes a
+    filesystem such as ext4 allocate and flush its blocks at close. A special
+    file (``/dev/null``, a FIFO) reports size 0 and is never cut. Nothing is
+    fsynced: a crash mid-write can leave the new text over the old one's tail,
+    but not an emptied file, and ``verify`` rejects a torn labeling."""
     data = text.encode()
     try:
         fd = os.open(path, _WRITE_FLAGS, 0o666)
@@ -164,6 +191,8 @@ def _write(path: str | Path, text: str) -> None:
             written = 0
             while written < len(data):
                 written += os.write(fd, data[written:])
+            if os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
         finally:
             os.close(fd)
     except OSError as exc:

@@ -83,6 +83,10 @@ MUTANTS = [
      "                adj[v] |= bits[u]\n"),
     ("_write's loop over partial writes", CLI,
      "            while written < len(data):\n", "            if True:\n"),
+    ("_write's shrink of a longer file", CLI,
+     "                os.ftruncate(fd, written)\n", "                pass\n"),
+    ("_read's newline translation", CLI,
+     r'.replace("\r\n", "\n").replace("\r", "\n")', ""),
     ("the direct route's extras", CLI,
      "args, extras = command.parse_known_args(argv[1:])",
      "args, extras = command.parse_known_args(argv[1:])[0], []"),

@@ -7,8 +7,8 @@ from sparing import cli, labels
 from sparing.claims import check_claim, claim_by_id
 from sparing.cli import main
 from sparing.families import FamilySpec, make
-from sparing.graphs import write_graph
-from sparing.labels import write_labeling
+from sparing.graphs import MAX_GRAPH_TEXT, write_graph
+from sparing.labels import MAX_LABELING_TEXT, write_labeling
 
 
 def run(capsys, *argv):
@@ -191,6 +191,108 @@ class TestWrite:
     def test_utf8_with_newline_ends(self, tmp_path):
         cli._write(tmp_path / "w.txt", "# é\np 0 0\n")
         assert (tmp_path / "w.txt").read_bytes() == b"# \xc3\xa9\np 0 0\n"
+
+    def test_a_rewrite_never_empties_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.json"
+        path.write_text("x" * 100)
+        flags = []
+        real_open = os.open
+
+        def recorded(name, flag, *rest):
+            flags.append(flag)
+            return real_open(name, flag, *rest)
+
+        monkeypatch.setattr(os, "open", recorded)
+        cli._write(path, "[1]\n")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+        assert path.read_bytes() == b"[1]\n"
+
+    def test_the_null_device_is_not_cut(self, capsys):
+        cli._write(os.devnull, "[1]\n")
+        assert run(capsys, "certify", "--family", "cycle", "--n", "9", "--out", os.devnull)[0] == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="FIFOs are POSIX only")
+    def test_a_fifo_gets_the_text(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cli._write(fifo, "p 2 1\ne 0 1\n")
+            assert os.read(reader, 100) == b"p 2 1\ne 0 1\n"
+        finally:
+            os.close(reader)
+
+
+_GRAPH = write_graph(make("cycle", n=5).graph)
+_LABELING = json.dumps(json.loads(write_labeling(3, {0: (1,), 1: (2, 4), 2: (8,)})), indent=1)
+
+
+class TestRead:
+    @pytest.mark.parametrize(
+        "data,limit",
+        [
+            (_GRAPH.replace("\n", "\r\n").encode(), MAX_GRAPH_TEXT),
+            (_LABELING.replace("\n", "\r\n").encode(), MAX_LABELING_TEXT),
+            (_GRAPH.replace("\n", "\r").encode(), MAX_GRAPH_TEXT),
+            (_LABELING.replace("\n", "\r").encode(), MAX_LABELING_TEXT),
+            (b"a\r\rb\r\n\n\r", MAX_GRAPH_TEXT),
+            (b"\xef\xbb\xbf" + _GRAPH.encode(), MAX_GRAPH_TEXT),
+            (b"", MAX_GRAPH_TEXT),
+            (b"a" * 16, 16),
+            (b"a" * 17, 16),
+            (b"a" * 40, 16),
+            (b"a\r\n" * 6, 16),
+            (("é" * 10 + "€" * 6).encode(), 16),
+            (("é" * 17).encode(), 16),
+            (b"a" * 9000 + b"\xff" + b"a" * 10, MAX_GRAPH_TEXT),
+            (b"p 2 1\ne 0 1\xff", MAX_GRAPH_TEXT),
+            (b"p 2 1\ne 0 1\xc3", MAX_GRAPH_TEXT),
+        ],
+    )
+    def test_matches_the_text_layer(self, tmp_path, data, limit):
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        self.assert_same(str(path), limit)
+
+    def test_a_directory_and_a_missing_path(self, tmp_path):
+        self.assert_same(str(tmp_path), MAX_GRAPH_TEXT)
+        self.assert_same(str(tmp_path / "missing"), MAX_GRAPH_TEXT)
+
+    def test_a_file_that_grew_under_the_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.g"
+        path.write_bytes(b"p 2 1\r\ne 0 1\r\n")
+        real_fstat = os.fstat
+
+        def stale(fd):  # the size the file had before 9 bytes were appended
+            info = real_fstat(fd)
+            return os.stat_result((*info[:6], 5, *info[7:10]))
+
+        monkeypatch.setattr(os, "fstat", stale)
+        assert cli._read(str(path), 100) == "p 2 1\ne 0 1\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"p 2 1\r\ne 0 1\r\n")
+            os.close(write_end)
+            assert cli._read(f"/dev/fd/{read_end}", 100) == "p 2 1\ne 0 1\n"
+        finally:
+            os.close(read_end)
+
+    @staticmethod
+    def assert_same(path, limit):
+        """``cli._read`` gives the text, or the error type and message, of the read it replaced."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                want = fh.read(limit + 1)
+        except (OSError, UnicodeDecodeError) as exc:
+            want = type(exc), f"cannot read {path}: {exc}"
+        try:
+            got = cli._read(path, limit)
+        except cli.InputError as exc:
+            got = type(exc.__context__), str(exc)
+        assert got == want
 
 
 class TestVerify:
@@ -419,6 +521,20 @@ class TestCorpus:
         assert names == ["graph_000.g", "graph_001.g", "graph_002.g", "graph_003.g"]
         for name in names:
             assert (dir_a / name).read_text() == (dir_b / name).read_text()
+
+    def test_a_smaller_corpus_over_a_larger_one(self, capsys, tmp_path):
+        def corpus(n, target):
+            code, _, _ = run(
+                capsys, "corpus", "--count", "3", "--n", n, "--density", "0.5",
+                "--seed", "4", "--out-dir", str(target),
+            )
+            assert code == 0
+            return {p.name: p.read_bytes() for p in target.iterdir()}
+
+        larger = corpus("12", tmp_path / "reused")
+        reused = corpus("6", tmp_path / "reused")
+        assert reused == corpus("6", tmp_path / "fresh")
+        assert all(len(reused[name]) < len(larger[name]) for name in larger)
 
     def test_generated_files_solve(self, capsys, tmp_path):
         run(
