@@ -384,8 +384,11 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     _add_family_flags(sub)
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its command sub-parsers, by command name."""
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command sub-parsers, by command name, built
+    on ``main``'s first call: parsing leaves them unchanged, and building them
+    costs more than most calls they serve."""
     parser = argparse.ArgumentParser(
         prog="sparing",
         description="Exact sparing numbers: solve, certify, verify, and check closed-form claims.",
@@ -431,38 +434,22 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     return parser, subparsers.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers ``main`` uses, built on its first call: parsing leaves them
-    unchanged, and building them costs more than most calls they serve.
-    For a command argv the top-level parser was only a pass-through (it hands
-    everything after the command name to that command's sub-parser), so
-    ``main`` calls the sub-parser itself; the top-level parser words help and
-    errors for every other argv."""
-    return _build()
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
-    When ``argv[0]`` names a command, the rest goes straight to that command's
-    sub-parser: the top-level parse would only pass it through. An argv with
-    ``--`` anywhere keeps the top-level route, since argparse versions differ
-    in how a parent parser reads ``--`` (3.11 refuses ``sparing -- solve``
-    as an unknown command)."""
+    When ``argv[0]`` names a command, or is ``--`` followed by a command name,
+    the rest goes to that command's sub-parser. Every other argv goes to the
+    top-level parser, which only prints help and errors."""
     parser, commands = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    command = commands.get(argv[0]) if argv and "--" not in argv else None
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in commands:
+        argv = argv[1:]
+    command = commands.get(argv[0]) if argv else None
     if command is None:
         args, extras = parser.parse_known_args(argv)
     else:
         args, extras = command.parse_known_args(argv[1:])
-        args.command = argv[0]
     if extras:
         # the chosen command's usage lists the flags it does take
         args.parser.print_usage(sys.stderr)

@@ -279,6 +279,7 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
     _need(_is_int(n), "random_graph: n must be an integer")
     _need(isinstance(density, (int, float)) and not isinstance(density, bool),
           "random_graph: density must be a number")
+    _need(_is_int(seed), "random_graph: seed must be an integer")
     _need(n >= 0, "random_graph requires n >= 0")
     _need(0.0 <= density <= 1.0, "random_graph requires density in [0, 1]")
     draw = random.Random(seed).random

@@ -90,6 +90,8 @@ MUTANTS = [
     ("the direct route's extras", CLI,
      "args, extras = command.parse_known_args(argv[1:])",
      "args, extras = command.parse_known_args(argv[1:])[0], []"),
+    ("main's leading -- before a command", CLI,
+     "        argv = argv[1:]\n", "        pass\n"),
 ]
 
 

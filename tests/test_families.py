@@ -385,3 +385,9 @@ class TestRandomGraph:
     def test_refuses_bad_arguments(self, n, density, err):
         with pytest.raises(InvalidParam, match=f"^{err}$"):
             random_graph(n, density, 1)
+
+    # random.Random(None) seeds from the clock, and a list seed is unhashable
+    @pytest.mark.parametrize("seed", [None, [1], True, 1.0, "1"])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(InvalidParam, match="^random_graph: seed must be an integer$"):
+            random_graph(12, 0.5, seed)
