@@ -20,7 +20,7 @@ from .errors import DomainError, MissingGraph, TooLarge
 from .families import (
     FAMILY_PARAMS, FamilySpec, LabeledGraph, check_range, checked_param, generate, render_params,
 )
-from .graphs import SOLVE_MAX_VERTICES, mask_of, subdivide_edges, shadow, triangles_through
+from .graphs import mask_of, subdivide_edges, shadow, triangles_through
 from .labels import Labeling, sumset, verify_weak
 from .solver import SparingResult, solve_and_certify, sparing_exact
 
@@ -56,9 +56,7 @@ def _family_instance(claim: Claim, p: Params) -> LabeledGraph:
 
 
 def _solve_instance(p: Params, lg: LabeledGraph) -> tuple[int, int]:
-    """The exact solver on the instance; one over 64 vertices is refused first."""
-    if lg.graph.n > SOLVE_MAX_VERTICES:
-        raise TooLarge(f"needs {lg.graph.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}")
+    """The exact solver on the instance, which refuses one over 64 vertices."""
     result = sparing_exact(lg.graph)
     return result.value, len(result.witness)
 
@@ -83,7 +81,7 @@ class Claim:
     - ``build`` makes the instance; by default ``family`` at the parameters.
     - ``exact`` gives the value the prediction is compared with and the
       witness size; by default the exact solver on the instance, which
-      refuses an instance over 64 vertices before it solves.
+      refuses one over 64 vertices, naming its count, before it solves.
     """
 
     id: str
@@ -282,22 +280,19 @@ def check_claim(claim: Claim, params: Params) -> ClaimVerdict:
     solver on the claim's instance at ``params``.
 
     Raises DomainError for a point outside the claim, and TooLarge, naming
-    the claim and the point, for an instance that cannot be built or one
-    over 64 vertices that the claim would solve; both before any solve of
-    the instance. The claim's exact rule returns the value and the witness
-    size, and the value is also the row's mono count.
+    the claim and the point, for an instance over 64 vertices (a family one
+    before any edge is made) or one that cannot be built; all before any
+    solve of the instance. The claim's exact rule returns the value and the
+    witness size, and the value is also the row's mono count.
     """
     point = claim._point(params)
     where = render_params(point, claim.param_order)
     try:
         lg = claim.build(claim, point)
-    except TooLarge as exc:
-        raise TooLarge(f"claim {claim.id} at {where}: {exc}") from None
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         exact, witness_size = claim.exact(point, lg)
     except TooLarge as exc:
-        raise TooLarge(f"claim {claim.id} at {where} {exc}") from None
+        raise TooLarge(f"claim {claim.id} at {where}: {exc}") from None
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     predicted = predicted_value(claim, point, lg)
     base = point.get("base")

@@ -23,7 +23,7 @@ from typing import Iterator
 from . import claims as claims_mod
 from .claims import MODES, check_claim, claim_by_id
 from .errors import GraphFormatError, SparingError, TooLarge
-from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph
+from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph, vertex_count
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
@@ -51,16 +51,6 @@ def _parse_int(text: str, flag: str) -> int:
         raise InputError(f"--{flag} expects an integer, got {text!r}") from None
 
 
-def _check_cap(flag: str, size: int) -> None:
-    """Refuse --flag before any build if its family needs ``size`` (> cap) vertices.
-    A CLI family has at least as many vertices as each of its parameters, its
-    list's length, and its list's sum less one per item after the first."""
-    if size > SOLVE_MAX_VERTICES:
-        raise TooLarge(
-            f"--{flag} needs {size} or more vertices; graphs are limited to {SOLVE_MAX_VERTICES}"
-        )
-
-
 def _parse_range(text: str, flag: str, ranged: bool = True) -> range:
     """'4' -> range(4, 5); when ``ranged``, '3..6' -> range(3, 7)."""
     if ranged and ".." in text:
@@ -70,7 +60,6 @@ def _parse_range(text: str, flag: str, ranged: bool = True) -> range:
             raise InputError(f"--{flag}: empty range {text!r}")
     else:
         lo = hi = _parse_int(text, flag)
-    _check_cap(flag, hi)
     return range(lo, hi + 1)
 
 
@@ -91,7 +80,8 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
     """Parameter dicts for the registry family ``family`` from the CLI flags;
     the cross product of any ranges, in flag order with the last flag varying
     fastest. ``owner`` names what needs the flags in the missing-flag error.
-    Every flag is parsed before the first point is made."""
+    Every flag is parsed, and a top point over 64 vertices refused (no valid
+    point has more vertices than the top one), before the first point is made."""
     order = FAMILY_PARAMS[family]
     dims: list = []
     for flag in order:
@@ -101,11 +91,9 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
         if flag not in LIST_PARAMS:
             dims.append(_parse_range(raw, flag, ranged))
             continue
-        items = [item for item in raw.split(",") if item != ""]
-        _check_cap(flag, len(items))
-        ranges = [_parse_range(item, flag, ranged) for item in items]
-        _check_cap(flag, sum(r.start for r in ranges) - len(ranges) + 1)  # the least point
-        dims.append(ranges)
+        dims.append([_parse_range(item, flag, ranged) for item in raw.split(",")])
+    top = [[r[-1] for r in dim] if isinstance(dim, list) else dim[-1] for dim in dims]
+    vertex_count(family, dict(zip(order, top)))
     return (dict(zip(order, values)) for values in _sweep(dims))
 
 
@@ -313,7 +301,7 @@ def _claim_points(claim, args) -> Iterator[dict]:
         return _family_params(args, claim.family, True, owner)
     # a list family (--parts) whose claim names each item
     raw = getattr(args, flag)
-    if raw is not None and len([i for i in raw.split(",") if i != ""]) != len(claim.param_order):
+    if raw is not None and len(raw.split(",")) != len(claim.param_order):
         raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
     points = _family_params(args, claim.family, True, owner)
     return (dict(zip(claim.param_order, point[flag])) for point in points)
@@ -351,6 +339,9 @@ def cmd_check(args) -> int:
 def cmd_corpus(args) -> int:
     out_dir = Path(args.out_dir)
     sizes = _parse_range(args.n, "n")
+    if sizes[-1] > SOLVE_MAX_VERTICES:
+        raise TooLarge(f"--n needs {sizes[-1]} or more vertices; "
+                       f"graphs are limited to {SOLVE_MAX_VERTICES}")
     if sizes.start < 0:
         raise InputError("random_graph requires n >= 0")
     if args.count < 0:

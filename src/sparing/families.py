@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidParam
-from .graphs import Edge, Graph, graph_from_edges
+from .errors import InvalidParam, TooLarge
+from .graphs import SOLVE_MAX_VERTICES, Edge, Graph, graph_from_edges
 
 Partitions = dict[str, frozenset[int]]
 
@@ -149,10 +149,7 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
     # X vertices first (one per adjacency row; _attach numbers its core
     # first), then Y, then Z; the Y-Z biclique is always present, the X rows
     # list neighbors in Y u Z by relative index 0..y+z-1 (0..y-1 lands in Y).
-    y = params["y"]
-    z = params["z"]
-    adjacency = params.get("adjacency")
-    _need(isinstance(adjacency, (list, tuple)), "bisplit requires an adjacency list for X")
+    y, z, adjacency = params["y"], params["z"], params["adjacency"]
     x = len(adjacency)
     edges = []
     for i, row in enumerate(adjacency):
@@ -181,8 +178,7 @@ def _attach(r: int, core_edges, rows: Sequence[Iterable[int]], core: str,
 
 def _split(params) -> tuple[Graph, Partitions]:
     # adjacency rows, one per independent vertex, list its clique neighbors
-    r, adjacency = params["r"], params.get("adjacency")
-    _need(isinstance(adjacency, (list, tuple)), "split requires an adjacency list")
+    r, adjacency = params["r"], params["adjacency"]
     for row in adjacency:
         _need(isinstance(row, (list, tuple)), "split adjacency rows must be lists")
         _need(all(_is_int(u) and 0 <= u < r for u in row),
@@ -212,52 +208,79 @@ def _windmill(n: int, r: int) -> tuple[Graph, Partitions]:
     return graph_from_edges(total, edges), parts
 
 
-# each family's builder and the least value of each of its parameters, in
-# report order; a list parameter's least value bounds every item, and None
-# marks the adjacency rows of split and bisplit, which their builders check;
+def _rows(params, message: str) -> int:
+    # the number of adjacency rows of split or bisplit; InvalidParam unless a list
+    _need(isinstance(params.get("adjacency"), (list, tuple)), message)
+    return len(params["adjacency"])
+
+
+# each family's builder, the least value of each of its parameters, in report
+# order, and its vertex count, which only grows with each parameter above its
+# least; a list parameter's least value bounds every item, and None marks the
+# adjacency rows of split and bisplit, which their counts and builders check;
 # a derived family calls the builder it derives from, whose comment gives its
 # numbering (a cycle or K_n is one block on 0..n-1; _attach numbers its core
 # first, so a wheel's rim is 0..m-1 and its hub m)
-_FAMILIES: dict[str, tuple[Callable, dict[str, int | None]]] = {
-    "path": (_path, {"n": 1}),
-    "cycle": (lambda p: _chain([p["n"]], _cycle_edges), {"n": 3}),
-    "complete": (lambda p: _chain([p["n"]], _clique_edges), {"n": 1}),
-    "complete_bipartite": (partial(_multipartite, "complete_bipartite", ("X", "Y")), {"parts": 1}),
-    "complete_multipartite": (partial(_multipartite, "complete_multipartite", None), {"parts": 1}),
+_FAMILIES: dict[str, tuple[Callable, dict[str, int | None], Callable]] = {
+    "path": (_path, {"n": 1}, lambda p: p["n"]),
+    "cycle": (lambda p: _chain([p["n"]], _cycle_edges), {"n": 3}, lambda p: p["n"]),
+    "complete": (lambda p: _chain([p["n"]], _clique_edges), {"n": 1}, lambda p: p["n"]),
+    "complete_bipartite": (partial(_multipartite, "complete_bipartite", ("X", "Y")), {"parts": 1},
+                           lambda p: sum(p["parts"])),
+    "complete_multipartite": (partial(_multipartite, "complete_multipartite", None), {"parts": 1},
+                              lambda p: sum(p["parts"])),
     # rim vertex n+j of a complete sun sits on edge j of the cycle 0..n-1
     "complete_sun": (lambda p: _attach(p["n"], _clique_edges, _cycle_edges(range(p["n"])), "U", "W"),
-                     {"n": 3}),
-    "split": (_split, {"r": 1, "adjacency": None}),
+                     {"n": 3}, lambda p: 2 * p["n"]),
+    "split": (_split, {"r": 1, "adjacency": None},
+              lambda p: p["r"] + _rows(p, "split requires an adjacency list")),
     "complete_split": (lambda p: _attach(p["r"], _clique_edges, [range(p["r"])] * p["s"],
-                                         "clique", "independent"), {"r": 1, "s": 1}),
-    "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None}),
+                                         "clique", "independent"), {"r": 1, "s": 1},
+                       lambda p: p["r"] + p["s"]),
+    "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None},
+                lambda p: _rows(p, "bisplit requires an adjacency list for X") + p["y"] + p["z"]),
     # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
-    "complete_bisplit": (partial(_multipartite, "complete_bisplit", ("X", "Y", "Z")), {"parts": 1}),
-    "block_chain": (lambda p: _chain(p["cliques"], _clique_edges), {"cliques": 2}),
-    "windmill": (lambda p: _windmill(p["n"], p["r"]), {"n": 2, "r": 2}),
-    "friendship": (lambda p: _windmill(3, p["r"]), {"r": 2}),
-    "wheel": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])], "rim", "hub"), {"m": 3}),
+    "complete_bisplit": (partial(_multipartite, "complete_bisplit", ("X", "Y", "Z")), {"parts": 1},
+                         lambda p: sum(p["parts"])),
+    "block_chain": (lambda p: _chain(p["cliques"], _clique_edges), {"cliques": 2},
+                    lambda p: sum(p["cliques"]) - len(p["cliques"]) + 1),
+    "windmill": (lambda p: _windmill(p["n"], p["r"]), {"n": 2, "r": 2},
+                 lambda p: p["r"] * (p["n"] - 1) + 1),
+    "friendship": (lambda p: _windmill(3, p["r"]), {"r": 2}, lambda p: 2 * p["r"] + 1),
+    "wheel": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])], "rim", "hub"), {"m": 3},
+              lambda p: p["m"] + 1),
     "cone": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])] * p["n"], "cycle", "apex"),
-             {"m": 3, "n": 1}),
-    "cactus_chain": (lambda p: _chain(p["cycles"], _cycle_edges), {"cycles": 3}),
+             {"m": 3, "n": 1}, lambda p: p["m"] + p["n"]),
+    "cactus_chain": (lambda p: _chain(p["cycles"], _cycle_edges), {"cycles": 3},
+                     lambda p: sum(p["cycles"]) - len(p["cycles"]) + 1),
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 FAMILY_PARAMS = {name: _FAMILIES[name][1] for name in FAMILY_NAMES}
 
 
+def vertex_count(family: str, params: Mapping[str, object]) -> int:
+    """``family``'s vertex count at checked ``params``; raises TooLarge over 64."""
+    n = _FAMILIES[family][2](params)
+    if n > SOLVE_MAX_VERTICES:
+        raise TooLarge(f"{family} needs {n} vertices; graphs are limited to {SOLVE_MAX_VERTICES}")
+    return n
+
+
 def generate(spec: FamilySpec) -> LabeledGraph:
     """Build the family instance described by ``spec``.
 
-    Raises InvalidParam naming the bad parameter, or the family's whole range.
+    Raises InvalidParam naming the bad parameter, or the family's whole range,
+    then TooLarge for an instance over 64 vertices, before any edge is made.
     """
     if spec.family not in _FAMILIES:
         raise InvalidParam(f"unknown family {spec.family!r}")
-    build, least = _FAMILIES[spec.family]
+    build, least, _ = _FAMILIES[spec.family]
     for key, lo in least.items():
         if lo is not None:
             checked_param(spec.params, key, spec.family)
     check_range(spec.params, least, spec.family)
+    vertex_count(spec.family, spec.params)
     graph, parts = build(spec.params)
     return LabeledGraph(graph, parts)
 

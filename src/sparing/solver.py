@@ -237,14 +237,15 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
 
     ``threads`` is validated for interface compatibility (a positive int,
     not a bool); branch evaluation is sequential, which makes the result
-    trivially identical at any thread count. A graph over 64 vertices raises TooLarge before any search.
+    trivially identical at any thread count. A graph over 64 vertices raises
+    TooLarge, naming its vertex count, before any search.
     """
     if threads is not None and (
         isinstance(threads, bool) or not isinstance(threads, int) or threads < 1
     ):
         raise ValueError("threads must be a positive integer")
     if g.n > SOLVE_MAX_VERTICES:
-        raise TooLarge(f"solve is limited to {SOLVE_MAX_VERTICES} vertices")
+        raise TooLarge(f"graph has {g.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}")
     t0 = time.perf_counter()
     n = g.n
     adj = g._adj  # the neighbor bitsets, read once

@@ -65,6 +65,10 @@ MUTANTS = [
      "(base,) if chosen >> v & 1 else (base, 2 * base)"),
     ("the shared edge table's diagonal", "src/sparing/graphs.py",
      "[None] * (u + 1)", "[None] * u"),
+    ("generate's cap", FAMILIES,
+     "if n > SOLVE_MAX_VERTICES:", "if n > SOLVE_MAX_VERTICES + 1:"),
+    ("a family count", FAMILIES,
+     'lambda p: p["r"] * (p["n"] - 1) + 1', 'lambda p: p["r"] * (p["n"] - 1)'),
     ("random_graph's symmetric bit", FAMILIES,
      "                adj[v] |= bit\n", ""),
     ("random_graph's row-by-row draw order", FAMILIES,

@@ -218,9 +218,11 @@ class TestCheckClaim:
         with pytest.raises(TooLarge) as exc:
             check_claim(claim_by_id("C13"), params)
         assert str(exc.value) == (
-            "claim C13 at base=complete,n=12,mode=fresh needs 67 vertices; solve is limited to 64"
+            "claim C13 at base=complete,n=12,mode=fresh: graph has 67 vertices; "
+            "solve is limited to 64"
         )
-        assert [g.n for g in solver_calls] == [12]
+        # the solver's own cap refuses the subdivision, before any search
+        assert [g.n for g in solver_calls] == [12, 67]
 
     def test_cactus(self):
         v = check_claim(claim_by_id("C14"), {"cycles": [3, 4, 5]})
@@ -242,7 +244,9 @@ class TestCheckClaim:
         monkeypatch.setattr(sparing.claims, "sparing_exact", calls.append)
         with pytest.raises(TooLarge) as exc:
             check_claim(claim_by_id("C3"), {"a": 35, "b": 30})
-        assert str(exc.value) == "claim C3 at a=35,b=30 needs 65 vertices; solve is limited to 64"
+        assert str(exc.value) == (
+            "claim C3 at a=35,b=30: complete_bipartite needs 65 vertices; graphs are limited to 64"
+        )
         assert calls == []
 
     def test_build_refusal_names_the_claim_and_point(self):

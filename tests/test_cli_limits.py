@@ -34,45 +34,51 @@ class TestVertexCapOnFlags:
         [
             (
                 ["solve", "--family", "complete", "--n", "100000"],
-                "error: --n needs 100000 or more vertices; graphs are limited to 64\n",
+                "error: complete needs 100000 vertices; graphs are limited to 64\n",
             ),
             (
                 ["solve", "--family", "cone", "--m", "3", "--n", "1000000000"],
-                "error: --n needs 1000000000 or more vertices; "
-                "graphs are limited to 64\n",
+                "error: cone needs 1000000003 vertices; graphs are limited to 64\n",
             ),
             (
                 ["solve", "--family", "complete_multipartite", "--parts", ",".join(["1"] * 20000)],
-                "error: --parts needs 20000 or more vertices; graphs are limited to 64\n",
+                "error: complete_multipartite needs 20000 vertices; graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C1", "--n", "1..1000000000000"],
-                "error: --n needs 1000000000000 or more vertices; "
-                "graphs are limited to 64\n",
+                "error: complete needs 1000000000000 vertices; graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C12", "--family", "cycle", "--n", "3..65"],
-                "error: --n needs 65 or more vertices; graphs are limited to 64\n",
+                "error: cycle needs 65 vertices; graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C9", "--cliques", "3,2..65"],
-                "error: --cliques needs 65 or more vertices; graphs are limited to 64\n",
+                "error: block_chain needs 67 vertices; graphs are limited to 64\n",
             ),
             (
                 ["solve", "--family", "complete_multipartite", "--parts", ",".join(["64"] * 64)],
-                "error: --parts needs 4033 or more vertices; graphs are limited to 64\n",
+                "error: complete_multipartite needs 4096 vertices; graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C8", "--parts", "30..31,30,30"],
-                "error: --parts needs 88 or more vertices; graphs are limited to 64\n",
+                "error: complete_multipartite needs 91 vertices; graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C9", "--cliques", "33,33"],
-                "error: --cliques needs 65 or more vertices; graphs are limited to 64\n",
+                "error: block_chain needs 65 vertices; graphs are limited to 64\n",
             ),
             (
                 ["certify", "--family", "path", "--n", "65", "--out", "unused.json"],
-                "error: --n needs 65 or more vertices; graphs are limited to 64\n",
+                "error: path needs 65 vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["solve", "--family", "windmill", "--n", "64", "--r", "64"],
+                "error: windmill needs 4033 vertices; graphs are limited to 64\n",
+            ),
+            (
+                ["check", "--claim", "C3", "--parts", "1..40,30"],
+                "error: complete_bipartite needs 70 vertices; graphs are limited to 64\n",
             ),
         ],
     )
@@ -107,7 +113,7 @@ class TestVertexCapOnFlags:
         assert run(capsys, *c13, "fresh", "--n", "12") == (
             3,
             "",
-            "error: claim C13 at base=complete,n=12,mode=fresh needs 67 vertices; "
+            "error: claim C13 at base=complete,n=12,mode=fresh: graph has 67 vertices; "
             "solve is limited to 64\n",
         )
 
@@ -116,15 +122,17 @@ class TestVertexCapOnFlags:
         assert code == 0
         assert out.startswith("phi=0 ")
         code, _, err = run(capsys, "solve", "--family", "complete_sun", "--n", "64")
-        assert (code, err) == (3, "error: solve is limited to 64 vertices\n")
+        assert (code, err) == (
+            3, "error: complete_sun needs 128 vertices; graphs are limited to 64\n"
+        )
 
     def test_list_sums_at_the_cap_still_build(self, capsys):
         code, out, _ = run(capsys, "check", "--claim", "C9", "--cliques", "32,33")
         assert (code, out.splitlines()[1].split()[:2]) == (0, ["block_chain", "cliques=32,33"])
-        code, _, err = run(capsys, "check", "--claim", "C3", "--parts", "1..40,30")
-        assert (code, err) == (
-            3,
-            "error: claim C3 at a=35,b=30 needs 65 vertices; solve is limited to 64\n",
+        code, out, _ = run(capsys, "check", "--claim", "C3", "--parts", "1..34,30")
+        *_, last, summary = out.splitlines()
+        assert (code, last.split()[:2], summary) == (
+            0, ["complete_bipartite", "a=34,b=30"], "MATCH=34 MISMATCH=0"
         )
 
     def test_sixty_four_list_items_are_accepted(self, capsys):
@@ -152,20 +160,23 @@ class TestLazySweep:
                 ["corpus", "--count", "1", "--n=-1000000000000..-1", "--out-dir", "{tmp}"],
                 "error: random_graph requires n >= 0\n",
             ),
+            # a sweep with no valid point: its top point has 1 vertex, however large --r
+            (
+                ["check", "--claim", "C10", "--n", "0..1", "--r", "100"],
+                "error: C10 requires n >= 2 and r >= 2\n",
+            ),
         ],
     )
     def test_stops_at_the_first_bad_point(self, capsys, tmp_path, argv, err):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert run(capsys, *argv) == (2, "", err)
 
-    def test_item_ranges_stop_at_the_first_point_over_the_cap(self, capsys):
+    def test_item_ranges_stop_at_the_first_point_over_the_cap(self, capsys, no_build):
         code, out, err = run(
             capsys, "check", "--claim", "C9", "--cliques", "2..64,2..64,2..64,2..64"
         )
         assert (code, out) == (3, "")
-        assert err == (
-            "error: claim C9 at cliques=2,2,2,62 needs 65 vertices; solve is limited to 64\n"
-        )
+        assert err == "error: block_chain needs 253 vertices; graphs are limited to 64\n"
 
     def test_flags_are_parsed_before_the_first_point(self, capsys, no_build):
         code, _, err = run(capsys, "check", "--claim", "C16", "--m", "2..5", "--n", "x")

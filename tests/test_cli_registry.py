@@ -152,6 +152,19 @@ class TestInputErrors:
                 ["solve", "--family", "path", "--n", "3", "--threads", "0"],
                 "error: --threads must be >= 1\n",
             ),
+            # an empty list item is refused, not dropped: "2,3," is not K_{2,3}
+            (
+                ["solve", "--family", "complete_multipartite", "--parts", "2,3,"],
+                "error: --parts expects an integer, got ''\n",
+            ),
+            (
+                ["check", "--claim", "C9", "--cliques", ",3"],
+                "error: --cliques expects an integer, got ''\n",
+            ),
+            (
+                ["check", "--claim", "C3", "--parts", "3,,4"],
+                "error: claim C3 requires --parts with 2 sizes\n",
+            ),
         ],
     )
     def test_message(self, capsys, argv, err):

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from helpers import validate
+from sparing import families
 from sparing.claims import check_claim, claim_by_id
-from sparing.errors import InvalidParam
-from sparing.families import FamilySpec, generate, make, random_graph
+from sparing.errors import InvalidParam, TooLarge
+from sparing.families import FAMILY_NAMES, FamilySpec, generate, make, random_graph, vertex_count
 from sparing.graphs import edges_within, graph_from_edges, is_independent
 from sparing.solver import sparing_exact
 
@@ -54,6 +55,120 @@ class TestCounting:
         assert g.n == 1 + sum(l - 1 for l in lengths)
         assert g.edge_count == sum(lengths)
         assert all(g.degree(v) in (2, 4) for v in range(g.n))
+
+
+def low_and_top(lo: int, hi: int) -> list[int]:
+    """The two least and the two top values of lo..hi."""
+    return sorted({lo, lo + 1, hi - 1, hi} & set(range(lo, hi + 1)))
+
+
+def points_up_to_the_cap():
+    """Points of every family with at most 64 vertices: each one-parameter
+    range whole, a second parameter at its low and top values, lists of one to
+    three items and of many least items; split and bisplit get sample rows."""
+    for n in range(1, 65):
+        yield "path", {"n": n}
+        yield "complete", {"n": n}
+        yield "complete_multipartite", {"parts": [n]}
+    for n in range(3, 65):
+        yield "cycle", {"n": n}
+        yield "cactus_chain", {"cycles": [n]}
+    for m in range(3, 64):
+        yield "wheel", {"m": m}
+    for n in range(3, 33):
+        yield "complete_sun", {"n": n}
+    for r in range(2, 32):
+        yield "friendship", {"r": r}
+    for n in range(2, 64):
+        yield "block_chain", {"cliques": [n, 65 - n]}
+        for r in low_and_top(2, 63 // (n - 1)):
+            yield "windmill", {"n": n, "r": r}
+    for n in range(3, 63):
+        yield "cactus_chain", {"cycles": [n, 65 - n]}
+        for k in low_and_top(1, 64 - n):
+            yield "cone", {"m": n, "n": k}
+    for a in range(1, 63):
+        yield "complete_bipartite", {"parts": [a, 64 - a]}
+        yield "complete_multipartite", {"parts": [a, 64 - a]}
+        for b in low_and_top(1, 63 - a):
+            yield "complete_bisplit", {"parts": [a, b, 64 - a - b]}
+            yield "complete_multipartite", {"parts": [a, b, 64 - a - b]}
+            yield "complete_split", {"r": a, "s": b}
+            yield "split", {"r": a, "adjacency": [[j % a] for j in range(b)]}
+            rows = [[j % (a + b)] for j in range(63 - a - b)]
+            yield "bisplit", {"y": a, "z": b, "adjacency": rows}
+            yield "block_chain", {"cliques": [a + 1, b + 1]}
+    yield "complete_multipartite", {"parts": [1] * 64}
+    yield "block_chain", {"cliques": [2] * 63}
+    yield "cactus_chain", {"cycles": [3] * 31}
+    yield "split", {"r": 1, "adjacency": []}
+    yield "bisplit", {"y": 1, "z": 1, "adjacency": []}
+
+
+# a point of each family just over the cap, with its vertex count
+OVER_THE_CAP = [
+    ("path", {"n": 65}, 65),
+    ("cycle", {"n": 65}, 65),
+    ("complete", {"n": 65}, 65),
+    ("complete_bipartite", {"parts": [33, 32]}, 65),
+    ("complete_multipartite", {"parts": [1] * 65}, 65),
+    ("complete_bisplit", {"parts": [20, 20, 25]}, 65),
+    ("complete_sun", {"n": 33}, 66),
+    ("split", {"r": 60, "adjacency": [[0]] * 5}, 65),
+    ("complete_split", {"r": 60, "s": 5}, 65),
+    ("bisplit", {"y": 30, "z": 30, "adjacency": [[0]] * 5}, 65),
+    ("block_chain", {"cliques": [33, 33]}, 65),
+    ("windmill", {"n": 33, "r": 2}, 65),
+    ("friendship", {"r": 32}, 65),
+    ("wheel", {"m": 64}, 65),
+    ("cone", {"m": 60, "n": 5}, 65),
+    ("cactus_chain", {"cycles": [33, 33]}, 65),
+]
+
+
+@pytest.fixture
+def no_edges(monkeypatch):
+    """Fail the test if a builder makes an edge list or a graph."""
+
+    def refuse(*args):
+        raise AssertionError("built edges")
+
+    for name in ("_clique_edges", "_cycle_edges", "graph_from_edges"):
+        monkeypatch.setattr(families, name, refuse)
+
+
+class TestVertexCount:
+    def test_count_is_the_built_vertex_count(self):
+        seen = set()
+        for family, params in points_up_to_the_cap():
+            count = vertex_count(family, params)
+            assert count == generate(FamilySpec(family, params)).graph.n <= 64, (family, params)
+            seen.add(family)
+        assert seen == set(FAMILY_NAMES)
+
+    def test_every_family_has_a_point_over_the_cap(self):
+        assert sorted(family for family, _, _ in OVER_THE_CAP) == sorted(FAMILY_NAMES)
+
+    @pytest.mark.parametrize("family,params,count", OVER_THE_CAP)
+    def test_over_the_cap_is_refused_before_any_edge(self, no_edges, family, params, count):
+        with pytest.raises(TooLarge) as exc:
+            generate(FamilySpec(family, params))
+        assert str(exc.value) == f"{family} needs {count} vertices; graphs are limited to 64"
+
+    def test_a_large_instance_is_refused_before_any_edge(self, no_edges):
+        with pytest.raises(TooLarge, match="^complete needs 3000 vertices; "):
+            make("complete", n=3000)
+        with pytest.raises(TooLarge) as exc:
+            check_claim(claim_by_id("C1"), {"n": 3000})
+        assert str(exc.value) == (
+            "claim C1 at n=3000: complete needs 3000 vertices; graphs are limited to 64"
+        )
+
+    def test_range_and_type_checks_come_first(self, no_edges):
+        with pytest.raises(InvalidParam, match="^windmill requires n >= 2 and r >= 2$"):
+            make("windmill", n=1, r=1000)
+        with pytest.raises(InvalidParam, match="^split requires an adjacency list$"):
+            make("split", r=1000)
 
 
 class TestPartitions:

@@ -184,9 +184,10 @@ class TestExact:
             return 0.0
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=tick))
+        n = SOLVE_MAX_VERTICES + 1  # built directly: generate refuses it first
         with pytest.raises(TooLarge) as exc:
-            sparing_exact(make("path", n=SOLVE_MAX_VERTICES + 1).graph)
-        assert str(exc.value) == "solve is limited to 64 vertices"
+            sparing_exact(graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+        assert str(exc.value) == "graph has 65 vertices; solve is limited to 64"
         assert clock == []
         assert sparing_exact(make("path", n=SOLVE_MAX_VERTICES).graph).value == 0
 
