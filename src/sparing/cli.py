@@ -23,7 +23,9 @@ from typing import Iterator
 from . import claims as claims_mod
 from .claims import MODES, check_claim, claim_by_id
 from .errors import GraphFormatError, SparingError, TooLarge
-from .families import FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph, vertex_count
+from .families import (
+    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph, render_params, vertex_count,
+)
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
@@ -81,7 +83,8 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
     the cross product of any ranges, in flag order with the last flag varying
     fastest. ``owner`` names what needs the flags in the missing-flag error.
     Every flag is parsed, and a top point over 64 vertices refused (no valid
-    point has more vertices than the top one), before the first point is made."""
+    point has more vertices than the top one), before the first point is made;
+    a sweep of more than one point names its top point in the refusal."""
     order = FAMILY_PARAMS[family]
     dims: list = []
     for flag in order:
@@ -92,8 +95,17 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
             dims.append(_parse_range(raw, flag, ranged))
             continue
         dims.append([_parse_range(item, flag, ranged) for item in raw.split(",")])
-    top = [[r[-1] for r in dim] if isinstance(dim, list) else dim[-1] for dim in dims]
-    vertex_count(family, dict(zip(order, top)))
+    top = {
+        flag: [r[-1] for r in dim] if isinstance(dim, list) else dim[-1]
+        for flag, dim in zip(order, dims)
+    }
+    try:
+        vertex_count(family, top)
+    except TooLarge as exc:
+        if all(len(r) == 1 for dim in dims for r in (dim if isinstance(dim, list) else (dim,))):
+            raise  # the flags name the one point
+        count, _, limit = str(exc).partition("; ")
+        raise TooLarge(f"{count} at {render_params(top, order)}; {limit}") from None
     return (dict(zip(order, values)) for values in _sweep(dims))
 
 

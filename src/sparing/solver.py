@@ -43,6 +43,22 @@ visits each free vertex once, either as a clique's seed or inside the
 clique that claims it, and tests the pendant rule on each seed.
 The brute-force oracle scores complements by counting their edges directly,
 so the two routes stay independent.
+
+When the root's own cover bound lies below the floor, no node can reach the
+floor, so nothing packs, and the value search keeps the lexmin set itself
+("lex mode", decided once, at the root). Of two masks, a beats b when the
+lowest vertex of a ^ b is in a: the lexicographic order of sorted sequences,
+except that a proper superset beats its prefix. In lex mode a node whose
+bound equals the incumbent's cover replaces the incumbent's set when it
+covers as much and its included set beats that set, and it goes on only
+while its included and free vertices together beat it, since every extension
+lies between the two. The pendant rule keeps v free when its one free
+neighbor u has v's degree and a lower index. The simplicial rule needs no
+change: the stable degree order puts every free neighbor of the branching
+vertex's degree above it. The set kept then beats every other optimal set,
+so it is the lexmin witness with every isolated vertex added; those above
+its last vertex of positive degree are dropped, and no witness pass runs.
+Every other graph runs the value search and the witness pass as above.
 """
 
 from __future__ import annotations
@@ -70,7 +86,9 @@ WITNESS_MAX_VERTICES = 30  # exclusive bound: 2 * 4**29 < 2**63
 @dataclass(frozen=True)
 class SearchStats:
     """``nodes`` counts every search node; ``value_nodes`` those of the value
-    phase, before the witness is built."""
+    phase, before the witness pass. In lex mode (the root's bound below the
+    floor) the value search also finds the witness, and ``value_nodes ==
+    nodes``."""
 
     nodes: int
     value_nodes: int
@@ -233,7 +251,10 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     input where both run: the sparing number, the lexicographically least
     optimal independent set and the edges outside it.
     ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
-    those of the value phase.
+    those of the value phase. A graph whose root clique-cover bound lies
+    below the floor |E| - |E| // 3 is solved in lex mode: the value search
+    keeps the lexmin optimal set, no witness pass runs, and
+    ``stats.value_nodes == stats.nodes``.
 
     ``threads`` is validated for interface compatibility (a positive int,
     not a bool); branch evaluation is sequential, which makes the result
@@ -253,11 +274,12 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     order = sorted(range(n), key=deg.__getitem__, reverse=True)  # stable: ties keep index order
     full = (1 << n) - 1
     nodes = 0
-    best = 0
+    best = -1  # the root raises it, and decides lex mode there
     best_set = 0
     edges = sum(deg) // 2
     goal = edges - edges // 3  # no packing's goal lies below this floor
     packed = False
+    lex = False
 
     def search(i: int, free: int, cov: int, inc: int) -> None:
         """Raise ``best`` with independent subsets of ``free`` added to ``inc``.
@@ -268,7 +290,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         kept in ``best_set``; nothing is searched once ``best`` reaches
         ``goal``.
         """
-        nonlocal nodes, best, best_set, goal, packed
+        nonlocal nodes, best, best_set, goal, packed, lex
         nodes += 1
         # cap: cov plus the largest degree of each clique of a greedy clique
         # cover of the free vertices; an independent set takes at most one
@@ -286,7 +308,11 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
             v = low.bit_length() - 1
             near = adj[v] & free
             top = deg[v]
-            if near.bit_count() > 1 or near and deg[near.bit_length() - 1] > top:
+            if near.bit_count() > 1 or near and (
+                deg[near.bit_length() - 1] > top
+                # lex mode keeps a lower neighbor of equal degree free
+                or lex and near < low and deg[near.bit_length() - 1] == top
+            ):
                 # a clique from v, grown greedily over the unclaimed vertices
                 extend = near & unclaimed
                 while extend:
@@ -305,10 +331,29 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
                 cov += top
                 cap += top
         if cov > best:
+            if nodes == 1:
+                # the root's cap bounds every node: below the floor, nothing
+                # packs, and the search keeps the lexmin set (lex mode). The
+                # root's scan is the same in both modes: its only pendants
+                # with a neighbor are the lower ends of isolated edges
+                lex = cap < goal
             best = cov
             best_set = inc
         if not free or cap <= best:
-            return
+            if not lex or cap < best:
+                return
+            # lex mode: a tie beats best_set or not, and a node goes on
+            # while some extension could beat it
+            if cov == best:
+                d = inc ^ best_set
+                if inc & d & -d:
+                    best_set = inc
+            if not free:
+                return
+            top = inc | free
+            d = top ^ best_set
+            if not top & d & -d:
+                return
         while not free >> order[i] & 1:
             i += 1
         v = order[i]
@@ -336,9 +381,17 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         search(i + 1, free & ~vbit, cov, inc)
 
     search(0, full, 0, 0)
+    value_nodes = nodes
+    if lex:
+        # best_set is the lexmin witness with every isolated vertex added;
+        # those above its last vertex of positive degree go
+        del search  # it refers to itself through its cell; a cycle would wait for the GC
+        witness = list(iter_bits(best_set))
+        while not deg[witness[-1]]:
+            witness.pop()
+        return _finish(g, tuple(witness), mask_of(witness), nodes, value_nodes, t0)
     goal = best
     packed = True  # the witness phase's goal is the optimum itself
-    value_nodes = nodes
 
     # the lexmin witness; ``known`` is an optimal set W that contains the
     # prefix, so W's vertices need no test. Stop once the prefix is optimal:

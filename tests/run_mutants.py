@@ -44,10 +44,23 @@ MUTANTS = [
      "            if packed == need:\n                return need\n", ""),
     ("the floor", SOLVER,
      "goal = edges - edges // 3", "goal = edges - edges // 4"),
+    ("lex mode only below the floor", SOLVER,
+     "lex = cap < goal", "lex = True"),
+    ("lex mode's weight test at cap == best", SOLVER,
+     "            if not top & d & -d:\n                return\n", "            return\n"),
+    ("lex mode's trim of isolated vertices", SOLVER,
+     "        while not deg[witness[-1]]:\n            witness.pop()\n", ""),
     ("the pendant rule", SOLVER,
-     "if near.bit_count() > 1 or near and deg[near.bit_length() - 1] > top:", "if True:"),
+     "if near.bit_count() > 1 or near and (\n"
+     "                deg[near.bit_length() - 1] > top\n"
+     "                # lex mode keeps a lower neighbor of equal degree free\n"
+     "                or lex and near < low and deg[near.bit_length() - 1] == top\n"
+     "            ):\n",
+     "if True:\n"),
     ("the pendant rule's degree test", SOLVER,
-     "deg[near.bit_length() - 1] > top:", "deg[near.bit_length() - 1] > top + 1:"),
+     "deg[near.bit_length() - 1] > top\n", "deg[near.bit_length() - 1] > top + 1\n"),
+    ("the pendant rule's tie clause in lex mode", SOLVER,
+     "                or lex and near < low and deg[near.bit_length() - 1] == top\n", ""),
     ("the pendant's neighbor decided out", SOLVER,
      "free ^= low | near", "free ^= low"),
     ("the simplicial rule's clique test", SOLVER,

@@ -46,15 +46,16 @@ class TestVertexCapOnFlags:
             ),
             (
                 ["check", "--claim", "C1", "--n", "1..1000000000000"],
-                "error: complete needs 1000000000000 vertices; graphs are limited to 64\n",
+                "error: complete needs 1000000000000 vertices at n=1000000000000; "
+                "graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C12", "--family", "cycle", "--n", "3..65"],
-                "error: cycle needs 65 vertices; graphs are limited to 64\n",
+                "error: cycle needs 65 vertices at n=65; graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C9", "--cliques", "3,2..65"],
-                "error: block_chain needs 67 vertices; graphs are limited to 64\n",
+                "error: block_chain needs 67 vertices at cliques=3,65; graphs are limited to 64\n",
             ),
             (
                 ["solve", "--family", "complete_multipartite", "--parts", ",".join(["64"] * 64)],
@@ -62,7 +63,8 @@ class TestVertexCapOnFlags:
             ),
             (
                 ["check", "--claim", "C8", "--parts", "30..31,30,30"],
-                "error: complete_multipartite needs 91 vertices; graphs are limited to 64\n",
+                "error: complete_multipartite needs 91 vertices at parts=31,30,30; "
+                "graphs are limited to 64\n",
             ),
             (
                 ["check", "--claim", "C9", "--cliques", "33,33"],
@@ -78,7 +80,8 @@ class TestVertexCapOnFlags:
             ),
             (
                 ["check", "--claim", "C3", "--parts", "1..40,30"],
-                "error: complete_bipartite needs 70 vertices; graphs are limited to 64\n",
+                "error: complete_bipartite needs 70 vertices at parts=40,30; "
+                "graphs are limited to 64\n",
             ),
         ],
     )
@@ -176,7 +179,10 @@ class TestLazySweep:
             capsys, "check", "--claim", "C9", "--cliques", "2..64,2..64,2..64,2..64"
         )
         assert (code, out) == (3, "")
-        assert err == "error: block_chain needs 253 vertices; graphs are limited to 64\n"
+        assert err == (
+            "error: block_chain needs 253 vertices at cliques=64,64,64,64; "
+            "graphs are limited to 64\n"
+        )
 
     def test_flags_are_parsed_before_the_first_point(self, capsys, no_build):
         code, _, err = run(capsys, "check", "--claim", "C16", "--m", "2..5", "--n", "x")

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -254,7 +255,7 @@ class TestExact:
             (0.1, 1, 71, 7_738),
             (0.2, 1, 201, 3_467),
             (0.3, 1, 375, 2_082),
-            (0.5, 1, 748, 967),
+            (0.5, 1, 748, 772),
         ],
     )
     def test_clique_cover_node_ceilings(self, p, seed, phi, ceiling):
@@ -263,7 +264,11 @@ class TestExact:
         # weaker cover goes over them (one whose members stay unclaimed takes
         # G(64,0.1,1) to 655,357 nodes), and so does a search without either
         # rule (7,186 / 10,907 / 3,782 / 2,308 / 1,010); a tighter bound
-        # stays under
+        # stays under. The dense case runs in lex mode (its root bound lies
+        # below the floor), where the value search keeps the lexmin witness:
+        # with a witness pass it took 967 nodes. Lex mode on every graph,
+        # until the incumbent reaches the floor, takes G(64,0.05,2024) to
+        # 2,404 nodes and G(64,0.2,1) to 3,584
         r = sparing_exact(random_graph(64, p, seed))
         assert r.value == phi
         assert r.stats.nodes <= ceiling
@@ -434,15 +439,56 @@ class TestLazyPacking:
         assert r.stats.nodes == 2
 
 
+class TestLexMode:
+    # a graph whose root clique-cover bound lies below the floor
+    # |E| - |E| // 3 never packs, and its value search keeps the lexmin
+    # optimal set: no witness pass runs
+
+    @staticmethod
+    def lex_witness(g):
+        e, b = sparing_exact(g), sparing_bruteforce(g)
+        assert (e.value, e.witness, e.mono) == (b.value, b.witness, b.mono)
+        assert e.stats.nodes == e.stats.value_nodes
+        return e.witness
+
+    @pytest.mark.parametrize(
+        "n,seed,witness", [(11, 394, (0, 1, 3)), (18, 916203555, (0, 11, 12, 15))]
+    )
+    def test_pendant_ties_keep_the_lower_neighbor_free(self, n, seed, witness):
+        # taking every pendant over a neighbor of its degree gives (1, 3, 6)
+        # and (11, 12, 15, 16)
+        assert self.lex_witness(random_graph(n, 0.7, seed)) == witness
+
+    def test_isolated_vertices_above_the_last_positive_degree_go(self):
+        two_k4 = graph_from_edges(10, [*combinations(range(4), 2), *combinations(range(5, 9), 2)])
+        assert self.lex_witness(two_k4) == (0, 4, 5)
+        k6 = graph_from_edges(8, list(combinations(range(1, 7), 2)))
+        assert self.lex_witness(k6) == (0, 1)
+
+    def test_dense_sweep_matches_the_oracle(self):
+        rng = random.Random(32)
+        passless = 0
+        for _ in range(300):
+            n, p = rng.randint(4, 20), rng.choice((0.4, 0.5, 0.6, 0.7, 0.8))
+            g = random_graph(n, p, rng.randrange(2**31))
+            e, b = sparing_exact(g), sparing_bruteforce(g)
+            assert (e.value, e.witness, e.mono) == (b.value, b.witness, b.mono)
+            passless += e.stats.nodes == e.stats.value_nodes
+        assert passless > 100  # 139 of the 300 search no node after the value phase
+
+
 def test_solves_leave_no_cyclic_garbage():
     # the recursive closures drop their reference to themselves on return,
-    # so a solve's frames are freed without the cyclic collector
+    # so a solve's frames are freed without the cyclic collector; the dense
+    # graph returns from lex mode, without a witness pass
     exact_graph, brute_graph = random_graph(40, 0.2, 3), random_graph(16, 0.3, 4)
+    dense_graph = random_graph(40, 0.5, 3)
     gc.collect()
     gc.disable()
     try:
         for _ in range(10):
             sparing_exact(exact_graph)
+            sparing_exact(dense_graph)
             sparing_bruteforce(brute_graph)
         assert gc.collect() == 0
     finally:
