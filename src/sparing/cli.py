@@ -24,7 +24,7 @@ from . import claims as claims_mod
 from .claims import MODES, check_claim, claim_by_id
 from .errors import GraphFormatError, SparingError, TooLarge
 from .families import (
-    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph, render_params, vertex_count,
+    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph, vertex_count,
 )
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
@@ -99,13 +99,8 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
         flag: [r[-1] for r in dim] if isinstance(dim, list) else dim[-1]
         for flag, dim in zip(order, dims)
     }
-    try:
-        vertex_count(family, top)
-    except TooLarge as exc:
-        if all(len(r) == 1 for dim in dims for r in (dim if isinstance(dim, list) else (dim,))):
-            raise  # the flags name the one point
-        count, _, limit = str(exc).partition("; ")
-        raise TooLarge(f"{count} at {render_params(top, order)}; {limit}") from None
+    sweep = any(len(r) > 1 for dim in dims for r in (dim if isinstance(dim, list) else (dim,)))
+    vertex_count(family, top, named=sweep)
     return (dict(zip(order, values)) for values in _sweep(dims))
 
 

@@ -259,11 +259,13 @@ FAMILY_NAMES = tuple(sorted(_FAMILIES))
 FAMILY_PARAMS = {name: _FAMILIES[name][1] for name in FAMILY_NAMES}
 
 
-def vertex_count(family: str, params: Mapping[str, object]) -> int:
-    """``family``'s vertex count at checked ``params``; raises TooLarge over 64."""
+def vertex_count(family: str, params: Mapping[str, object], named: bool = False) -> int:
+    """``family``'s vertex count at checked ``params``; raises TooLarge over 64,
+    naming the point (``params`` as `render_params` words them) when ``named``."""
     n = _FAMILIES[family][2](params)
     if n > SOLVE_MAX_VERTICES:
-        raise TooLarge(f"{family} needs {n} vertices; graphs are limited to {SOLVE_MAX_VERTICES}")
+        at = f" at {render_params(params, FAMILY_PARAMS[family])}" if named else ""
+        raise TooLarge(f"{family} needs {n} vertices{at}; graphs are limited to {SOLVE_MAX_VERTICES}")
     return n
 
 

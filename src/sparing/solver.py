@@ -56,9 +56,9 @@ lies between the two. The pendant rule keeps v free when its one free
 neighbor u has v's degree and a lower index. The simplicial rule needs no
 change: the stable degree order puts every free neighbor of the branching
 vertex's degree above it. The set kept then beats every other optimal set,
-so it is the lexmin witness with every isolated vertex added; those above
-its last vertex of positive degree are dropped, and no witness pass runs.
-Every other graph runs the value search and the witness pass as above.
+so it is the lexmin witness with every isolated vertex added. The witness
+pass takes it as W and tests no vertex, and its stop drops the isolated
+vertices above W's last vertex of positive degree.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     ``stats.nodes`` counts the nodes of both phases and ``stats.value_nodes``
     those of the value phase. A graph whose root clique-cover bound lies
     below the floor |E| - |E| // 3 is solved in lex mode: the value search
-    keeps the lexmin optimal set, no witness pass runs, and
+    keeps the lexmin optimal set, the witness pass tests no vertex, and
     ``stats.value_nodes == stats.nodes``.
 
     ``threads`` is validated for interface compatibility (a positive int,
@@ -382,20 +382,13 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
 
     search(0, full, 0, 0)
     value_nodes = nodes
-    if lex:
-        # best_set is the lexmin witness with every isolated vertex added;
-        # those above its last vertex of positive degree go
-        del search  # it refers to itself through its cell; a cycle would wait for the GC
-        witness = list(iter_bits(best_set))
-        while not deg[witness[-1]]:
-            witness.pop()
-        return _finish(g, tuple(witness), mask_of(witness), nodes, value_nodes, t0)
     goal = best
     packed = True  # the witness phase's goal is the optimum itself
 
     # the lexmin witness; ``known`` is an optimal set W that contains the
     # prefix, so W's vertices need no test. Stop once the prefix is optimal:
-    # a prefix precedes its extensions.
+    # a prefix precedes its extensions. In lex mode W is already the lexmin
+    # witness (module docstring), and no vertex is tested.
     known = best_set
     witness = []
     c_mask = 0
@@ -408,6 +401,8 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
         if blocked & jbit:
             continue
         if not known & jbit:
+            if lex:
+                continue
             free = full & -(jbit << 1) & ~(blocked | adj[j])  # unblocked, above j
             best = goal - 1
             search(0, free, cov_c + deg[j], c_mask | jbit)

@@ -1,8 +1,10 @@
 """Shared test utilities: seeded random trees, independent-set enumeration,
-disjoint unions and a graph's structural check."""
+disjoint unions, a graph's structural check and a witness labeling that
+disagrees with its solve."""
 
 import random
 
+from sparing import solver
 from sparing.graphs import Graph, graph_from_edges, is_independent
 
 
@@ -54,3 +56,20 @@ def validate(g: Graph) -> None:
     Rebuilding a graph from the edges it lists changes it exactly when it
     has a loop, a one-sided adjacency bit or a bit at index n or above."""
     assert graph_from_edges(g.n, g.edges()) == g
+
+
+def disagreeing_witness(monkeypatch) -> None:
+    """Patch ``solver.construct_witness`` to add a second element, twice the
+    first, to the label of the lowest vertex outside the independent set, so
+    that on a graph where that vertex has an edge, the labeling's verdict
+    disagrees with the solve. (An extra element on a vertex of the set leaves
+    the verdict as it was.)"""
+    construct = solver.construct_witness
+
+    def extra(g, independent):
+        f = construct(g, independent)
+        v = min(set(range(g.n)) - set(independent))
+        f[v] = (*f[v], 2 * f[v][0])
+        return f
+
+    monkeypatch.setattr(solver, "construct_witness", extra)

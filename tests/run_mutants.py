@@ -48,8 +48,8 @@ MUTANTS = [
      "lex = cap < goal", "lex = True"),
     ("lex mode's weight test at cap == best", SOLVER,
      "            if not top & d & -d:\n                return\n", "            return\n"),
-    ("lex mode's trim of isolated vertices", SOLVER,
-     "        while not deg[witness[-1]]:\n            witness.pop()\n", ""),
+    ("lex mode's untested read-off", SOLVER,
+     "if lex:", "if False:"),
     ("the pendant rule", SOLVER,
      "if near.bit_count() > 1 or near and (\n"
      "                deg[near.bit_length() - 1] > top\n"
@@ -82,6 +82,8 @@ MUTANTS = [
      "if n > SOLVE_MAX_VERTICES:", "if n > SOLVE_MAX_VERTICES + 1:"),
     ("a family count", FAMILIES,
      'lambda p: p["r"] * (p["n"] - 1) + 1', 'lambda p: p["r"] * (p["n"] - 1)'),
+    ("vertex_count's point", FAMILIES,
+     'if named else ""', 'if False else ""'),
     ("random_graph's symmetric bit", FAMILIES,
      "                adj[v] |= bit\n", ""),
     ("random_graph's row-by-row draw order", FAMILIES,

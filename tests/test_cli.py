@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from helpers import disagreeing_witness
 from sparing import cli, labels
 from sparing.claims import check_claim, claim_by_id
 from sparing.cli import main
@@ -111,6 +112,18 @@ class TestCertify:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 3
+
+    def test_a_disagreeing_labeling_exits_1(self, capsys, tmp_path, monkeypatch):
+        disagreeing_witness(monkeypatch)
+        out_file = tmp_path / "w.json"
+        code, out, err = run(
+            capsys, "certify", "--family", "cycle", "--n", "5", "--out", str(out_file)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: witness labeling disagrees with the solve (value 1, labeled mono count 1)\n"
+        )
+        assert not out_file.exists()
 
     def test_two_vertex_path(self, capsys, tmp_path):
         out_file = tmp_path / "p.json"

@@ -155,6 +155,14 @@ class TestVertexCount:
             generate(FamilySpec(family, params))
         assert str(exc.value) == f"{family} needs {count} vertices; graphs are limited to 64"
 
+    def test_a_point_over_the_cap_is_named_after_the_count(self):
+        with pytest.raises(TooLarge) as exc:
+            vertex_count("windmill", {"n": 64, "r": 64}, named=True)
+        assert str(exc.value) == (
+            "windmill needs 4033 vertices at n=64,r=64; graphs are limited to 64"
+        )
+        assert vertex_count("windmill", {"n": 3, "r": 2}, named=True) == 5
+
     def test_a_large_instance_is_refused_before_any_edge(self, no_edges):
         with pytest.raises(TooLarge, match="^complete needs 3000 vertices; "):
             make("complete", n=3000)

@@ -235,6 +235,11 @@ class TestLabelingFile:
         with pytest.raises(GraphFormatError, match=f"^{err}$"):
             read_labeling(doc)
 
+    @pytest.mark.parametrize("keys", [(0, 1), (0, 1, 3), (0, 1, 2, 3)])
+    def test_writer_refuses_keys_other_than_every_vertex(self, keys):
+        with pytest.raises(MissingLabel, match=r"^labeling keys must be exactly 0\.\.2$"):
+            write_labeling(3, {v: (4**v,) for v in keys})
+
     def test_vertex_count_at_the_cap(self):
         f = {v: (v,) for v in range(64)}
         assert read_labeling(write_labeling(64, f)) == (64, f)

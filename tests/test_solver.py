@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import disjoint_union
+from helpers import disagreeing_witness, disjoint_union
 from sparing import solver
 from sparing.errors import CertificationFailed, NotIndependent, TooLarge
 from sparing.families import FAMILY_NAMES, make, random_graph
@@ -266,7 +266,7 @@ class TestExact:
         # rule (7,186 / 10,907 / 3,782 / 2,308 / 1,010); a tighter bound
         # stays under. The dense case runs in lex mode (its root bound lies
         # below the floor), where the value search keeps the lexmin witness:
-        # with a witness pass it took 967 nodes. Lex mode on every graph,
+        # with witness tests it took 967 nodes. Lex mode on every graph,
         # until the incumbent reaches the floor, takes G(64,0.05,2024) to
         # 2,404 nodes and G(64,0.2,1) to 3,584
         r = sparing_exact(random_graph(64, p, seed))
@@ -442,7 +442,7 @@ class TestLazyPacking:
 class TestLexMode:
     # a graph whose root clique-cover bound lies below the floor
     # |E| - |E| // 3 never packs, and its value search keeps the lexmin
-    # optimal set: no witness pass runs
+    # optimal set: the witness pass tests no vertex
 
     @staticmethod
     def lex_witness(g):
@@ -480,7 +480,7 @@ class TestLexMode:
 def test_solves_leave_no_cyclic_garbage():
     # the recursive closures drop their reference to themselves on return,
     # so a solve's frames are freed without the cyclic collector; the dense
-    # graph returns from lex mode, without a witness pass
+    # graph is solved in lex mode, whose witness pass tests no vertex
     exact_graph, brute_graph = random_graph(40, 0.2, 3), random_graph(16, 0.3, 4)
     dense_graph = random_graph(40, 0.5, 3)
     gc.collect()
@@ -573,6 +573,14 @@ class TestSolveAndCertify:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             solve_and_certify(make("complete", n=30).graph)
+
+    def test_a_labeling_that_disagrees_with_the_solve_is_refused(self, monkeypatch):
+        disagreeing_witness(monkeypatch)
+        with pytest.raises(CertificationFailed) as exc:
+            solve_and_certify(make("cycle", n=5).graph)
+        assert str(exc.value) == (
+            "witness labeling disagrees with the solve (value 1, labeled mono count 1)"
+        )
 
     def test_never_raises_certification_failed_on_families(self):
         for lg in (
