@@ -82,9 +82,9 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
     """Parameter dicts for the registry family ``family`` from the CLI flags;
     the cross product of any ranges, in flag order with the last flag varying
     fastest. ``owner`` names what needs the flags in the missing-flag error.
-    Every flag is parsed, and a top point over 64 vertices refused (no valid
-    point has more vertices than the top one), before the first point is made;
-    a sweep of more than one point names its top point in the refusal."""
+    Every flag is parsed, and the top point's count refuses a wrong part count,
+    then over 64 vertices (no valid point has more), before the first point is
+    made; a sweep of more than one point names its top point in the latter."""
     order = FAMILY_PARAMS[family]
     dims: list = []
     for flag in order:

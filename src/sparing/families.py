@@ -68,7 +68,7 @@ def _need(cond: bool, message: str) -> None:
 
 # the integer-list parameters and what each lists; every other parameter is
 # an integer, except the adjacency rows of split and bisplit, which their
-# builders check
+# counts check
 LIST_PARAMS = {"parts": "part sizes", "cliques": "clique sizes", "cycles": "cycle lengths"}
 
 
@@ -119,13 +119,11 @@ def _path(params) -> tuple[Graph, Partitions]:
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]), {}
 
 
-def _multipartite(family: str, names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
+def _multipartite(names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
     # the complete multipartite graph on params["parts"], one part per size,
-    # numbered consecutively in order; ``names`` also fixes the part count,
-    # and None names them V1, V2, ...
+    # numbered consecutively in order and named by ``names``, whose length the
+    # count checked; None names them V1, V2, ...
     sizes = params["parts"]
-    if names is not None:
-        _need(len(sizes) == len(names), f"{family} requires exactly {len(names)} part sizes")
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
@@ -151,12 +149,7 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
     # list neighbors in Y u Z by relative index 0..y+z-1 (0..y-1 lands in Y).
     y, z, adjacency = params["y"], params["z"], params["adjacency"]
     x = len(adjacency)
-    edges = []
-    for i, row in enumerate(adjacency):
-        _need(isinstance(row, (list, tuple)), "bisplit adjacency rows must be lists")
-        _need(all(_is_int(rel) and 0 <= rel < y + z for rel in row),
-              f"bisplit adjacency entries must lie in 0..{y + z - 1}")
-        edges.extend((i, x + rel) for rel in row)
+    edges = [(i, x + rel) for i, row in enumerate(adjacency) for rel in row]
     edges.extend((x + i, x + y + j) for i in range(y) for j in range(z))
     parts = {
         "X": frozenset(range(x)),
@@ -174,16 +167,6 @@ def _attach(r: int, core_edges, rows: Sequence[Iterable[int]], core: str,
     edges.extend((u, r + j) for j, row in enumerate(rows) for u in row)
     n = r + len(rows)
     return graph_from_edges(n, edges), {core: frozenset(range(r)), attached: frozenset(range(r, n))}
-
-
-def _split(params) -> tuple[Graph, Partitions]:
-    # adjacency rows, one per independent vertex, list its clique neighbors
-    r, adjacency = params["r"], params["adjacency"]
-    for row in adjacency:
-        _need(isinstance(row, (list, tuple)), "split adjacency rows must be lists")
-        _need(all(_is_int(u) and 0 <= u < r for u in row),
-              f"split adjacency entries must be clique indices 0..{r - 1}")
-    return _attach(r, _clique_edges, adjacency, "clique", "independent")
 
 
 def _chain(sizes: Sequence[int], block_edges) -> tuple[Graph, Partitions]:
@@ -208,40 +191,55 @@ def _windmill(n: int, r: int) -> tuple[Graph, Partitions]:
     return graph_from_edges(total, edges), parts
 
 
-def _rows(params, message: str) -> int:
-    # the number of adjacency rows of split or bisplit; InvalidParam unless a list
-    _need(isinstance(params.get("adjacency"), (list, tuple)), message)
-    return len(params["adjacency"])
+def _rows(params, family: str, end: int, listed: str, entries: str) -> int:
+    # the number of adjacency rows of split or bisplit, each a list of integers in 0..end-1
+    adjacency = params.get("adjacency")
+    _need(isinstance(adjacency, (list, tuple)), f"{family} {listed}")
+    for row in adjacency:
+        _need(isinstance(row, (list, tuple)), f"{family} adjacency rows must be lists")
+        _need(all(_is_int(u) and 0 <= u < end for u in row),
+              f"{family} adjacency entries {entries} 0..{end - 1}")
+    return len(adjacency)
+
+
+def _parts(params, family: str, k: int) -> int:
+    # the vertex count of a multipartite family that names its k parts
+    _need(len(params["parts"]) == k, f"{family} requires exactly {k} part sizes")
+    return sum(params["parts"])
 
 
 # each family's builder, the least value of each of its parameters, in report
-# order, and its vertex count, which only grows with each parameter above its
-# least; a list parameter's least value bounds every item, and None marks the
-# adjacency rows of split and bisplit, which their counts and builders check;
-# a derived family calls the builder it derives from, whose comment gives its
-# numbering (a cycle or K_n is one block on 0..n-1; _attach numbers its core
-# first, so a wheel's rim is 0..m-1 and its hub m)
+# order (a list parameter's least value bounds every item; None marks the
+# adjacency rows of split and bisplit), and its vertex count, which only grows
+# with each parameter above its least and first refuses what the least values
+# leave open (a named multipartite family's part count, the adjacency rows), so
+# a builder only builds; a derived family calls the builder it derives from,
+# whose comment gives its numbering (a cycle or K_n is one block on 0..n-1;
+# _attach numbers its core first, so a wheel's rim is 0..m-1 and its hub m)
 _FAMILIES: dict[str, tuple[Callable, dict[str, int | None], Callable]] = {
     "path": (_path, {"n": 1}, lambda p: p["n"]),
     "cycle": (lambda p: _chain([p["n"]], _cycle_edges), {"n": 3}, lambda p: p["n"]),
     "complete": (lambda p: _chain([p["n"]], _clique_edges), {"n": 1}, lambda p: p["n"]),
-    "complete_bipartite": (partial(_multipartite, "complete_bipartite", ("X", "Y")), {"parts": 1},
-                           lambda p: sum(p["parts"])),
-    "complete_multipartite": (partial(_multipartite, "complete_multipartite", None), {"parts": 1},
+    "complete_bipartite": (partial(_multipartite, ("X", "Y")), {"parts": 1},
+                           lambda p: _parts(p, "complete_bipartite", 2)),
+    "complete_multipartite": (partial(_multipartite, None), {"parts": 1},
                               lambda p: sum(p["parts"])),
     # rim vertex n+j of a complete sun sits on edge j of the cycle 0..n-1
     "complete_sun": (lambda p: _attach(p["n"], _clique_edges, _cycle_edges(range(p["n"])), "U", "W"),
                      {"n": 3}, lambda p: 2 * p["n"]),
-    "split": (_split, {"r": 1, "adjacency": None},
-              lambda p: p["r"] + _rows(p, "split requires an adjacency list")),
+    "split": (lambda p: _attach(p["r"], _clique_edges, p["adjacency"], "clique", "independent"),
+              {"r": 1, "adjacency": None},
+              lambda p: p["r"] + _rows(p, "split", p["r"], "requires an adjacency list",
+                                       "must be clique indices")),
     "complete_split": (lambda p: _attach(p["r"], _clique_edges, [range(p["r"])] * p["s"],
                                          "clique", "independent"), {"r": 1, "s": 1},
                        lambda p: p["r"] + p["s"]),
     "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None},
-                lambda p: _rows(p, "bisplit requires an adjacency list for X") + p["y"] + p["z"]),
+                lambda p: _rows(p, "bisplit", p["y"] + p["z"], "requires an adjacency list for X",
+                                "must lie in") + p["y"] + p["z"]),
     # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
-    "complete_bisplit": (partial(_multipartite, "complete_bisplit", ("X", "Y", "Z")), {"parts": 1},
-                         lambda p: sum(p["parts"])),
+    "complete_bisplit": (partial(_multipartite, ("X", "Y", "Z")), {"parts": 1},
+                         lambda p: _parts(p, "complete_bisplit", 3)),
     "block_chain": (lambda p: _chain(p["cliques"], _clique_edges), {"cliques": 2},
                     lambda p: sum(p["cliques"]) - len(p["cliques"]) + 1),
     "windmill": (lambda p: _windmill(p["n"], p["r"]), {"n": 2, "r": 2},
@@ -260,8 +258,9 @@ FAMILY_PARAMS = {name: _FAMILIES[name][1] for name in FAMILY_NAMES}
 
 
 def vertex_count(family: str, params: Mapping[str, object], named: bool = False) -> int:
-    """``family``'s vertex count at checked ``params``; raises TooLarge over 64,
-    naming the point (``params`` as `render_params` words them) when ``named``."""
+    """``family``'s vertex count at checked ``params``; raises InvalidParam for a
+    part count or adjacency row it refuses, then TooLarge over 64, naming the
+    point (``params`` as `render_params` words them) when ``named``."""
     n = _FAMILIES[family][2](params)
     if n > SOLVE_MAX_VERTICES:
         at = f" at {render_params(params, FAMILY_PARAMS[family])}" if named else ""
@@ -272,7 +271,7 @@ def vertex_count(family: str, params: Mapping[str, object], named: bool = False)
 def generate(spec: FamilySpec) -> LabeledGraph:
     """Build the family instance described by ``spec``.
 
-    Raises InvalidParam naming the bad parameter, or the family's whole range,
+    Raises InvalidParam naming the bad parameter, range, part count or row,
     then TooLarge for an instance over 64 vertices, before any edge is made.
     """
     if spec.family not in _FAMILIES:

@@ -161,7 +161,7 @@ def edges_within_mask(g: Graph, m: int) -> list[Edge]:
 
 
 def count_edges_within_mask(g: Graph, m: int) -> int:
-    """Fast edge count inside the vertex bitset ``m`` (solver hot path)."""
+    """Edges inside the vertex bitset ``m``: the oracle's scorer and `triangles_through`'s count."""
     total = 0
     for u in iter_bits(m):
         total += (g._adj[u] & m).bit_count()

@@ -82,6 +82,10 @@ MUTANTS = [
      "if n > SOLVE_MAX_VERTICES:", "if n > SOLVE_MAX_VERTICES + 1:"),
     ("a family count", FAMILIES,
      'lambda p: p["r"] * (p["n"] - 1) + 1', 'lambda p: p["r"] * (p["n"] - 1)'),
+    ("a named multipartite family's part count", FAMILIES,
+     'len(params["parts"]) == k', "True"),
+    ("an adjacency entry's upper bound", FAMILIES,
+     "0 <= u < end", "0 <= u <= end"),
     ("vertex_count's point", FAMILIES,
      'if named else ""', 'if False else ""'),
     ("random_graph's symmetric bit", FAMILIES,

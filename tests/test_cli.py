@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +88,23 @@ class TestSolve:
             assert code == 0
             results.add(out)
         assert len(results) == 1
+
+
+
+class TestEntryPoints:
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["sparing", "solve", "--family", "cycle", "--n", "9"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("phi=1 ")
+
+    def test_run_as_a_module(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "sparing.cli", "solve", "--family", "cycle", "--n", "9"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("phi=1 ")
 
 
 class TestCertify:

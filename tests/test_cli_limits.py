@@ -88,6 +88,11 @@ class TestVertexCapOnFlags:
     def test_refused_before_any_build(self, capsys, no_build, argv, err):
         assert run(capsys, *argv) == (3, "", err)
 
+    def test_a_wrong_part_count_is_refused_before_the_cap(self, capsys, no_build):
+        assert run(capsys, "solve", "--family", "complete_bipartite", "--parts", "40,40,1") == (
+            2, "", "error: complete_bipartite requires exactly 2 part sizes\n"
+        )
+
     def test_corpus_size_refused_before_writing(self, capsys, tmp_path):
         out_dir = tmp_path / "corpus"
         code, out, err = run(capsys, "corpus", "--n", "100", "--out-dir", str(out_dir))

@@ -172,6 +172,26 @@ class TestVertexCount:
             "claim C1 at n=3000: complete needs 3000 vertices; graphs are limited to 64"
         )
 
+    @pytest.mark.parametrize(
+        "family,params,err",
+        [
+            ("complete_bipartite", {"parts": [40, 40, 1]},
+             "complete_bipartite requires exactly 2 part sizes"),
+            ("complete_bisplit", {"parts": [40, 40]}, "complete_bisplit requires exactly 3 part sizes"),
+            ("split", {"r": 64, "adjacency": [[99]]},
+             "split adjacency entries must be clique indices 0..63"),
+            ("bisplit", {"y": 40, "z": 40, "adjacency": [[0], 5]},
+             "bisplit adjacency rows must be lists"),
+        ],
+    )
+    def test_a_malformed_point_over_the_cap_is_invalid(self, no_edges, family, params, err):
+        # the count refuses the shape before it compares the count with the cap
+        for refuse in (lambda: generate(FamilySpec(family, params)),
+                       lambda: vertex_count(family, params)):
+            with pytest.raises(InvalidParam) as exc:
+                refuse()
+            assert str(exc.value) == err
+
     def test_range_and_type_checks_come_first(self, no_edges):
         with pytest.raises(InvalidParam, match="^windmill requires n >= 2 and r >= 2$"):
             make("windmill", n=1, r=1000)
@@ -337,8 +357,8 @@ class TestSpecStrings:
         assert verdict.where == "base=split,r=3,adjacency=[0,1;2]"
 
     def test_mixed_rows_render_before_the_build_refuses_them(self):
-        # only a list of lists renders as rows; a bad row then reaches the
-        # builder's own message instead of a TypeError from the renderer
+        # only a list of lists renders as rows; a bad row then gets the
+        # family's own row message instead of a TypeError from the renderer
         spec = FamilySpec("split", {"r": 3, "adjacency": [[0], 5]})
         assert spec.param_string() == "r=3,adjacency=[0],5"
         with pytest.raises(InvalidParam, match="^split adjacency rows must be lists$"):
@@ -365,6 +385,7 @@ class TestSpecStrings:
             ("complete_split", {"r": 0, "s": 1}),
             ("complete_bipartite", {"parts": [0, 2]}),
             ("complete_bipartite", {"parts": [1, 2, 3]}),
+            ("complete_bisplit", {"parts": [1, 2]}),
         ],
     )
     def test_domain_violations(self, family, params):
@@ -454,6 +475,8 @@ class TestSpecStrings:
                 {"y": 1, "z": 1, "adjacency": [[0, False]]},
                 "bisplit adjacency entries must lie in 0..1",
             ),
+            ("split", {"r": 3, "adjacency": [[3]]}, "split adjacency entries must be clique indices 0..2"),
+            ("bisplit", {"y": 1, "z": 1, "adjacency": [[2]]}, "bisplit adjacency entries must lie in 0..1"),
         ],
     )
     def test_adjacency_rows(self, family, params, err):

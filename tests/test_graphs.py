@@ -212,6 +212,17 @@ class TestSharedEdgeTuples:
             sys.setswitchinterval(interval)
 
 
+class TestIdentity:
+    def test_equal_graphs_hash_equal(self):
+        a, b = cycle(5), graph_from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, complete(5)}) == 2
+        assert {a: "C5"}[b] == "C5"
+
+    def test_repr_gives_the_vertex_and_edge_counts(self):
+        assert repr(make("path", n=3).graph) == "Graph(n=3, m=2)"
+
+
 class TestDisjointUnion:
     def test_two_triangles(self):
         g = disjoint_union(complete(3), complete(3))

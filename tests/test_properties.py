@@ -135,7 +135,7 @@ def test_shadow_matches_its_definition(g):
 
 
 @given(small_graphs(max_n=10))
-def test_is_bipartite_matches_a_brute_force_coloring(g):
+def test_phi_is_zero_exactly_on_two_colorable_graphs(g):
     # phi is 0 exactly on the graphs that have a proper 2-coloring
     colorable = any(
         all(color[u] != color[v] for u, v in g.edges())
