@@ -44,8 +44,8 @@ class Graph:
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         # internal: the builders that hand over symmetric loopless bitsets call it
-        # directly (graph_from_edges, shadow, subdivide_edges, families.random_graph);
-        # everyone else goes through them
+        # directly (graph_from_edges, read_graph, shadow, subdivide_edges,
+        # families.random_graph); everyone else goes through them
         self.n = n
         self._adj = adj
 
@@ -232,7 +232,12 @@ def read_graph(text: str) -> Graph:
     # int() reads and _decimal refuses
     parse = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     n = m = None
-    edges: list[Edge] = []
+    adj: list[int] = []
+    repeats = 0
+    # edges with an endpoint out of range, kept to find their repeats; the
+    # first of them names its vertex once the count and repeats are checked
+    outside: set[Edge] = set()
+    first_outside = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -246,7 +251,19 @@ def read_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
             if u >= v:
                 raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            edges.append((u, v))
+            if u >= 0 and v < n:
+                bit = 1 << v
+                if adj[u] & bit:
+                    repeats += 1
+                else:
+                    adj[u] |= bit
+                    adj[v] |= 1 << u
+            elif (u, v) in outside:
+                repeats += 1
+            else:
+                outside.add((u, v))
+                if first_outside is None:
+                    first_outside = u if u < 0 or u >= n else v
         elif head[0] == "#":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: comment after header")
@@ -264,6 +281,7 @@ def read_graph(text: str) -> Graph:
                     f"line {lineno}: header declares {n} vertices; "
                     f"graphs are limited to {SOLVE_MAX_VERTICES}"
                 )
+            adj = [0] * n
         elif head == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before header")
@@ -272,11 +290,14 @@ def read_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unknown record {head!r}")
     if n is None or m is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    if len(edges) != m:
-        raise GraphFormatError(f"header promises {m} edges, found {len(edges)}")
-    if len(set(edges)) != len(edges):
+    g = Graph(n, tuple(adj))
+    count = g.edge_count + len(outside) + repeats
+    if count != m:
+        raise GraphFormatError(f"header promises {m} edges, found {count}")
+    if repeats:
         raise GraphFormatError("duplicate edge")
-    try:
-        return graph_from_edges(n, edges)
-    except IndexOutOfRange as exc:
-        raise GraphFormatError(str(exc)) from None
+    if n < 0:
+        raise GraphFormatError(f"vertex count {n} is negative")
+    if first_outside is not None:
+        raise GraphFormatError(f"vertex {first_outside} not in 0..{n - 1}")
+    return g

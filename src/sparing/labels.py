@@ -8,6 +8,15 @@ as its larger endpoint label — which forces a singleton on one endpoint of
 every edge. `verify_weak` computes every sum set once and judges them; its
 verdict also carries the mono edges, those whose sum set is a singleton,
 which the sparing number counts.
+
+The sum sets take one pass over the edges, in edge order, after one read of
+each vertex's label, its size and whether it strictly increases. When one
+endpoint's label is a singleton and the other's strictly increases, the sum
+set is the other label shifted by the singleton's element, already sorted
+and free of repeats; every other pair, including a pair with a label that is
+not strictly increasing, goes through `sumset`. One loop over the sum sets
+then collects the mono edges and the cardinality failures, and the edge
+pairs are grouped only when some sum set repeats.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError, MissingLabel, TooLarge
@@ -90,23 +100,35 @@ def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
 
     Raises TooLarge, before any sum set is built, if the edges need more than
     ``MAX_SUM_PAIRS`` pairs of label elements in all."""
-    missing = [v for v in range(g.n) if v not in f]
-    if missing:
-        raise MissingLabel(f"no label for vertices {missing}")
-    sizes = [len(f[v]) for v in range(g.n)]
+    labels = [f[v] for v in range(g.n) if v in f]
+    if len(labels) < g.n:
+        raise MissingLabel(f"no label for vertices {[v for v in range(g.n) if v not in f]}")
+    sizes = [len(lab) for lab in labels]
     edges = g.edges()
-    pairs = sum(sizes[u] * sizes[v] for u, v in edges)
-    if pairs > MAX_SUM_PAIRS:
-        raise TooLarge(
-            f"the sum sets need {pairs} pairs of label elements; "
-            f"verification is limited to {MAX_SUM_PAIRS}"
-        )
+    # the exact count is needed only when the largest labels could pass the cap
+    if max(sizes, default=0) ** 2 * len(edges) > MAX_SUM_PAIRS:
+        pairs = sum(sizes[u] * sizes[v] for u, v in edges)
+        if pairs > MAX_SUM_PAIRS:
+            raise TooLarge(
+                f"the sum sets need {pairs} pairs of label elements; "
+                f"verification is limited to {MAX_SUM_PAIRS}"
+            )
+    # a shifted label is sorted and free of repeats only if it strictly increases
+    rising = [size == 1 or all(map(lt, lab, lab[1:])) for lab, size in zip(labels, sizes)]
     # keyed by the edge list's own tuples, which graphs of at most 64 vertices share
-    return {
-        e: (f[u][0] + f[v][0],) if sizes[u] == 1 == sizes[v] else sumset(f[u], f[v])
-        for e in edges
-        for u, v in (e,)
-    }
+    out = {}
+    for e in edges:
+        u, v = e
+        a, b = labels[u], labels[v]
+        if sizes[u] == 1 and rising[v]:
+            x = a[0]
+            out[e] = (x + b[0],) if sizes[v] == 1 else tuple([x + y for y in b])
+        elif sizes[v] == 1 and rising[u]:
+            x = b[0]
+            out[e] = tuple([y + x for y in a])
+        else:
+            out[e] = sumset(a, b)
+    return out
 
 
 def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:
@@ -150,10 +172,13 @@ def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
     sizes = [len(lab) for lab in vertex_labels]
     mono = []
     for e, lab in edge_labels.items():
+        u, v = e
         size = len(lab)
         if size == 1:
-            mono.append(e)  # |A + B| >= max(|A|, |B|), so both labels are singletons
-        elif size != max(sizes[e[0]], sizes[e[1]]):
+            mono.append(e)
+        # judged on mono edges too: a tuple that repeats one element, which
+        # is no label, gives a singleton sum set with a longer endpoint
+        if size != (sizes[u] if sizes[u] > sizes[v] else sizes[v]):
             failures.append(Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,)))
     return Verdict(tuple(failures), tuple(mono))
 
@@ -171,12 +196,8 @@ def mono_edges(g: Graph, f: Mapping[int, Label]) -> list[Edge]:
 def write_labeling(n: int, f: Mapping[int, Label]) -> str:
     if set(f) != set(range(n)):
         raise MissingLabel(f"labeling keys must be exactly 0..{n - 1}")
-    lines = ["{", f'  "vertices": {n},', '  "labels": {']
-    for v in range(n):
-        comma = "," if v < n - 1 else ""
-        lines.append(f'    "{v}": [{", ".join(map(str, f[v]))}]{comma}')
-    lines.extend(["  }", "}"])
-    return "\n".join(lines) + "\n"
+    items = ",".join([f'\n    "{v}": [{", ".join(map(str, f[v]))}]' for v in range(n)])
+    return f'{{\n  "vertices": {n},\n  "labels": {{{items}\n  }}\n}}\n'
 
 
 def read_labeling(text: str) -> tuple[int, Labeling]:
@@ -202,10 +223,20 @@ def read_labeling(text: str) -> tuple[int, Labeling]:
         raise GraphFormatError(f"labels must cover exactly the indices 0..{n - 1}")
     out: Labeling = {}
     for key, values in labels.items():
-        # JSON gives int, bool, float, str, None, list or dict; only int is an element
-        if type(values) is not list or not all(type(x) is int for x in values):
+        # JSON gives int, bool, float, str, None, list or dict; only int is an
+        # element. One walk checks the types and notes a fall, which is
+        # reported only if every element is an int.
+        if type(values) is not list:
             raise GraphFormatError(f"label of vertex {key} is not a list of integers")
-        if values != sorted(set(values)):
+        rising = True
+        last = None
+        for x in values:
+            if type(x) is not int:
+                raise GraphFormatError(f"label of vertex {key} is not a list of integers")
+            if last is not None and x <= last:
+                rising = False
+            last = x
+        if not rising:
             raise GraphFormatError(f"label of vertex {key} is not strictly increasing")
         try:
             out[int(key)] = _checked_label(tuple(values))

@@ -1,11 +1,14 @@
 """Shared test utilities: seeded random trees, independent-set enumeration,
-disjoint unions, a graph's structural check and a witness labeling that
-disagrees with its solve."""
+disjoint unions, a graph's structural check, a witness labeling that
+disagrees with its solve, and reference readers for both file formats."""
 
+import json
 import random
 
 from sparing import solver
-from sparing.graphs import Graph, graph_from_edges, is_independent
+from sparing.errors import GraphFormatError, IndexOutOfRange
+from sparing.graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, graph_from_edges, is_independent
+from sparing.labels import MAX_LABELING_TEXT, _checked_label
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -73,3 +76,101 @@ def disagreeing_witness(monkeypatch) -> None:
         return f
 
     monkeypatch.setattr(solver, "construct_witness", extra)
+
+
+# Reference readers: the straightforward form of `read_graph` and
+# `read_labeling`, which collect every edge or label first and check them
+# afterwards. The library's readers must return what these return, or raise
+# GraphFormatError with the same message.
+
+
+def _decimal(token: str) -> int:
+    if token.isascii() and "_" not in token and "+" not in token:
+        return int(token)
+    raise ValueError(token)
+
+
+def reference_read_graph(text: str) -> Graph:
+    if len(text) > MAX_GRAPH_TEXT:
+        raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
+    parse = int if text.isascii() and "_" not in text and "+" not in text else _decimal
+    n = m = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        head = fields[0]
+        if head == "e" and len(fields) == 3 and n is not None:
+            try:
+                u, v = parse(fields[1]), parse(fields[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+            if u >= v:
+                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+            edges.append((u, v))
+        elif head[0] == "#":
+            if n is not None:
+                raise GraphFormatError(f"line {lineno}: comment after header")
+        elif head == "p":
+            if n is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate header")
+            if len(fields) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
+            try:
+                n, m = parse(fields[1]), parse(fields[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            if n > SOLVE_MAX_VERTICES:
+                raise GraphFormatError(
+                    f"line {lineno}: header declares {n} vertices; "
+                    f"graphs are limited to {SOLVE_MAX_VERTICES}"
+                )
+        elif head == "e":
+            if n is None:
+                raise GraphFormatError(f"line {lineno}: edge before header")
+            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+        else:
+            raise GraphFormatError(f"line {lineno}: unknown record {head!r}")
+    if n is None or m is None:
+        raise GraphFormatError("missing 'p <n> <m>' header")
+    if len(edges) != m:
+        raise GraphFormatError(f"header promises {m} edges, found {len(edges)}")
+    if len(set(edges)) != len(edges):
+        raise GraphFormatError("duplicate edge")
+    try:
+        return graph_from_edges(n, edges)
+    except IndexOutOfRange as exc:
+        raise GraphFormatError(str(exc)) from None
+
+
+def reference_read_labeling(text: str):
+    if len(text) > MAX_LABELING_TEXT:
+        raise GraphFormatError(f"labeling text is longer than {MAX_LABELING_TEXT} characters")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphFormatError(f"labeling is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or set(doc) != {"vertices", "labels"}:
+        raise GraphFormatError("labeling must have exactly the keys 'vertices' and 'labels'")
+    n = doc["vertices"]
+    labels = doc["labels"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or not isinstance(labels, dict):
+        raise GraphFormatError("malformed labeling document")
+    if n > SOLVE_MAX_VERTICES:
+        raise GraphFormatError(
+            f"labeling declares {n} vertices; graphs are limited to {SOLVE_MAX_VERTICES}"
+        )
+    if set(labels) != {str(v) for v in range(n)}:
+        raise GraphFormatError(f"labels must cover exactly the indices 0..{n - 1}")
+    out = {}
+    for key, values in labels.items():
+        if type(values) is not list or not all(type(x) is int for x in values):
+            raise GraphFormatError(f"label of vertex {key} is not a list of integers")
+        if values != sorted(set(values)):
+            raise GraphFormatError(f"label of vertex {key} is not strictly increasing")
+        try:
+            out[int(key)] = _checked_label(tuple(values))
+        except ValueError as exc:
+            raise GraphFormatError(f"label of vertex {key}: {exc}") from None
+    return n, out

@@ -1,12 +1,13 @@
-"""Check that the tests still catch a break of each solver, generator and CLI rule.
+"""Check that the tests still catch a break of each solver, generator, reader,
+verifier and CLI rule.
 
 Usage: python tests/run_mutants.py
 
 Copies ``src/`` and ``tests/`` to a temporary directory and, for each rule
 below, applies one textual mutation there and runs the solver, acceptance,
-digest, graph, family, CLI and CLI parser tests on the mutated copy. Each
-target text must occur exactly once, so that code which moved fails here
-instead of leaving its rule unchecked.
+digest, graph, family, CLI, CLI parser, label, property and reader fuzz tests
+on the mutated copy. Each target text must occur exactly once, so that code
+which moved fails here instead of leaving its rule unchecked.
 The unmutated copy must pass first. Exits 1 if a target is missing or a
 mutant survives, that is, if the tests pass with a rule broken.
 """
@@ -24,11 +25,14 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_solver.py", "tests/test_acceptance.py", "tests/test_solver_digest.py",
     "tests/test_graphs.py", "tests/test_families.py", "tests/test_cli.py",
-    "tests/test_cli_parser.py",
+    "tests/test_cli_parser.py", "tests/test_labels.py", "tests/test_properties.py",
+    "tests/test_readers_fuzz.py",
 ]
 SOLVER = "src/sparing/solver.py"
 FAMILIES = "src/sparing/families.py"
 CLI = "src/sparing/cli.py"
+GRAPHS = "src/sparing/graphs.py"
+LABELS = "src/sparing/labels.py"
 
 # (rule, file, target text, mutated text)
 MUTANTS = [
@@ -71,12 +75,23 @@ MUTANTS = [
      "                continue\n            known = best_set\n", "                continue\n"),
     ("the witness pass's stop rule", SOLVER,
      "if cov_c == goal:", "if cov_c > goal:"),
-    ("verify_weak's singleton shortcut", "src/sparing/labels.py",
+    ("verify_weak's singleton shortcut", LABELS,
      "        if size == 1:\n", "        if size <= 2:\n"),
+    ("the shift's strict-increase guard", LABELS,
+     "size == 1 or all(map(lt, lab, lab[1:]))", "True"),
+    ("verify_weak's edge-collision test", LABELS,
+     "if len(set(edge_labels.values())) < len(edge_labels):", "if False:"),
+    ("read_labeling's strict-increase check", LABELS,
+     "        if not rising:\n", "        if False:\n"),
+    ("read_graph's repeated-bit test", GRAPHS,
+     "                if adj[u] & bit:\n                    repeats += 1\n",
+     "                if False:\n                    repeats += 1\n"),
+    ("read_graph's out-of-range vertex named", GRAPHS,
+     "first_outside = u if u < 0 or u >= n else v", "first_outside = u if u < 0 else v"),
     ("construct_witness's labels", SOLVER,
      "(base, 2 * base) if chosen >> v & 1 else (base,)",
      "(base,) if chosen >> v & 1 else (base, 2 * base)"),
-    ("the shared edge table's diagonal", "src/sparing/graphs.py",
+    ("the shared edge table's diagonal", GRAPHS,
      "[None] * (u + 1)", "[None] * u"),
     ("generate's cap", FAMILIES,
      "if n > SOLVE_MAX_VERTICES:", "if n > SOLVE_MAX_VERTICES + 1:"),

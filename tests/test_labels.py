@@ -65,6 +65,12 @@ class TestInducedEdgeLabels:
         g = graph_from_edges(3, [])
         assert induced_edge_labels(g, {0: (1,), 1: (2,), 2: (3,)}) == {}
 
+    def test_a_singleton_shifts_only_a_strictly_increasing_label(self):
+        # an unsorted label, or one that repeats an element, goes through sumset
+        f = {0: (3, 1), 1: (10,), 2: (2, 2)}
+        assert induced_edge_labels(path(3), f) == {(0, 1): (11, 13), (1, 2): (12,)}
+        assert verify_weak(path(3), f).mono == ((1, 2),)
+
     def test_partial_labeling_rejected(self):
         with pytest.raises(MissingLabel):
             induced_edge_labels(path(3), {0: (1,), 1: (2,)})
@@ -174,6 +180,15 @@ class TestVerifyWeak:
         ]
         assert weak.mono == ((0, 1), (1, 2))
         assert mono_edges(path(5), f) == [(0, 1), (1, 2)]
+
+    def test_singleton_sum_set_with_a_longer_endpoint_violates(self):
+        # (5, 5) is no label, but verify_weak takes any mapping: its sum set
+        # with (1,) is {6}, so the edge is mono and |{6}| != max(1, 2)
+        verdict = verify_weak(path(2), {0: (1,), 1: (5, 5)})
+        assert verdict.mono == ((0, 1),)
+        assert [(f.kind, f.where) for f in verdict.failures] == [
+            (FailureKind.WEAK_CONDITION_VIOLATED, ((0, 1),))
+        ]
 
 
 class TestMonoEdges:
