@@ -23,11 +23,16 @@ graphs and chains of odd cycles still stop at their first optimum. The
 packing itself stops once it holds |E| - best cycles for the incumbent best:
 the goal is then best, the search stops just as it would at any lower goal,
 and the witness phase sets its own goal to the optimum either way. The
-lexicographically least optimal witness is then read off in one pass
-over the vertices: W's vertices are kept untested, every other vertex not
-blocked by the prefix is kept only if a search with the optimum as its goal
-reaches it (the set that search finds becomes W), and the pass stops once the
-prefix is optimal. The search branches in descending original degree (ties
+lexicographically least optimal witness is then read off in one pass over
+the open vertices (not yet passed, not blocked by the prefix), lowest
+first: W's vertices are kept untested, and the pass stops once the prefix
+is optimal. Before any other vertex j is tested, the lexicographically
+first extension of the prefix and j is tried: the lowest open vertex above
+j that no taken vertex blocks is taken, over and over. It is an
+independent set, so if it reaches the optimum, j is kept and the set
+becomes W with no search; falling short proves nothing, and j is then kept
+only if a search with the optimum as its goal reaches it (the set that
+search finds becomes W). The search branches in descending original degree (ties
 to the lower index). Two dominance rules cut it, and each keeps some best
 extension of a node, so both hold in the value phase and in every witness
 test. The pendant rule takes a free vertex v with at most one free neighbor
@@ -57,8 +62,8 @@ neighbor u has v's degree and a lower index. The simplicial rule needs no
 change: the stable degree order puts every free neighbor of the branching
 vertex's degree above it. The set kept then beats every other optimal set,
 so it is the lexmin witness with every isolated vertex added. The witness
-pass takes it as W and tests no vertex, and its stop drops the isolated
-vertices above W's last vertex of positive degree.
+pass takes it as W and walks W's vertices alone, testing none, and its stop
+drops the isolated vertices above W's last vertex of positive degree.
 """
 
 from __future__ import annotations
@@ -187,56 +192,64 @@ def _odd_cycle_packing(adj: tuple[int, ...], need: int) -> int:
     n = len(adj)
     rest = list(adj)  # the edges no packed cycle uses yet
     packed = 0
-
-    def cut(u: int, v: int) -> None:
-        rest[u] &= ~(1 << v)
-        rest[v] &= ~(1 << u)
-
     bipartite = 0  # vertices whose component in rest has no odd cycle
     for s in range(n):
         while rest[s] and not bipartite >> s & 1:
-            levels = [1 << s]  # breadth-first levels from s, as masks
-            seen = levels[0]
+            frontier = seen = 1 << s
+            levels = [frontier]  # breadth-first levels from s, as masks
             a = -1
             while a < 0:
-                frontier = levels[-1]
                 reach = 0
                 scan = frontier
                 while scan:
                     low = scan & -scan
                     scan ^= low
                     v = low.bit_length() - 1
-                    if rest[v] & frontier:
+                    near = rest[v]
+                    if near & frontier:
                         a = v
                         break
-                    reach |= rest[v]
+                    reach |= near
                 else:
                     reach &= ~seen
                     if not reach:
                         break
                     seen |= reach
                     levels.append(reach)
+                    frontier = reach
             if a < 0:
                 bipartite |= seen
                 continue
-            # walk a and b back one level at a time, on distinct vertices,
-            # until they share a predecessor
+            # cut ab, then walk a and b back one level at a time, on distinct
+            # vertices, cutting each edge walked, until they share a
+            # predecessor c; a cut clears one bit on each end
+            abit = 1 << a
             bbit = rest[a] & frontier
-            b = (bbit & -bbit).bit_length() - 1
-            cut(a, b)
-            for level in reversed(levels[:-1]):
-                common = rest[a] & rest[b] & level
+            bbit &= -bbit
+            b = bbit.bit_length() - 1
+            rest[a] ^= bbit
+            rest[b] ^= abit
+            for d in range(len(levels) - 2, -1, -1):
+                level = levels[d]
+                ra, rb = rest[a], rest[b]
+                common = ra & rb & level
                 if common:
-                    c = (common & -common).bit_length() - 1
-                    cut(a, c)
-                    cut(b, c)
+                    cbit = common & -common
+                    rest[a] = ra ^ cbit
+                    rest[b] = rb ^ cbit
+                    rest[cbit.bit_length() - 1] ^= abit | bbit
                     break
-                pa, pb = rest[a] & level, rest[b] & level
-                pa = (pa & -pa).bit_length() - 1
-                pb = (pb & -pb).bit_length() - 1
-                cut(a, pa)
-                cut(b, pb)
-                a, b = pa, pb
+                pabit = ra & level
+                pabit &= -pabit
+                pbbit = rb & level
+                pbbit &= -pbbit
+                rest[a] = ra ^ pabit
+                rest[b] = rb ^ pbbit
+                a = pabit.bit_length() - 1
+                b = pbbit.bit_length() - 1
+                rest[a] ^= abit
+                rest[b] ^= bbit
+                abit, bbit = pabit, pbbit
             packed += 1
             if packed == need:
                 return need
@@ -386,32 +399,45 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     packed = True  # the witness phase's goal is the optimum itself
 
     # the lexmin witness; ``known`` is an optimal set W that contains the
-    # prefix, so W's vertices need no test. Stop once the prefix is optimal:
-    # a prefix precedes its extensions. In lex mode W is already the lexmin
-    # witness (module docstring), and no vertex is tested.
+    # prefix, so W's vertices need no test. ``open_`` holds the vertices not
+    # yet passed that the prefix does not block, and the pass takes its
+    # lowest. Stop once the prefix is optimal: a prefix precedes its
+    # extensions. In lex mode W is already the lexmin witness (module
+    # docstring), so the pass walks W alone and tests no vertex.
     known = best_set
     witness = []
     c_mask = 0
-    blocked = 0
     cov_c = 0
-    for j in range(n):
-        if cov_c == goal:
-            break
-        jbit = 1 << j
-        if blocked & jbit:
-            continue
+    open_ = known if lex else full
+    while open_ and cov_c != goal:
+        jbit = open_ & -open_
+        open_ ^= jbit
+        j = jbit.bit_length() - 1
         if not known & jbit:
-            if lex:
-                continue
-            free = full & -(jbit << 1) & ~(blocked | adj[j])  # unblocked, above j
-            best = goal - 1
-            search(0, free, cov_c + deg[j], c_mask | jbit)
-            if best < goal:
-                continue
-            known = best_set
+            free = open_ & ~adj[j]  # unblocked, above j, not adjacent to j
+            # the lexicographically first extension: take the lowest free
+            # vertex and drop its neighbors, until none is left. Reaching
+            # the optimum settles the test; falling short settles nothing
+            inc = c_mask | jbit
+            cov = cov_c + deg[j]
+            ext, ext_cov, rest = inc, cov, free
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest &= ~(adj[v] | low)
+                ext |= low
+                ext_cov += deg[v]
+            if ext_cov == goal:
+                known = ext
+            else:
+                best = goal - 1
+                search(0, free, cov, inc)
+                if best < goal:
+                    continue
+                known = best_set
         witness.append(j)
         c_mask |= jbit
-        blocked |= adj[j]
+        open_ &= ~adj[j]
         cov_c += deg[j]
     del search  # it refers to itself through its cell; a cycle would wait for the GC
     if cov_c != goal:

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random trees, independent-set enumeration,
 disjoint unions, a graph's structural check, a witness labeling that
-disagrees with its solve, and reference readers for both file formats."""
+disagrees with its solve, a reference odd-cycle packing, and reference
+readers for both file formats."""
 
 import json
 import random
@@ -76,6 +77,70 @@ def disagreeing_witness(monkeypatch) -> None:
         return f
 
     monkeypatch.setattr(solver, "construct_witness", extra)
+
+
+def reference_odd_cycle_packing(adj: tuple[int, ...], need: int) -> int:
+    """The straightforward form of `solver._odd_cycle_packing`: the same start
+    order, breadth-first levels and lowest-bit choices, with each cut made by
+    a nested function and the levels walked back over a reversed copy. The
+    solver's packer must return the same count for every ``need``."""
+    if need <= 0:
+        return 0
+    n = len(adj)
+    rest = list(adj)
+    packed = 0
+
+    def cut(u: int, v: int) -> None:
+        rest[u] &= ~(1 << v)
+        rest[v] &= ~(1 << u)
+
+    bipartite = 0
+    for s in range(n):
+        while rest[s] and not bipartite >> s & 1:
+            levels = [1 << s]
+            seen = levels[0]
+            a = -1
+            while a < 0:
+                frontier = levels[-1]
+                reach = 0
+                scan = frontier
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    v = low.bit_length() - 1
+                    if rest[v] & frontier:
+                        a = v
+                        break
+                    reach |= rest[v]
+                else:
+                    reach &= ~seen
+                    if not reach:
+                        break
+                    seen |= reach
+                    levels.append(reach)
+            if a < 0:
+                bipartite |= seen
+                continue
+            bbit = rest[a] & frontier
+            b = (bbit & -bbit).bit_length() - 1
+            cut(a, b)
+            for level in reversed(levels[:-1]):
+                common = rest[a] & rest[b] & level
+                if common:
+                    c = (common & -common).bit_length() - 1
+                    cut(a, c)
+                    cut(b, c)
+                    break
+                pa, pb = rest[a] & level, rest[b] & level
+                pa = (pa & -pa).bit_length() - 1
+                pb = (pb & -pb).bit_length() - 1
+                cut(a, pa)
+                cut(b, pb)
+                a, b = pa, pb
+            packed += 1
+            if packed == need:
+                return need
+    return packed
 
 
 # Reference readers: the straightforward form of `read_graph` and

@@ -5,7 +5,9 @@ Usage: PYTHONPATH=src python tests/record_solver_digest.py
 Every corpus graph small enough for the brute-force oracle is first checked
 against it: value, witness and mono must be the oracle's. Re-record only when
 a change moves node counts or witnesses on purpose, and list the cells whose
-totals moved.
+totals moved. Each cell also gets an ``answers`` hash over its values and
+witnesses alone; a cell whose answers hash moves is named as such, so that a
+change meant to move node counts only shows at once if it moved an answer.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ def main() -> int:
         if was != cell:
             before = "new" if was is None else f"nodes {was['nodes']}, value_nodes {was['value_nodes']}"
             print(f"{name}: {before} -> nodes {cell['nodes']}, value_nodes {cell['value_nodes']}")
+            if was is not None and was.get("answers") not in (None, cell["answers"]):
+                print(f"{name}: answers moved")
     DIGEST_PATH.write_text(json.dumps(new, indent=1) + "\n")
     print(f"checked {checked} graphs against the oracle; recorded {len(new)} cells in {DIGEST_PATH.name}")
     return 0

@@ -46,6 +46,11 @@ MUTANTS = [
      "_odd_cycle_packing(adj, edges - best)", "_odd_cycle_packing(adj, edges - best - 1)"),
     ("the packing's stop test", SOLVER,
      "            if packed == need:\n                return need\n", ""),
+    ("the packing's common-predecessor cut dropped", SOLVER,
+     "                    rest[a] = ra ^ cbit\n"
+     "                    rest[b] = rb ^ cbit\n"
+     "                    rest[cbit.bit_length() - 1] ^= abit | bbit\n",
+     ""),
     ("the floor", SOLVER,
      "goal = edges - edges // 3", "goal = edges - edges // 4"),
     ("lex mode only below the floor", SOLVER,
@@ -53,7 +58,7 @@ MUTANTS = [
     ("lex mode's weight test at cap == best", SOLVER,
      "            if not top & d & -d:\n                return\n", "            return\n"),
     ("lex mode's untested read-off", SOLVER,
-     "if lex:", "if False:"),
+     "open_ = known if lex else full", "open_ = full"),
     ("the pendant rule", SOLVER,
      "if near.bit_count() > 1 or near and (\n"
      "                deg[near.bit_length() - 1] > top\n"
@@ -72,9 +77,20 @@ MUTANTS = [
     ("W's vertices kept untested", SOLVER,
      "if not known & jbit:", "if True:"),
     ("W kept after a successful witness test", SOLVER,
-     "                continue\n            known = best_set\n", "                continue\n"),
+     "                    continue\n                known = best_set\n", "                    continue\n"),
     ("the witness pass's stop rule", SOLVER,
-     "if cov_c == goal:", "if cov_c > goal:"),
+     "while open_ and cov_c != goal:", "while open_:"),
+    ("the extension accepted one short of the optimum", SOLVER,
+     "if ext_cov == goal:", "if ext_cov >= goal - 1:"),
+    ("the extension keeping a taken vertex's neighbors", SOLVER,
+     "rest &= ~(adj[v] | low)", "rest ^= low"),
+    ("a short extension counted as a failed test, with no search run", SOLVER,
+     "                best = goal - 1\n"
+     "                search(0, free, cov, inc)\n"
+     "                if best < goal:\n"
+     "                    continue\n"
+     "                known = best_set\n",
+     "                continue\n"),
     ("verify_weak's singleton shortcut", LABELS,
      "        if size == 1:\n", "        if size <= 2:\n"),
     ("the shift's strict-increase guard", LABELS,

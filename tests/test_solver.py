@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import disagreeing_witness, disjoint_union
+from helpers import disagreeing_witness, disjoint_union, reference_odd_cycle_packing
 from sparing import solver
 from sparing.errors import CertificationFailed, NotIndependent, TooLarge
 from sparing.families import FAMILY_NAMES, make, random_graph
@@ -15,6 +15,7 @@ from sparing.graphs import (
     edges_within,
     graph_from_edges,
     is_independent,
+    shadow,
 )
 from sparing.labels import induced_edge_labels, mono_edges, verify_weak
 from sparing.solver import (
@@ -308,6 +309,27 @@ class TestExact:
             e = sparing_exact(g)
             assert (b.value, b.witness, b.mono) == (e.value, e.witness, e.mono)
 
+    def test_first_extension_settles_the_witness_pass(self):
+        # the value phase ends on an optimum without vertex 0; the
+        # lexicographically first extension of {0}, the even vertices,
+        # covers every edge, so vertex 0's test runs no search
+        r = sparing_exact(make("path", n=SOLVE_MAX_VERTICES).graph)
+        assert r.value == 0
+        assert r.stats.nodes == r.stats.value_nodes
+
+    @pytest.mark.parametrize(
+        "n,p,seed,witness", [(8, 0.3, 12, (0, 1, 3, 6)), (9, 0.2, 6, (0, 1, 2, 6, 7, 8))]
+    )
+    def test_a_short_first_extension_still_searches(self, n, p, seed, witness):
+        # one witness test here succeeds although the lexicographically first
+        # extension of its prefix falls short of the optimum: the search,
+        # not the extension, decides it
+        g = random_graph(n, p, seed)
+        e, b = sparing_exact(g), sparing_bruteforce(g)
+        assert (e.value, e.witness, e.mono) == (b.value, b.witness, b.mono)
+        assert e.witness == witness
+        assert e.stats.nodes > e.stats.value_nodes
+
     def test_thread_count_does_not_change_anything(self):
         g = random_graph(16, 0.3, 99)
         r1 = sparing_exact(g, threads=1)
@@ -409,6 +431,19 @@ class TestOddCyclePacking:
         assert full > 0
         for need in range(-2, full + 3):
             assert solver._odd_cycle_packing(adj, need) == min(max(need, 0), full)
+
+    def test_matches_the_reference_packing(self):
+        # the same start order, levels and lowest-bit choices pack the same
+        # cycles, so every goal the solver sets stays as it was
+        rng = random.Random(37)
+        graphs = [shadow(make("cycle", n=k).graph) for k in (5, 21, 31)]
+        for _ in range(40):
+            n, p = rng.randint(1, 30), rng.choice((0.1, 0.2, 0.3, 0.5))
+            graphs.append(random_graph(n, p, rng.randrange(2**31)))
+        for g in graphs:
+            adj = adjacency(g)
+            for need in range(g.edge_count + 1):
+                assert solver._odd_cycle_packing(adj, need) == reference_odd_cycle_packing(adj, need)
 
 
 class TestLazyPacking:

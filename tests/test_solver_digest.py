@@ -1,11 +1,13 @@
 """Same answers, same search: a digest of the exact solver on a fixed corpus.
 
 The corpus is split in cells. Each cell stores its graph count, the sums of
-``stats.nodes`` and ``stats.value_nodes``, and the sha256 of its ``(n, |E|,
-value, witness, nodes, value_nodes)`` records, in ``solver_digest.json``. A
-change that moves a node count or a witness moves its cell, and the test
-names every cell that moved. A change that moves them on purpose re-records
-the file with ``record_solver_digest.py`` and lists the moved totals.
+``stats.nodes`` and ``stats.value_nodes``, the sha256 of its ``(n, |E|,
+value, witness, nodes, value_nodes)`` records and, as ``answers``, the sha256
+of its ``(n, |E|, value, witness)`` records alone, in ``solver_digest.json``.
+A change that moves a node count or a witness moves its cell, and the test
+names every cell that moved. A change that moves node counts on purpose
+re-records the file with ``record_solver_digest.py`` and lists the moved
+totals; its ``answers`` hashes stay as they were.
 """
 
 import hashlib
@@ -56,7 +58,7 @@ def corpus() -> dict[str, list[Graph]]:
 
 
 def digest(cells: dict[str, list[Graph]]) -> dict[str, dict]:
-    """Each cell's count, node sums and record hash."""
+    """Each cell's count, node sums, record hash and answers hash."""
     out = {}
     for name, graphs in cells.items():
         records = []
@@ -64,11 +66,13 @@ def digest(cells: dict[str, list[Graph]]) -> dict[str, dict]:
             r = sparing_exact(g)
             records.append([g.n, g.edge_count, r.value, list(r.witness), r.stats.nodes, r.stats.value_nodes])
         text = json.dumps(records, separators=(",", ":"))
+        answers = json.dumps([rec[:4] for rec in records], separators=(",", ":"))
         out[name] = {
             "count": len(records),
             "nodes": sum(rec[4] for rec in records),
             "value_nodes": sum(rec[5] for rec in records),
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "answers": hashlib.sha256(answers.encode()).hexdigest(),
         }
     return out
 
