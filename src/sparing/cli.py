@@ -24,7 +24,7 @@ from . import claims as claims_mod
 from .claims import MODES, check_claim, claim_by_id
 from .errors import GraphFormatError, SparingError, TooLarge
 from .families import (
-    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, random_graph, vertex_count,
+    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, check_range, generate, random_graph, vertex_count,
 )
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
@@ -78,13 +78,17 @@ def _sweep(dims: list) -> Iterator[tuple]:
             yield (value, *tail)
 
 
-def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict]:
+def _family_params(args, family: str, ranged: bool, owner: str,
+                   least: bool = False) -> Iterator[dict]:
     """Parameter dicts for the registry family ``family`` from the CLI flags;
     the cross product of any ranges, in flag order with the last flag varying
     fastest. ``owner`` names what needs the flags in the missing-flag error.
     Every flag is parsed, and the top point's count refuses a wrong part count,
     then over 64 vertices (no valid point has more), before the first point is
-    made; a sweep of more than one point names its top point in the latter."""
+    made; a sweep of more than one point names its top point in the latter.
+    When ``least``, the top point's least values are checked before its count,
+    as `generate` checks them (every point is below a least value the top point
+    is below)."""
     order = FAMILY_PARAMS[family]
     dims: list = []
     for flag in order:
@@ -100,6 +104,8 @@ def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict
         for flag, dim in zip(order, dims)
     }
     sweep = any(len(r) > 1 for dim in dims for r in (dim if isinstance(dim, list) else (dim,)))
+    if least:
+        check_range(top, FAMILY_PARAMS[family], family)
     vertex_count(family, top, named=sweep)
     return (dict(zip(order, values)) for values in _sweep(dims))
 
@@ -122,7 +128,7 @@ def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
         raise InputError(f"unknown family {family!r} (choose from {', '.join(_CLI_FAMILIES)})")
     # check's --mode is the claim's to refuse
     _refuse_unread(args, f"family {family}", ("family", *_CLI_FAMILIES[family], "mode"))
-    points = _family_params(args, family, ranged, f"family {family}")
+    points = _family_params(args, family, ranged, f"family {family}", least=True)
     return (FamilySpec(family, params) for params in points)
 
 

@@ -1,13 +1,13 @@
 """Deterministic generators for the named graph families.
 
-Every family documents its vertex numbering so the named partitions are
-addressable: clique/cycle vertices come first (0-based, consecutive), then
-independent/apex/rim-attachment vertices. A family derived from another
-documents it through the builder it calls: ``_attach`` builds every core with
-one attached vertex per row (split, complete split, complete sun, cone, wheel).
-Partitions are returned alongside the graph and satisfy their defining
-structural property (independent sets are independent, cliques are
-complete, ...).
+A builder joins blocks of vertices as cliques, paths, cycles or stars (the
+multipartite builder sets each row outright). Every family documents its
+vertex numbering so the named partitions are addressable: clique/cycle
+vertices come first (0-based, consecutive), then independent/apex/rim
+vertices. A derived family documents it through the builder it calls:
+``_attach`` builds every core with one attached vertex per row (split,
+complete split, complete sun, cone, wheel). The partitions returned with the
+graph satisfy their defining property (independent sets are independent, ...).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidParam, TooLarge
-from .graphs import SOLVE_MAX_VERTICES, Edge, Graph, graph_from_edges
+from .graphs import SOLVE_MAX_VERTICES, Graph
 
 Partitions = dict[str, frozenset[int]]
 
@@ -104,43 +104,51 @@ def check_range(values: Mapping[str, object], least: Mapping[str, int | None], o
             raise error(f"{owner} requires {condition}")
 
 
-def _clique_edges(vertices: Sequence[int]) -> list[Edge]:
-    return [(vertices[i], vertices[j]) for i in range(len(vertices)) for j in range(i + 1, len(vertices))]
+def _graph(n: int, blocks: Iterable[tuple[Callable, Sequence[int]]]) -> Graph:
+    # each (join, vertices) block's join sets bits on both rows, never a vertex's own
+    adj = [0] * n
+    for join, block in blocks:
+        join(adj, block)
+    return Graph(n, tuple(adj))
 
 
-def _cycle_edges(vertices: Sequence[int]) -> list[Edge]:
-    k = len(vertices)
-    return [(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
+def _join_clique(adj: list[int], block: Sequence[int]) -> None:
+    # every pair in the block (whose vertices are distinct)
+    mask = sum(1 << v for v in block)
+    for v in block:
+        adj[v] |= mask ^ 1 << v
 
 
-def _path(params) -> tuple[Graph, Partitions]:
-    # built directly: 2-5x faster than a chain of n - 1 two-vertex blocks
-    n = params["n"]
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)]), {}
+def _join_path(adj: list[int], block: Sequence[int]) -> None:
+    # consecutive vertices
+    for u, v in zip(block, block[1:]):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+
+def _join_cycle(adj: list[int], block: Sequence[int]) -> None:
+    # a path closed back to its first vertex
+    _join_path(adj, (*block, block[0]))
+
+
+def _join_star(adj: list[int], block: Sequence[int]) -> None:
+    # the first vertex joined to each of the others
+    hub, bit = block[0], 1 << block[0]
+    for v in block[1:]:
+        adj[hub] |= 1 << v
+        adj[v] |= bit
 
 
 def _multipartite(names: Sequence[str] | None, params) -> tuple[Graph, Partitions]:
-    # the complete multipartite graph on params["parts"], one part per size,
-    # numbered consecutively in order and named by ``names``, whose length the
-    # count checked; None names them V1, V2, ...
-    sizes = params["parts"]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            edges.extend(
-                (u, v)
-                for u in range(offsets[i], offsets[i + 1])
-                for v in range(offsets[j], offsets[j + 1])
-            )
-    if names is None:
-        names = [f"V{i + 1}" for i in range(len(sizes))]
-    parts = {
-        name: frozenset(range(offsets[i], offsets[i + 1])) for i, name in enumerate(names)
-    }
-    return graph_from_edges(offsets[-1], edges), parts
+    # the complete multipartite graph on params["parts"]: one part per size,
+    # numbered in order and named by ``names`` (whose length the count checked;
+    # None names them V1, V2, ...), each vertex adjacent to all outside its part
+    adj, parts, n = [], {}, sum(params["parts"])
+    for i, size in enumerate(params["parts"]):
+        start = len(adj)
+        adj += [((1 << n) - 1) ^ ((1 << size) - 1) << start] * size
+        parts[names[i] if names else f"V{i + 1}"] = frozenset(range(start, start + size))
+    return Graph(n, tuple(adj)), parts
 
 
 def _bisplit(params) -> tuple[Graph, Partitions]:
@@ -149,46 +157,38 @@ def _bisplit(params) -> tuple[Graph, Partitions]:
     # list neighbors in Y u Z by relative index 0..y+z-1 (0..y-1 lands in Y).
     y, z, adjacency = params["y"], params["z"], params["adjacency"]
     x = len(adjacency)
-    edges = [(i, x + rel) for i, row in enumerate(adjacency) for rel in row]
-    edges.extend((x + i, x + y + j) for i in range(y) for j in range(z))
-    parts = {
-        "X": frozenset(range(x)),
-        "Y": frozenset(range(x, x + y)),
-        "Z": frozenset(range(x + y, x + y + z)),
-    }
-    return graph_from_edges(x + y + z, edges), parts
+    n = x + y + z
+    blocks = [(_join_star, (i, *(x + rel for rel in row))) for i, row in enumerate(adjacency)]
+    blocks += [(_join_star, (v, *range(x + y, n))) for v in range(x, x + y)]
+    parts = {"X": frozenset(range(x)), "Y": frozenset(range(x, x + y)),
+             "Z": frozenset(range(x + y, n))}
+    return _graph(n, blocks), parts
 
 
-def _attach(r: int, core_edges, rows: Sequence[Iterable[int]], core: str,
+def _attach(r: int, core_join, rows: Sequence[Iterable[int]], core: str,
             attached: str) -> tuple[Graph, Partitions]:
-    # core vertices 0..r-1 joined by core_edges, then attached vertex r+j
+    # core vertices 0..r-1 joined by core_join, then attached vertex r+j
     # joined to the core vertices that row j lists
-    edges = core_edges(range(r))
-    edges.extend((u, r + j) for j, row in enumerate(rows) for u in row)
+    blocks = [(core_join, range(r))] + [(_join_star, (r + j, *row)) for j, row in enumerate(rows)]
     n = r + len(rows)
-    return graph_from_edges(n, edges), {core: frozenset(range(r)), attached: frozenset(range(r, n))}
+    return _graph(n, blocks), {core: frozenset(range(r)), attached: frozenset(range(r, n))}
 
 
-def _chain(sizes: Sequence[int], block_edges) -> tuple[Graph, Partitions]:
+def _chain(sizes: Sequence[int], join) -> tuple[Graph, Partitions]:
     # blocks of the given sizes laid along a path, numbered in order; each
     # block reuses the last vertex of the previous one as its cut vertex
-    edges = []
-    start = 0
+    blocks, start = [], 0
     for size in sizes:
-        edges.extend(block_edges(range(start, start + size)))
+        blocks.append((join, range(start, start + size)))
         start += size - 1
-    return graph_from_edges(start + 1, edges), {}
+    return _graph(start + 1, blocks), {}
 
 
 def _windmill(n: int, r: int) -> tuple[Graph, Partitions]:
     # shared vertex 0; copy i occupies {0} plus 1+i(n-1) .. i(n-1)+n-1
-    edges = []
-    for i in range(r):
-        block = [0] + list(range(1 + i * (n - 1), 1 + (i + 1) * (n - 1)))
-        edges.extend(_clique_edges(block))
     total = r * (n - 1) + 1
-    parts = {"hub": frozenset({0}), "blades": frozenset(range(1, total))}
-    return graph_from_edges(total, edges), parts
+    blocks = [(_join_clique, (0, *range(1 + i * (n - 1), 1 + (i + 1) * (n - 1)))) for i in range(r)]
+    return _graph(total, blocks), {"hub": frozenset({0}), "blades": frozenset(range(1, total))}
 
 
 def _rows(params, family: str, end: int, listed: str, entries: str) -> int:
@@ -213,25 +213,25 @@ def _parts(params, family: str, k: int) -> int:
 # adjacency rows of split and bisplit), and its vertex count, which only grows
 # with each parameter above its least and first refuses what the least values
 # leave open (a named multipartite family's part count, the adjacency rows), so
-# a builder only builds; a derived family calls the builder it derives from,
-# whose comment gives its numbering (a cycle or K_n is one block on 0..n-1;
-# _attach numbers its core first, so a wheel's rim is 0..m-1 and its hub m)
+# a builder only joins blocks; a derived family calls the builder it derives
+# from, whose comment gives its numbering (a path, cycle or K_n is one block on
+# 0..n-1; _attach numbers its core first, so a wheel's rim is 0..m-1 and its hub m)
 _FAMILIES: dict[str, tuple[Callable, dict[str, int | None], Callable]] = {
-    "path": (_path, {"n": 1}, lambda p: p["n"]),
-    "cycle": (lambda p: _chain([p["n"]], _cycle_edges), {"n": 3}, lambda p: p["n"]),
-    "complete": (lambda p: _chain([p["n"]], _clique_edges), {"n": 1}, lambda p: p["n"]),
+    "path": (lambda p: _chain([p["n"]], _join_path), {"n": 1}, lambda p: p["n"]),
+    "cycle": (lambda p: _chain([p["n"]], _join_cycle), {"n": 3}, lambda p: p["n"]),
+    "complete": (lambda p: _chain([p["n"]], _join_clique), {"n": 1}, lambda p: p["n"]),
     "complete_bipartite": (partial(_multipartite, ("X", "Y")), {"parts": 1},
                            lambda p: _parts(p, "complete_bipartite", 2)),
     "complete_multipartite": (partial(_multipartite, None), {"parts": 1},
                               lambda p: sum(p["parts"])),
     # rim vertex n+j of a complete sun sits on edge j of the cycle 0..n-1
-    "complete_sun": (lambda p: _attach(p["n"], _clique_edges, _cycle_edges(range(p["n"])), "U", "W"),
-                     {"n": 3}, lambda p: 2 * p["n"]),
-    "split": (lambda p: _attach(p["r"], _clique_edges, p["adjacency"], "clique", "independent"),
+    "complete_sun": (lambda p: _attach(p["n"], _join_clique, [(j, (j + 1) % p["n"]) for j in range(p["n"])],
+                                       "U", "W"), {"n": 3}, lambda p: 2 * p["n"]),
+    "split": (lambda p: _attach(p["r"], _join_clique, p["adjacency"], "clique", "independent"),
               {"r": 1, "adjacency": None},
               lambda p: p["r"] + _rows(p, "split", p["r"], "requires an adjacency list",
                                        "must be clique indices")),
-    "complete_split": (lambda p: _attach(p["r"], _clique_edges, [range(p["r"])] * p["s"],
+    "complete_split": (lambda p: _attach(p["r"], _join_clique, [range(p["r"])] * p["s"],
                                          "clique", "independent"), {"r": 1, "s": 1},
                        lambda p: p["r"] + p["s"]),
     "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None},
@@ -240,16 +240,16 @@ _FAMILIES: dict[str, tuple[Callable, dict[str, int | None], Callable]] = {
     # a complete bisplit graph is the complete tripartite graph K_{x,y,z}
     "complete_bisplit": (partial(_multipartite, ("X", "Y", "Z")), {"parts": 1},
                          lambda p: _parts(p, "complete_bisplit", 3)),
-    "block_chain": (lambda p: _chain(p["cliques"], _clique_edges), {"cliques": 2},
+    "block_chain": (lambda p: _chain(p["cliques"], _join_clique), {"cliques": 2},
                     lambda p: sum(p["cliques"]) - len(p["cliques"]) + 1),
     "windmill": (lambda p: _windmill(p["n"], p["r"]), {"n": 2, "r": 2},
                  lambda p: p["r"] * (p["n"] - 1) + 1),
     "friendship": (lambda p: _windmill(3, p["r"]), {"r": 2}, lambda p: 2 * p["r"] + 1),
-    "wheel": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])], "rim", "hub"), {"m": 3},
+    "wheel": (lambda p: _attach(p["m"], _join_cycle, [range(p["m"])], "rim", "hub"), {"m": 3},
               lambda p: p["m"] + 1),
-    "cone": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])] * p["n"], "cycle", "apex"),
+    "cone": (lambda p: _attach(p["m"], _join_cycle, [range(p["m"])] * p["n"], "cycle", "apex"),
              {"m": 3, "n": 1}, lambda p: p["m"] + p["n"]),
-    "cactus_chain": (lambda p: _chain(p["cycles"], _cycle_edges), {"cycles": 3},
+    "cactus_chain": (lambda p: _chain(p["cycles"], _join_cycle), {"cycles": 3},
                      lambda p: sum(p["cycles"]) - len(p["cycles"]) + 1),
 }
 

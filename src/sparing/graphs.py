@@ -45,7 +45,8 @@ class Graph:
     def __init__(self, n: int, adj: tuple[int, ...]):
         # internal: the builders that hand over symmetric loopless bitsets call it
         # directly (graph_from_edges, read_graph, shadow, subdivide_edges,
-        # families.random_graph); everyone else goes through them
+        # families.random_graph and the family builders); everyone else goes
+        # through them
         self.n = n
         self._adj = adj
 

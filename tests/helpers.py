@@ -1,13 +1,14 @@
 """Shared test utilities: seeded random trees, independent-set enumeration,
 disjoint unions, a graph's structural check, a witness labeling that
-disagrees with its solve, a reference odd-cycle packing, and reference
-readers for both file formats."""
+disagrees with its solve, a reference odd-cycle packing, reference
+readers for both file formats and a reference family generator."""
 
 import json
 import random
 
 from sparing import solver
-from sparing.errors import GraphFormatError, IndexOutOfRange
+from sparing.errors import GraphFormatError, IndexOutOfRange, InvalidParam, TooLarge
+from sparing.families import LabeledGraph, check_range, checked_param
 from sparing.graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, graph_from_edges, is_independent
 from sparing.labels import MAX_LABELING_TEXT, _checked_label
 
@@ -239,3 +240,147 @@ def reference_read_labeling(text: str):
         except ValueError as exc:
             raise GraphFormatError(f"label of vertex {key}: {exc}") from None
     return n, out
+
+
+# Reference family generator: the edge-list form of `families.generate`, whose
+# builders list each edge for `graph_from_edges` to check, with its own copy of
+# the shape checks and counts. The library's generator must return the same
+# graph and partitions, or raise the same error class and message, on every
+# point; it shares only the type and least-value checks.
+
+
+def _need(cond, message):
+    if not cond:
+        raise InvalidParam(message)
+
+
+def _clique_edges(vertices):
+    return [(vertices[i], vertices[j]) for i in range(len(vertices)) for j in range(i + 1, len(vertices))]
+
+
+def _cycle_edges(vertices):
+    k = len(vertices)
+    return [(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
+
+
+def _multipartite(names, params):
+    sizes = params["parts"]
+    offsets = [0]
+    for s in sizes:
+        offsets.append(offsets[-1] + s)
+    edges = []
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            edges.extend(
+                (u, v)
+                for u in range(offsets[i], offsets[i + 1])
+                for v in range(offsets[j], offsets[j + 1])
+            )
+    if names is None:
+        names = [f"V{i + 1}" for i in range(len(sizes))]
+    parts = {name: frozenset(range(offsets[i], offsets[i + 1])) for i, name in enumerate(names)}
+    return graph_from_edges(offsets[-1], edges), parts
+
+
+def _bisplit(params):
+    y, z, adjacency = params["y"], params["z"], params["adjacency"]
+    x = len(adjacency)
+    edges = [(i, x + rel) for i, row in enumerate(adjacency) for rel in row]
+    edges.extend((x + i, x + y + j) for i in range(y) for j in range(z))
+    parts = {
+        "X": frozenset(range(x)),
+        "Y": frozenset(range(x, x + y)),
+        "Z": frozenset(range(x + y, x + y + z)),
+    }
+    return graph_from_edges(x + y + z, edges), parts
+
+
+def _attach(r, core_edges, rows, core, attached):
+    edges = core_edges(range(r))
+    edges.extend((u, r + j) for j, row in enumerate(rows) for u in row)
+    n = r + len(rows)
+    return graph_from_edges(n, edges), {core: frozenset(range(r)), attached: frozenset(range(r, n))}
+
+
+def _chain(sizes, block_edges):
+    edges = []
+    start = 0
+    for size in sizes:
+        edges.extend(block_edges(range(start, start + size)))
+        start += size - 1
+    return graph_from_edges(start + 1, edges), {}
+
+
+def _windmill(n, r):
+    edges = []
+    for i in range(r):
+        block = [0] + list(range(1 + i * (n - 1), 1 + (i + 1) * (n - 1)))
+        edges.extend(_clique_edges(block))
+    total = r * (n - 1) + 1
+    return graph_from_edges(total, edges), {"hub": frozenset({0}), "blades": frozenset(range(1, total))}
+
+
+def _rows(params, family, end, listed, entries):
+    adjacency = params.get("adjacency")
+    _need(isinstance(adjacency, (list, tuple)), f"{family} {listed}")
+    for row in adjacency:
+        _need(isinstance(row, (list, tuple)), f"{family} adjacency rows must be lists")
+        _need(all(isinstance(u, int) and not isinstance(u, bool) and 0 <= u < end for u in row),
+              f"{family} adjacency entries {entries} 0..{end - 1}")
+    return len(adjacency)
+
+
+def _parts(params, family, k):
+    _need(len(params["parts"]) == k, f"{family} requires exactly {k} part sizes")
+    return sum(params["parts"])
+
+
+_REFERENCE_FAMILIES = {
+    "path": (lambda p: (graph_from_edges(p["n"], [(i, i + 1) for i in range(p["n"] - 1)]), {}),
+             {"n": 1}, lambda p: p["n"]),
+    "cycle": (lambda p: _chain([p["n"]], _cycle_edges), {"n": 3}, lambda p: p["n"]),
+    "complete": (lambda p: _chain([p["n"]], _clique_edges), {"n": 1}, lambda p: p["n"]),
+    "complete_bipartite": (lambda p: _multipartite(("X", "Y"), p), {"parts": 1},
+                           lambda p: _parts(p, "complete_bipartite", 2)),
+    "complete_multipartite": (lambda p: _multipartite(None, p), {"parts": 1},
+                              lambda p: sum(p["parts"])),
+    "complete_sun": (lambda p: _attach(p["n"], _clique_edges, _cycle_edges(range(p["n"])), "U", "W"),
+                     {"n": 3}, lambda p: 2 * p["n"]),
+    "split": (lambda p: _attach(p["r"], _clique_edges, p["adjacency"], "clique", "independent"),
+              {"r": 1, "adjacency": None},
+              lambda p: p["r"] + _rows(p, "split", p["r"], "requires an adjacency list",
+                                       "must be clique indices")),
+    "complete_split": (lambda p: _attach(p["r"], _clique_edges, [range(p["r"])] * p["s"],
+                                         "clique", "independent"), {"r": 1, "s": 1},
+                       lambda p: p["r"] + p["s"]),
+    "bisplit": (_bisplit, {"y": 1, "z": 1, "adjacency": None},
+                lambda p: _rows(p, "bisplit", p["y"] + p["z"], "requires an adjacency list for X",
+                                "must lie in") + p["y"] + p["z"]),
+    "complete_bisplit": (lambda p: _multipartite(("X", "Y", "Z"), p), {"parts": 1},
+                         lambda p: _parts(p, "complete_bisplit", 3)),
+    "block_chain": (lambda p: _chain(p["cliques"], _clique_edges), {"cliques": 2},
+                    lambda p: sum(p["cliques"]) - len(p["cliques"]) + 1),
+    "windmill": (lambda p: _windmill(p["n"], p["r"]), {"n": 2, "r": 2},
+                 lambda p: p["r"] * (p["n"] - 1) + 1),
+    "friendship": (lambda p: _windmill(3, p["r"]), {"r": 2}, lambda p: 2 * p["r"] + 1),
+    "wheel": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])], "rim", "hub"), {"m": 3},
+              lambda p: p["m"] + 1),
+    "cone": (lambda p: _attach(p["m"], _cycle_edges, [range(p["m"])] * p["n"], "cycle", "apex"),
+             {"m": 3, "n": 1}, lambda p: p["m"] + p["n"]),
+    "cactus_chain": (lambda p: _chain(p["cycles"], _cycle_edges), {"cycles": 3},
+                     lambda p: sum(p["cycles"]) - len(p["cycles"]) + 1),
+}
+
+
+def reference_generate(spec) -> LabeledGraph:
+    if spec.family not in _REFERENCE_FAMILIES:
+        raise InvalidParam(f"unknown family {spec.family!r}")
+    build, least, count = _REFERENCE_FAMILIES[spec.family]
+    for key, lo in least.items():
+        if lo is not None:
+            checked_param(spec.params, key, spec.family)
+    check_range(spec.params, least, spec.family)
+    n = count(spec.params)
+    if n > SOLVE_MAX_VERTICES:
+        raise TooLarge(f"{spec.family} needs {n} vertices; graphs are limited to {SOLVE_MAX_VERTICES}")
+    return LabeledGraph(*build(spec.params))

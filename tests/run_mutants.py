@@ -119,6 +119,14 @@ MUTANTS = [
      "0 <= u < end", "0 <= u <= end"),
     ("vertex_count's point", FAMILIES,
      'if named else ""', 'if False else ""'),
+    ("the cycle join's closing edge", FAMILIES,
+     "_join_path(adj, (*block, block[0]))", "_join_path(adj, block)"),
+    ("the clique join setting each vertex's own bit", FAMILIES,
+     "adj[v] |= mask ^ 1 << v", "adj[v] |= mask"),
+    ("the star join setting only the hub's row", FAMILIES,
+     "        adj[hub] |= 1 << v\n        adj[v] |= bit\n", "        adj[hub] |= 1 << v\n"),
+    ("_chain's shared cut vertex", FAMILIES,
+     "start += size - 1", "start += size"),
     ("random_graph's symmetric bit", FAMILIES,
      "                adj[v] |= bit\n", ""),
     ("random_graph's row-by-row draw order", FAMILIES,

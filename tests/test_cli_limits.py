@@ -93,6 +93,27 @@ class TestVertexCapOnFlags:
             2, "", "error: complete_bipartite requires exactly 2 part sizes\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["solve", "--family", "complete_bipartite", "--parts", "0,1,1"],
+             "complete_bipartite requires all part sizes >= 1"),
+            # under a least value and over the cap: refused as make refuses it
+            (["solve", "--family", "complete_bipartite", "--parts", "0,100"],
+             "complete_bipartite requires all part sizes >= 1"),
+            (["certify", "--family", "cone", "--m", "2", "--n", "100", "--out", "unused.json"],
+             "cone requires m >= 3 and n >= 1"),
+            (["verify", "--family", "wheel", "--m", "2", "--labeling", "unused.json"],
+             "wheel requires m >= 3"),
+            (["check", "--claim", "C12", "--family", "complete_bisplit", "--parts", "0,1..2,3,4"],
+             "complete_bisplit requires all part sizes >= 1"),
+            # a claim's own points keep the claim's wording
+            (["check", "--claim", "C3", "--parts", "0,1"], "C3 requires a >= 1 and b >= 1"),
+        ],
+    )
+    def test_family_flags_are_refused_in_generates_order(self, capsys, no_build, argv, err):
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
     def test_corpus_size_refused_before_writing(self, capsys, tmp_path):
         out_dir = tmp_path / "corpus"
         code, out, err = run(capsys, "corpus", "--n", "100", "--out-dir", str(out_dir))

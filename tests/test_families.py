@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from helpers import validate
+from helpers import reference_generate, validate
 from sparing import families
 from sparing.claims import check_claim, claim_by_id
-from sparing.errors import InvalidParam, TooLarge
-from sparing.families import FAMILY_NAMES, FamilySpec, generate, make, random_graph, vertex_count
+from sparing.errors import InvalidParam, SparingError, TooLarge
+from sparing.families import (
+    FAMILY_NAMES, FAMILY_PARAMS, LIST_PARAMS, FamilySpec, generate, make, random_graph, vertex_count,
+)
 from sparing.graphs import edges_within, graph_from_edges, is_independent
 from sparing.solver import sparing_exact
 
@@ -128,12 +130,13 @@ OVER_THE_CAP = [
 
 @pytest.fixture
 def no_edges(monkeypatch):
-    """Fail the test if a builder makes an edge list or a graph."""
+    """Fail the test if a builder joins a block or makes a graph (every
+    builder ends in ``Graph``)."""
 
     def refuse(*args):
         raise AssertionError("built edges")
 
-    for name in ("_clique_edges", "_cycle_edges", "graph_from_edges"):
+    for name in ("Graph", "_join_clique", "_join_path", "_join_cycle", "_join_star"):
         monkeypatch.setattr(families, name, refuse)
 
 
@@ -197,6 +200,72 @@ class TestVertexCount:
             make("windmill", n=1, r=1000)
         with pytest.raises(InvalidParam, match="^split requires an adjacency list$"):
             make("split", r=1000)
+
+
+def seeded_points(count: int, seed: int):
+    """``count`` points cycling through every family, drawn from
+    ``random.Random(seed)``: values mostly small but reaching under the least
+    values and over the cap, lists of one to five items, split and bisplit rows
+    of up to four entries that may repeat, and now and then a malformed value,
+    entry or row or a missing parameter."""
+    rng = random.Random(seed)
+
+    def value(lo):
+        return lo - 2 + min(int(rng.expovariate(0.1)), 80)
+
+    for i in range(count):
+        family = FAMILY_NAMES[i % len(FAMILY_NAMES)]
+        params: dict = {}
+        for key, lo in FAMILY_PARAMS[family].items():
+            if key in LIST_PARAMS:
+                params[key] = [value(lo + 1) for _ in range(rng.randint(1, 5))]
+            elif lo is not None:
+                params[key] = value(lo)
+        if "adjacency" in FAMILY_PARAMS[family]:
+            end = params["r"] if family == "split" else params["y"] + params["z"]
+            params["adjacency"] = [
+                [rng.randrange(max(end, 1)) for _ in range(rng.randint(0, 4))]
+                for _ in range(rng.randint(0, 8))
+            ]
+            if rng.random() < 0.1:
+                params["adjacency"].append(rng.choice([[end], [-1], 3, ["0"], (0, True)]))
+        if rng.random() < 0.05:
+            key = rng.choice(list(params))
+            if rng.random() < 0.5:
+                del params[key]
+            else:
+                params[key] = rng.choice(["3", True, 2.0, [], [3, "4"], None])
+        yield family, params
+
+
+def outcome(build, family, params):
+    """What ``build`` makes of the point: its graph and partitions, or the class
+    and message of the error it refused the point with."""
+    try:
+        lg = build(FamilySpec(family, params))
+    except SparingError as exc:
+        return type(exc), str(exc)
+    return lg.graph, lg.partitions
+
+
+class TestReferenceGenerator:
+    def test_every_point_up_to_the_cap(self):
+        for family, params in points_up_to_the_cap():
+            assert outcome(generate, family, params) == outcome(reference_generate, family, params), (
+                family, params)
+
+    def test_seeded_points(self):
+        built = dict.fromkeys(FAMILY_NAMES, 0)
+        refused = set()
+        for family, params in seeded_points(4096, 7):
+            got = outcome(generate, family, params)
+            assert got == outcome(reference_generate, family, params), (family, params)
+            if isinstance(got[0], type):
+                refused.add(got[0])
+            else:
+                built[family] += 1
+        assert min(built.values()) >= 25, built
+        assert refused == {InvalidParam, TooLarge}
 
 
 class TestPartitions:
