@@ -18,11 +18,11 @@ import random
 import stat
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import claims as claims_mod
 from .claims import MODES, check_claim, claim_by_id
-from .errors import GraphFormatError, SparingError, TooLarge
+from .errors import DomainError, GraphFormatError, SparingError, TooLarge
 from .families import (
     FAMILY_PARAMS, LIST_PARAMS, FamilySpec, check_range, generate, random_graph, vertex_count,
 )
@@ -79,16 +79,16 @@ def _sweep(dims: list) -> Iterator[tuple]:
 
 
 def _family_params(args, family: str, ranged: bool, owner: str,
-                   least: bool = False) -> Iterator[dict]:
+                   least: Callable[[dict], None] | None = None) -> Iterator[dict]:
     """Parameter dicts for the registry family ``family`` from the CLI flags;
     the cross product of any ranges, in flag order with the last flag varying
     fastest. ``owner`` names what needs the flags in the missing-flag error.
     Every flag is parsed, and the top point's count refuses a wrong part count,
     then over 64 vertices (no valid point has more), before the first point is
     made; a sweep of more than one point names its top point in the latter.
-    When ``least``, the top point's least values are checked before its count,
-    as `generate` checks them (every point is below a least value the top point
-    is below)."""
+    ``least``, if given, checks the top point's least values before its count,
+    as `generate` and `check_claim` check them first (every point is below a
+    least value the top point is below)."""
     order = FAMILY_PARAMS[family]
     dims: list = []
     for flag in order:
@@ -104,8 +104,8 @@ def _family_params(args, family: str, ranged: bool, owner: str,
         for flag, dim in zip(order, dims)
     }
     sweep = any(len(r) > 1 for dim in dims for r in (dim if isinstance(dim, list) else (dim,)))
-    if least:
-        check_range(top, FAMILY_PARAMS[family], family)
+    if least is not None:
+        least(top)
     vertex_count(family, top, named=sweep)
     return (dict(zip(order, values)) for values in _sweep(dims))
 
@@ -128,7 +128,9 @@ def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
         raise InputError(f"unknown family {family!r} (choose from {', '.join(_CLI_FAMILIES)})")
     # check's --mode is the claim's to refuse
     _refuse_unread(args, f"family {family}", ("family", *_CLI_FAMILIES[family], "mode"))
-    points = _family_params(args, family, ranged, f"family {family}", least=True)
+    least = FAMILY_PARAMS[family]
+    points = _family_params(args, family, ranged, f"family {family}",
+                            lambda top: check_range(top, least, family))
     return (FamilySpec(family, params) for params in points)
 
 
@@ -310,14 +312,25 @@ def _claim_points(claim, args) -> Iterator[dict]:
         return (dict(zip(claim.param_order, point)) for point in _sweep(dims))
     _refuse_unread(args, owner, FAMILY_PARAMS[claim.family])
     flag = claim.item_list()
-    if flag is None:
-        return _family_params(args, claim.family, True, owner)
-    # a list family (--parts) whose claim names each item
-    raw = getattr(args, flag)
-    if raw is not None and len(raw.split(",")) != len(claim.param_order):
-        raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
-    points = _family_params(args, claim.family, True, owner)
-    return (dict(zip(claim.param_order, point[flag])) for point in points)
+    if flag is not None:
+        # a list family (--parts) whose claim names each item
+        raw = getattr(args, flag)
+        if raw is not None and len(raw.split(",")) != len(claim.param_order):
+            raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
+
+    def as_claim(point: dict) -> dict:
+        return point if flag is None else dict(zip(claim.param_order, point[flag]))
+
+    # the claim's least values, in its words, come before the top point's
+    # count; a claim with its own domain (C2's odd n) is judged point by point
+    least = claim.least_values()
+
+    def check_least(top: dict) -> None:
+        check_range(as_claim(top), least, claim.id, DomainError)
+
+    points = _family_params(args, claim.family, True, owner,
+                            None if least is None else check_least)
+    return map(as_claim, points)
 
 
 def cmd_check(args) -> int:

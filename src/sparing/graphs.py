@@ -33,6 +33,12 @@ _ROWS: list[list[Edge | None]] = [
 ]
 
 
+# int() of the canonical spelling of every vertex index a graph may have, so
+# an edge line's endpoints are two lookups; any other token, such as "007",
+# "-1", "64" or non-ASCII digits, is parsed as before.
+_VERTEX_INDEX: dict[str, int] = {str(v): v for v in range(SOLVE_MAX_VERTICES)}
+
+
 def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -227,11 +233,17 @@ def _decimal(token: str) -> int:
 
 
 def read_graph(text: str) -> Graph:
+    """The graph a text in the format above describes; raises GraphFormatError.
+
+    Edge lines set adjacency bits as they are read. Their endpoints are looked
+    up in ``_VERTEX_INDEX``; a token it lacks is parsed as the header is, so
+    every graph and message is the same as without the table."""
     if len(text) > MAX_GRAPH_TEXT:
         raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
     # a text with no non-ASCII character, '_' or '+' has no token that
     # int() reads and _decimal refuses
     parse = int if text.isascii() and "_" not in text and "+" not in text else _decimal
+    index = _VERTEX_INDEX
     n = m = None
     adj: list[int] = []
     repeats = 0
@@ -247,9 +259,12 @@ def read_graph(text: str) -> Graph:
         if head == "e" and len(fields) == 3 and n is not None:
             # a well-formed edge line; the other edge lines fail below
             try:
-                u, v = parse(fields[1]), parse(fields[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+                u, v = index[fields[1]], index[fields[2]]
+            except KeyError:
+                try:
+                    u, v = parse(fields[1]), parse(fields[2])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
             if u >= v:
                 raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
             if u >= 0 and v < n:

@@ -9,14 +9,16 @@ every edge. `verify_weak` computes every sum set once and judges them; its
 verdict also carries the mono edges, those whose sum set is a singleton,
 which the sparing number counts.
 
-The sum sets take one pass over the edges, in edge order, after one read of
-each vertex's label, its size and whether it strictly increases. When one
-endpoint's label is a singleton and the other's strictly increases, the sum
-set is the other label shifted by the singleton's element, already sorted
-and free of repeats; every other pair, including a pair with a label that is
-not strictly increasing, goes through `sumset`. One loop over the sum sets
-then collects the mono edges and the cardinality failures, and the edge
-pairs are grouped only when some sum set repeats.
+One loop over the edges, in edge order, after one read of each vertex's
+label, its size and whether it strictly increases, builds every sum set and
+judges it as it goes. When one endpoint's label is a singleton and the
+other's strictly increases, the sum set is the other label shifted by the
+singleton's element: already sorted, free of repeats and as large as the
+larger label, so it needs no size test, and it is mono exactly when both
+labels are singletons. Every other pair, including a pair with a label that
+is empty or not strictly increasing, goes through `sumset`, whose size is
+compared. The edge pairs are grouped only when some sum set repeats.
+`induced_edge_labels` reads its sum sets from the same loop.
 """
 
 from __future__ import annotations
@@ -95,11 +97,17 @@ class Verdict:
         return not self.failures
 
 
-def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
-    """The sum set of the endpoint labels for each edge, keyed by canonical edge.
+def _edge_sums(
+    g: Graph, f: Mapping[int, Label]
+) -> tuple[list[Label], list[Edge], list[Label], list[Edge], list[Edge]]:
+    """The vertex labels, the edges, their sum sets in edge order, the mono
+    edges, and the edges whose sum set is not as large as their larger
+    endpoint label: one loop over the edges builds, takes and judges each
+    sum set.
 
-    Raises TooLarge, before any sum set is built, if the edges need more than
-    ``MAX_SUM_PAIRS`` pairs of label elements in all."""
+    Raises MissingLabel if a vertex has no label, and TooLarge, before any sum
+    set is built, if the edges need more than ``MAX_SUM_PAIRS`` pairs of label
+    elements in all."""
     labels = [f[v] for v in range(g.n) if v in f]
     if len(labels) < g.n:
         raise MissingLabel(f"no label for vertices {[v for v in range(g.n) if v not in f]}")
@@ -113,22 +121,52 @@ def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
                 f"the sum sets need {pairs} pairs of label elements; "
                 f"verification is limited to {MAX_SUM_PAIRS}"
             )
-    # a shifted label is sorted and free of repeats only if it strictly increases
-    rising = [size == 1 or all(map(lt, lab, lab[1:])) for lab, size in zip(labels, sizes)]
-    # keyed by the edge list's own tuples, which graphs of at most 64 vertices share
-    out = {}
+    # a shifted label is sorted, free of repeats and as large as the label
+    # only if it is non-empty and strictly increases
+    rising = [
+        size == 1 or size > 1 and all(map(lt, lab, lab[1:]))
+        for lab, size in zip(labels, sizes)
+    ]
+    sums: list[Label] = []
+    mono: list[Edge] = []
+    wrong: list[Edge] = []
+    # mono and wrong hold the edge list's own tuples, which graphs of at most
+    # 64 vertices share
     for e in edges:
         u, v = e
         a, b = labels[u], labels[v]
+        # a shifted label has the larger endpoint's size by construction, so
+        # only the sumset branch compares sizes
         if sizes[u] == 1 and rising[v]:
             x = a[0]
-            out[e] = (x + b[0],) if sizes[v] == 1 else tuple([x + y for y in b])
+            if sizes[v] == 1:
+                sums.append((x + b[0],))
+                mono.append(e)
+            else:
+                sums.append(tuple([x + y for y in b]))
         elif sizes[v] == 1 and rising[u]:
             x = b[0]
-            out[e] = tuple([y + x for y in a])
+            sums.append(tuple([y + x for y in a]))
         else:
-            out[e] = sumset(a, b)
-    return out
+            lab = sumset(a, b)
+            sums.append(lab)
+            size = len(lab)
+            if size == 1:
+                mono.append(e)
+            # judged on mono edges too: a tuple that repeats one element,
+            # which is no label, gives a singleton sum set with a longer endpoint
+            if size != (sizes[u] if sizes[u] > sizes[v] else sizes[v]):
+                wrong.append(e)
+    return labels, edges, sums, mono, wrong
+
+
+def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
+    """The sum set of the endpoint labels for each edge, keyed by canonical edge.
+
+    Raises TooLarge, before any sum set is built, if the edges need more than
+    ``MAX_SUM_PAIRS`` pairs of label elements in all."""
+    _, edges, sums, _, _ = _edge_sums(g, f)
+    return dict(zip(edges, sums))
 
 
 def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:
@@ -160,26 +198,16 @@ def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
 
     Every colliding pair is listed, vertex pairs then edge pairs, and the
     cardinality failures follow them; more than ``MAX_COLLISION_PAIRS`` pairs
-    of either kind raise TooLarge instead. Each edge's sum set is computed once."""
-    edge_labels = induced_edge_labels(g, f)
-    vertex_labels = [f[v] for v in range(g.n)]
+    of either kind raise TooLarge instead. One loop over the edges builds
+    each sum set once, takes the mono edges and judges the sizes."""
+    labels, edges, sums, mono, wrong = _edge_sums(g, f)
     failures = []
     # pairs are listed only where a label repeats; with none, the list is empty
-    if len(set(vertex_labels)) < g.n:
-        failures += _collisions(FailureKind.VERTEX_COLLISION, enumerate(vertex_labels))
-    if len(set(edge_labels.values())) < len(edge_labels):
-        failures += _collisions(FailureKind.EDGE_COLLISION, edge_labels.items())
-    sizes = [len(lab) for lab in vertex_labels]
-    mono = []
-    for e, lab in edge_labels.items():
-        u, v = e
-        size = len(lab)
-        if size == 1:
-            mono.append(e)
-        # judged on mono edges too: a tuple that repeats one element, which
-        # is no label, gives a singleton sum set with a longer endpoint
-        if size != (sizes[u] if sizes[u] > sizes[v] else sizes[v]):
-            failures.append(Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,)))
+    if len(set(labels)) < g.n:
+        failures += _collisions(FailureKind.VERTEX_COLLISION, enumerate(labels))
+    if len(set(sums)) < len(sums):
+        failures += _collisions(FailureKind.EDGE_COLLISION, zip(edges, sums))
+    failures += [Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,)) for e in wrong]
     return Verdict(tuple(failures), tuple(mono))
 
 

@@ -86,6 +86,8 @@ from .labels import Labeling, verify_weak
 
 BRUTEFORCE_MAX_VERTICES = 24
 WITNESS_MAX_VERTICES = 30  # exclusive bound: 2 * 4**29 < 2**63
+# vertex v's witness labels, outside and inside the independent set
+_WITNESS_LABELS = [((4**v,), (4**v, 2 * 4**v)) for v in range(WITNESS_MAX_VERTICES)]
 
 
 @dataclass(frozen=True)
@@ -449,10 +451,11 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
 def construct_witness(g: Graph, independent: tuple[int, ...] | frozenset[int]) -> Labeling:
     """A weak labeling whose non-singleton vertices are exactly ``independent``.
 
-    Vertex i receives {4**i}, or {4**i, 2*4**i} inside the independent set.
-    Every element encodes its vertex (or edge) in base-4 digits without
-    carries, so vertex labels and edge sum sets are automatically pairwise
-    distinct, and the mono edges are exactly the edges avoiding the set.
+    Vertex i receives {4**i}, or {4**i, 2*4**i} inside the independent set,
+    both read from a table built at import. Every element encodes its vertex
+    (or edge) in base-4 digits without carries, so vertex labels and edge sum
+    sets are automatically pairwise distinct, and the mono edges are exactly
+    the edges avoiding the set.
     """
     if g.n >= WITNESS_MAX_VERTICES:
         raise TooLarge(
@@ -464,11 +467,7 @@ def construct_witness(g: Graph, independent: tuple[int, ...] | frozenset[int]) -
     if not is_independent(g, independent):
         raise NotIndependent(f"vertex set {sorted(independent)} spans an edge")
     chosen = mask_of(independent)
-    f: Labeling = {}
-    for v in range(g.n):
-        base = 4**v
-        f[v] = (base, 2 * base) if chosen >> v & 1 else (base,)
-    return f
+    return {v: _WITNESS_LABELS[v][chosen >> v & 1] for v in range(g.n)}
 
 
 def solve_and_certify(g: Graph) -> tuple[SparingResult, Labeling]:

@@ -91,12 +91,19 @@ MUTANTS = [
      "                    continue\n"
      "                known = best_set\n",
      "                continue\n"),
-    ("verify_weak's singleton shortcut", LABELS,
-     "        if size == 1:\n", "        if size <= 2:\n"),
+    ("the sumset branch's mono test", LABELS,
+     "            if size == 1:\n", "            if size <= 2:\n"),
+    ("the singleton-singleton branch's mono edge", LABELS,
+     "                sums.append((x + b[0],))\n                mono.append(e)\n",
+     "                sums.append((x + b[0],))\n"),
+    ("the sumset branch's size test", LABELS,
+     "if size != (sizes[u] if sizes[u] > sizes[v] else sizes[v]):", "if False:"),
     ("the shift's strict-increase guard", LABELS,
-     "size == 1 or all(map(lt, lab, lab[1:]))", "True"),
+     "size == 1 or size > 1 and all(map(lt, lab, lab[1:]))", "True"),
+    ("the shift's non-empty guard", LABELS,
+     "size == 1 or size > 1 and all(", "size == 1 or all("),
     ("verify_weak's edge-collision test", LABELS,
-     "if len(set(edge_labels.values())) < len(edge_labels):", "if False:"),
+     "if len(set(sums)) < len(sums):", "if False:"),
     ("read_labeling's strict-increase check", LABELS,
      "        if not rising:\n", "        if False:\n"),
     ("read_graph's repeated-bit test", GRAPHS,
@@ -105,8 +112,13 @@ MUTANTS = [
     ("read_graph's out-of-range vertex named", GRAPHS,
      "first_outside = u if u < 0 or u >= n else v", "first_outside = u if u < 0 else v"),
     ("construct_witness's labels", SOLVER,
-     "(base, 2 * base) if chosen >> v & 1 else (base,)",
-     "(base,) if chosen >> v & 1 else (base, 2 * base)"),
+     "_WITNESS_LABELS[v][chosen >> v & 1]", "_WITNESS_LABELS[v][not chosen >> v & 1]"),
+    ("one vertex's witness labels swapped", SOLVER,
+     "for v in range(WITNESS_MAX_VERTICES)]\n",
+     "for v in range(WITNESS_MAX_VERTICES)]\n_WITNESS_LABELS[3] = _WITNESS_LABELS[3][::-1]\n"),
+    ("a vertex-index table entry", GRAPHS,
+     "{str(v): v for v in range(SOLVE_MAX_VERTICES)}\n",
+     "{str(v): v for v in range(SOLVE_MAX_VERTICES)}\n_VERTEX_INDEX[\"5\"] = 6\n"),
     ("the shared edge table's diagonal", GRAPHS,
      "[None] * (u + 1)", "[None] * u"),
     ("generate's cap", FAMILIES,

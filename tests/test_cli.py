@@ -599,19 +599,19 @@ class TestThreadsEnv:
 
 
 class TestOneSumSetPass:
-    """A labeling's edge sum sets are computed once, by verify_weak, which
-    reports the mono edges along with its verdict."""
+    """A labeling's edge sum sets are computed once, by verify_weak's one
+    loop over the edges, which reports the mono edges along with its verdict."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
         calls = []
-        original = labels.induced_edge_labels
+        original = labels._edge_sums
 
         def counted(g, f):
             calls.append(g.n)
             return original(g, f)
 
-        monkeypatch.setattr(labels, "induced_edge_labels", counted)
+        monkeypatch.setattr(labels, "_edge_sums", counted)
         return calls
 
     def test_certify_then_verify(self, capsys, tmp_path, passes):

@@ -109,6 +109,8 @@ class TestVertexCapOnFlags:
              "complete_bisplit requires all part sizes >= 1"),
             # a claim's own points keep the claim's wording
             (["check", "--claim", "C3", "--parts", "0,1"], "C3 requires a >= 1 and b >= 1"),
+            # ... also under a least value and over the cap
+            (["check", "--claim", "C3", "--parts", "0,100"], "C3 requires a >= 1 and b >= 1"),
         ],
     )
     def test_family_flags_are_refused_in_generates_order(self, capsys, no_build, argv, err):

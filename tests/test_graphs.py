@@ -376,6 +376,16 @@ class TestTextFormat:
         # the writer sorts the edges; the reader does not require it
         assert read_graph("p 3 2\ne 1 2\ne 0 1\n") == graph_from_edges(3, [(0, 1), (1, 2)])
 
+    def test_zero_padded_endpoints_read_as_their_canonical_text(self):
+        # "00" and "02" miss the vertex-index table and are parsed
+        assert read_graph("p 3 1\ne 00 02\n") == read_graph("p 3 1\ne 0 2\n")
+
+    def test_vertex_index_table_is_int_of_each_canonical_spelling(self):
+        table = graphs._VERTEX_INDEX
+        assert len(table) == SOLVE_MAX_VERTICES
+        assert all(type(v) is int and v == int(k) and k == str(v) for k, v in table.items())
+        assert str(SOLVE_MAX_VERTICES) not in table
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -190,6 +190,16 @@ class TestVerifyWeak:
             (FailureKind.WEAK_CONDITION_VIOLATED, ((0, 1),))
         ]
 
+    def test_empty_tuple_against_a_singleton_violates(self):
+        # () is no label, but verify_weak takes any mapping: its sum set with
+        # (1,) is empty, and |{}| != max(0, 1), from either endpoint
+        for labeling in ({0: (), 1: (1,)}, {0: (1,), 1: ()}):
+            verdict = verify_weak(path(2), labeling)
+            assert verdict.mono == ()
+            assert [(f.kind, f.where) for f in verdict.failures] == [
+                (FailureKind.WEAK_CONDITION_VIOLATED, ((0, 1),))
+            ]
+
 
 class TestMonoEdges:
     def test_all_singletons(self):

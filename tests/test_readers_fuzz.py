@@ -35,12 +35,15 @@ def outcome(read, text):
 
 
 # small numbers make headers and edges that parse far enough to reach the
-# later checks (ranges, order, duplicates, the edge count, the vertex cap)
+# later checks (ranges, order, duplicates, the edge count, the vertex cap);
+# the spellings of small integers that are not canonical miss the reader's
+# vertex-index table and take its parse
 numbers = st.one_of(
-    st.integers(-3, 8),
-    st.sampled_from([63, 64, 65, 10**12]),
-    st.integers(),
-).map(str)
+    st.integers(-3, 8).map(str),
+    st.sampled_from([63, 64, 65, 10**12]).map(str),
+    st.integers().map(str),
+    st.sampled_from(["007", "00", "-0", "064", "\uff11", "\u0663"]),
+)
 tokens = st.one_of(
     st.sampled_from(["p", "e", "#", "c", "p 3", "e 0", "\t", "\x00", "1.5", "0x1"]),
     numbers,
