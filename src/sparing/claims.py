@@ -104,24 +104,16 @@ class Claim:
         order = tuple(FAMILY_PARAMS.get(self.family, self.param_order))
         return None if order == self.param_order else order[0]
 
-    def least_values(self) -> Mapping[str, int | None] | None:
-        """The least value of each parameter, as its family's, or None for a
-        claim with its own ``in_domain``."""
-        if self.in_domain is not None:
-            return None
-        least = FAMILY_PARAMS.get(self.family, {})
-        if (key := self.item_list()) is not None:
-            return dict.fromkeys(self.param_order, least[key])
-        return least
-
     def _point(self, params: Params) -> dict:
         """The type-checked parameters in param_order; raises DomainError."""
         point = {
             key: _PARAM_TYPES.get(key, _family_param)(params, key, self.id)
             for key in self.param_order
         }
-        least = self.least_values()
-        if least is not None:
+        if self.in_domain is None:
+            least = FAMILY_PARAMS.get(self.family, {})
+            if (key := self.item_list()) is not None:
+                least = dict.fromkeys(self.param_order, least[key])
             check_range(point, least, self.id, DomainError)
         elif not self.in_domain(point):
             raise DomainError(f"{self.id} requires {self.requires}")

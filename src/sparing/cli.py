@@ -18,13 +18,13 @@ import random
 import stat
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import claims as claims_mod
 from .claims import MODES, check_claim, claim_by_id
-from .errors import DomainError, GraphFormatError, SparingError, TooLarge
+from .errors import GraphFormatError, SparingError, TooLarge
 from .families import (
-    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, check_range, generate, random_graph, vertex_count,
+    FAMILY_PARAMS, LIST_PARAMS, FamilySpec, below_least, generate, random_graph, vertex_count,
 )
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
 from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
@@ -78,17 +78,19 @@ def _sweep(dims: list) -> Iterator[tuple]:
             yield (value, *tail)
 
 
-def _family_params(args, family: str, ranged: bool, owner: str,
-                   least: Callable[[dict], None] | None = None) -> Iterator[dict]:
+def _family_params(args, family: str, ranged: bool, owner: str) -> Iterator[dict]:
     """Parameter dicts for the registry family ``family`` from the CLI flags;
     the cross product of any ranges, in flag order with the last flag varying
     fastest. ``owner`` names what needs the flags in the missing-flag error.
-    Every flag is parsed, and the top point's count refuses a wrong part count,
-    then over 64 vertices (no valid point has more), before the first point is
-    made; a sweep of more than one point names its top point in the latter.
-    ``least``, if given, checks the top point's least values before its count,
-    as `generate` and `check_claim` check them first (every point is below a
-    least value the top point is below)."""
+
+    Every flag is parsed before the first point is made. A family's count
+    grows with each parameter only above that parameter's least value, so the
+    top point's count bounds the sweep only when the top point is at or above
+    every least value: then it refuses a wrong part count, then over 64
+    vertices, naming the top point when the sweep has more than one. Below a
+    least value, every point is below it too, and the first point is refused
+    by its owner's own check, in its words: `generate` for a family,
+    `check_claim` for a claim (whose build calls `generate` for a base)."""
     order = FAMILY_PARAMS[family]
     dims: list = []
     for flag in order:
@@ -104,9 +106,8 @@ def _family_params(args, family: str, ranged: bool, owner: str,
         for flag, dim in zip(order, dims)
     }
     sweep = any(len(r) > 1 for dim in dims for r in (dim if isinstance(dim, list) else (dim,)))
-    if least is not None:
-        least(top)
-    vertex_count(family, top, named=sweep)
+    if not below_least(top, FAMILY_PARAMS[family]):
+        vertex_count(family, top, named=sweep)
     return (dict(zip(order, values)) for values in _sweep(dims))
 
 
@@ -128,9 +129,7 @@ def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
         raise InputError(f"unknown family {family!r} (choose from {', '.join(_CLI_FAMILIES)})")
     # check's --mode is the claim's to refuse
     _refuse_unread(args, f"family {family}", ("family", *_CLI_FAMILIES[family], "mode"))
-    least = FAMILY_PARAMS[family]
-    points = _family_params(args, family, ranged, f"family {family}",
-                            lambda top: check_range(top, least, family))
+    points = _family_params(args, family, ranged, f"family {family}")
     return (FamilySpec(family, params) for params in points)
 
 
@@ -312,25 +311,14 @@ def _claim_points(claim, args) -> Iterator[dict]:
         return (dict(zip(claim.param_order, point)) for point in _sweep(dims))
     _refuse_unread(args, owner, FAMILY_PARAMS[claim.family])
     flag = claim.item_list()
-    if flag is not None:
-        # a list family (--parts) whose claim names each item
-        raw = getattr(args, flag)
-        if raw is not None and len(raw.split(",")) != len(claim.param_order):
-            raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
-
-    def as_claim(point: dict) -> dict:
-        return point if flag is None else dict(zip(claim.param_order, point[flag]))
-
-    # the claim's least values, in its words, come before the top point's
-    # count; a claim with its own domain (C2's odd n) is judged point by point
-    least = claim.least_values()
-
-    def check_least(top: dict) -> None:
-        check_range(as_claim(top), least, claim.id, DomainError)
-
-    points = _family_params(args, claim.family, True, owner,
-                            None if least is None else check_least)
-    return map(as_claim, points)
+    if flag is None:
+        return _family_params(args, claim.family, True, owner)
+    # a list family (--parts) whose claim names each item
+    raw = getattr(args, flag)
+    if raw is not None and len(raw.split(",")) != len(claim.param_order):
+        raise InputError(f"{owner} requires --{flag} with {len(claim.param_order)} sizes")
+    points = _family_params(args, claim.family, True, owner)
+    return (dict(zip(claim.param_order, point[flag])) for point in points)
 
 
 def cmd_check(args) -> int:

@@ -90,18 +90,24 @@ def checked_param(params: Mapping[str, object], key: str, owner: str, error=Inva
     return list(value)
 
 
+def below_least(values: Mapping[str, object], least: Mapping[str, int | None]) -> bool:
+    """Whether some ``values[key]`` (some item, for a list) is below
+    ``least[key]``; a least value of None bounds nothing."""
+    return any(
+        lo is not None and (min(values[key]) if key in LIST_PARAMS else values[key]) < lo
+        for key, lo in least.items()
+    )
+
+
 def check_range(values: Mapping[str, object], least: Mapping[str, int | None], owner: str,
                 error=InvalidParam) -> None:
-    """Raise ``error`` naming ``owner`` and every least value unless each
-    ``values[key]`` (each item, for a list) is at least ``least[key]``;
-    a least value of None bounds nothing."""
-    for key, lo in least.items():
-        if lo is not None and (min(values[key]) if key in LIST_PARAMS else values[key]) < lo:
-            condition = " and ".join(
-                f"all {LIST_PARAMS[k]} >= {v}" if k in LIST_PARAMS else f"{k} >= {v}"
-                for k, v in least.items() if v is not None
-            )
-            raise error(f"{owner} requires {condition}")
+    """Raise ``error`` naming ``owner`` and every least value if `below_least`."""
+    if below_least(values, least):
+        condition = " and ".join(
+            f"all {LIST_PARAMS[k]} >= {v}" if k in LIST_PARAMS else f"{k} >= {v}"
+            for k, v in least.items() if v is not None
+        )
+        raise error(f"{owner} requires {condition}")
 
 
 def _graph(n: int, blocks: Iterable[tuple[Callable, Sequence[int]]]) -> Graph:

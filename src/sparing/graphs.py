@@ -113,15 +113,24 @@ def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     if n < 0:
         raise IndexOutOfRange(f"vertex count {n} is negative")
     adj = [0] * n
-    for u, v in edges:
-        if u == v:
-            raise SelfLoop(f"edge ({u},{v}) is a loop")
-        if not 0 <= u < n:
-            raise IndexOutOfRange(f"vertex {u} not in 0..{n - 1}")
-        if not 0 <= v < n:
-            raise IndexOutOfRange(f"vertex {v} not in 0..{n - 1}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    u = v = 0
+    try:
+        for u, v in edges:
+            if u == v:
+                raise SelfLoop(f"edge ({u},{v}) is a loop")
+            if not 0 <= u < n:
+                raise IndexOutOfRange(f"vertex {u} not in 0..{n - 1}")
+            if not 0 <= v < n:
+                raise IndexOutOfRange(f"vertex {v} not in 0..{n - 1}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    except TypeError:
+        # a float or string endpoint fails a line above; any other TypeError
+        # (an edge that is not a pair) leaves u and v from the last valid edge
+        if isinstance(u, int) and isinstance(v, int):
+            raise
+        bad = v if isinstance(u, int) else u
+        raise IndexOutOfRange(f"vertex {bad!r} of edge ({u!r},{v!r}) is not an integer") from None
     return Graph(n, tuple(adj))
 
 
@@ -240,9 +249,6 @@ def read_graph(text: str) -> Graph:
     every graph and message is the same as without the table."""
     if len(text) > MAX_GRAPH_TEXT:
         raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
-    # a text with no non-ASCII character, '_' or '+' has no token that
-    # int() reads and _decimal refuses
-    parse = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     index = _VERTEX_INDEX
     n = m = None
     adj: list[int] = []
@@ -262,7 +268,7 @@ def read_graph(text: str) -> Graph:
                 u, v = index[fields[1]], index[fields[2]]
             except KeyError:
                 try:
-                    u, v = parse(fields[1]), parse(fields[2])
+                    u, v = _decimal(fields[1]), _decimal(fields[2])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
             if u >= v:
@@ -289,7 +295,7 @@ def read_graph(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
             try:
-                n, m = parse(fields[1]), parse(fields[2])
+                n, m = _decimal(fields[1]), _decimal(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer header") from None
             if n > SOLVE_MAX_VERTICES:

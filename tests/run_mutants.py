@@ -5,9 +5,10 @@ Usage: python tests/run_mutants.py
 
 Copies ``src/`` and ``tests/`` to a temporary directory and, for each rule
 below, applies one textual mutation there and runs the solver, acceptance,
-digest, graph, family, CLI, CLI parser, label, property and reader fuzz tests
-on the mutated copy. Each target text must occur exactly once, so that code
-which moved fails here instead of leaving its rule unchecked.
+digest, graph, family, CLI, CLI parser, CLI limit, CLI registry, claim, label,
+property and reader fuzz tests on the mutated copy. Each target text must occur
+exactly once, so that code which moved fails here instead of leaving its rule
+unchecked.
 The unmutated copy must pass first. Exits 1 if a target is missing or a
 mutant survives, that is, if the tests pass with a rule broken.
 """
@@ -25,7 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_solver.py", "tests/test_acceptance.py", "tests/test_solver_digest.py",
     "tests/test_graphs.py", "tests/test_families.py", "tests/test_cli.py",
-    "tests/test_cli_parser.py", "tests/test_labels.py", "tests/test_properties.py",
+    "tests/test_cli_parser.py", "tests/test_cli_limits.py", "tests/test_cli_registry.py",
+    "tests/test_claims.py", "tests/test_labels.py", "tests/test_properties.py",
     "tests/test_readers_fuzz.py",
 ]
 SOLVER = "src/sparing/solver.py"
@@ -166,6 +168,10 @@ MUTANTS = [
      "args, extras = command.parse_known_args(argv[1:])[0], []"),
     ("main's leading -- before a command", CLI,
      "        argv = argv[1:]\n", "        pass\n"),
+    ("the top point's count checked below a least value", CLI,
+     "if not below_least(top, FAMILY_PARAMS[family]):", "if True:"),
+    ("the top point's count never checked", CLI,
+     "if not below_least(top, FAMILY_PARAMS[family]):", "if False:"),
 ]
 
 

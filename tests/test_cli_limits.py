@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from sparing import claims, cli, labels
+from sparing import claims, cli, families, labels
 from sparing.cli import main
 from sparing.errors import CertificationFailed, SparingError, TooLarge
 
@@ -19,13 +19,44 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def no_build(monkeypatch):
-    """Fail the test if the CLI builds a family instance."""
+    """Fail the test if the CLI builds a family instance: every builder ends
+    in a Graph, while `generate`'s own refusals come before it."""
 
-    def refuse(spec):
-        raise AssertionError(f"built {spec}")
+    def refuse(n, adj):
+        raise AssertionError(f"built a graph on {n} vertices")
 
-    monkeypatch.setattr(cli, "generate", refuse)
-    monkeypatch.setattr(claims, "generate", refuse)
+    monkeypatch.setattr(families, "Graph", refuse)
+
+
+def test_no_build_fails_on_a_real_build(no_build):
+    with pytest.raises(AssertionError, match="built a graph on 5 vertices"):
+        main(["solve", "--family", "cycle", "--n", "5"])
+
+
+def _below_least_sweeps():
+    """A sweep's argv and the argv of its first point alone, for each claim
+    without a base on its family's flags and for C12 and C13 on each CLI
+    family as the base: one sweep per parameter, whose range (the last item's,
+    for a list) ends just below its least value while every other range ends
+    far over the vertex cap."""
+    owners = [(c, [], c.family) for c in claims.catalog() if "base" not in c.param_order]
+    owners += [
+        (claims.claim_by_id(id_), ["--family", family], family)
+        for id_ in ("C12", "C13") for family in cli._CLI_FAMILIES
+    ]
+    for claim, head, family in owners:
+        least = families.FAMILY_PARAMS[family]
+        items = len(claim.param_order) if claim.item_list() else 2
+        for below in least:
+            sweep, first = [*head], [*head]
+            for key, lo in least.items():
+                ranges = [(lo, 100)] * items if key in families.LIST_PARAMS else [(lo, 100)]
+                if key == below:
+                    ranges[-1] = (lo - 2, lo - 1)
+                sweep.append(f"--{key}=" + ",".join(f"{a}..{b}" for a, b in ranges))
+                first.append(f"--{key}=" + ",".join(str(a) for a, _ in ranges))
+            argv = ["check", "--claim", claim.id]
+            yield pytest.param([*argv, *sweep], [*argv, *first], id=f"{claim.id}-{family}-{below}")
 
 
 class TestVertexCapOnFlags:
@@ -111,10 +142,21 @@ class TestVertexCapOnFlags:
             (["check", "--claim", "C3", "--parts", "0,1"], "C3 requires a >= 1 and b >= 1"),
             # ... also under a least value and over the cap
             (["check", "--claim", "C3", "--parts", "0,100"], "C3 requires a >= 1 and b >= 1"),
+            # a claim with its own domain: its top point, m=2,n=76, has 78 vertices
+            (["check", "--claim", "C16", "--m", "2", "--n", "15..76"],
+             "C16 requires m >= 3 and n >= 2"),
         ],
     )
     def test_family_flags_are_refused_in_generates_order(self, capsys, no_build, argv, err):
         assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("sweep,first", _below_least_sweeps())
+    def test_a_sweep_below_a_least_value_is_refused_as_its_first_point(
+        self, capsys, no_build, sweep, first
+    ):
+        code, out, err = run(capsys, *sweep)
+        assert (code, out, err) == run(capsys, *first)
+        assert code == 2 and " requires " in err
 
     def test_corpus_size_refused_before_writing(self, capsys, tmp_path):
         out_dir = tmp_path / "corpus"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -48,6 +49,16 @@ class TestGraphFromEdges:
     def test_endpoint_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             graph_from_edges(4, [(0, 4)])
+
+    @pytest.mark.parametrize("edge,bad", [((0, 1.0), "1.0"), ((0, "1"), "'1'"), ((0.0, 2), "0.0")])
+    def test_endpoint_must_be_an_int(self, edge, bad):
+        message = f"vertex {bad} of edge ({edge[0]!r},{edge[1]!r}) is not an integer"
+        with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+            graph_from_edges(3, [(0, 2), edge])
+
+    def test_an_edge_that_is_not_a_pair_is_not_named(self):
+        with pytest.raises(TypeError, match="cannot unpack"):
+            graph_from_edges(3, [(0, 2), 1])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
