@@ -26,7 +26,7 @@ from .errors import GraphFormatError, SparingError, TooLarge
 from .families import (
     FAMILY_PARAMS, LIST_PARAMS, FamilySpec, below_least, generate, random_graph, vertex_count,
 )
-from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, read_graph, write_graph
+from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, parse_int, read_graph, write_graph
 from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
 from .solver import solve_and_certify, sparing_exact
 
@@ -47,8 +47,9 @@ _FLAGS = ("family", *_PARAM_FLAGS, "mode")
 
 
 def _parse_int(text: str, flag: str) -> int:
+    """``text`` in the graph file's integer spelling (`graphs.parse_int`)."""
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise InputError(f"--{flag} expects an integer, got {text!r}") from None
 
@@ -205,10 +206,7 @@ def _threads(args) -> int:
     raw = args.threads
     if raw is None:
         raw = os.environ.get("SPARING_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"--threads expects an integer, got {raw!r}") from None
+    value = _parse_int(raw, "threads")
     if value < 1:
         raise InputError("--threads must be >= 1")
     return value

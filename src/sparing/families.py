@@ -72,20 +72,17 @@ def _need(cond: bool, message: str) -> None:
 LIST_PARAMS = {"parts": "part sizes", "cliques": "clique sizes", "cycles": "cycle lengths"}
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def checked_param(params: Mapping[str, object], key: str, owner: str, error=InvalidParam):
-    """``params[key]`` after its type check; raises ``error`` naming ``owner``."""
+    """``params[key]`` after its type check (an exact int, or a non-empty list or
+    tuple of exact ints, returned as a list); raises ``error`` naming ``owner``."""
     if key not in params:
         raise error(f"{owner} requires parameter {key}")
     value = params[key]
     if key not in LIST_PARAMS:
-        if not _is_int(value):
+        if type(value) is not int:
             raise error(f"{owner}: {key} must be an integer")
         return value
-    if not isinstance(value, (list, tuple)) or not value or not all(map(_is_int, value)):
+    if not isinstance(value, (list, tuple)) or not value or any(type(x) is not int for x in value):
         raise error(f"{owner}: {key} must be a non-empty list of integers")
     return list(value)
 
@@ -203,7 +200,7 @@ def _rows(params, family: str, end: int, listed: str, entries: str) -> int:
     _need(isinstance(adjacency, (list, tuple)), f"{family} {listed}")
     for row in adjacency:
         _need(isinstance(row, (list, tuple)), f"{family} adjacency rows must be lists")
-        _need(all(_is_int(u) and 0 <= u < end for u in row),
+        _need(all(type(u) is int and 0 <= u < end for u in row),
               f"{family} adjacency entries {entries} 0..{end - 1}")
     return len(adjacency)
 
@@ -306,10 +303,10 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
     rising), and uv is an edge exactly when that draw is below ``density``.
     A change to this order or count changes every seeded graph.
     """
-    _need(_is_int(n), "random_graph: n must be an integer")
+    _need(type(n) is int, "random_graph: n must be an integer")
     _need(isinstance(density, (int, float)) and not isinstance(density, bool),
           "random_graph: density must be a number")
-    _need(_is_int(seed), "random_graph: seed must be an integer")
+    _need(type(seed) is int, "random_graph: seed must be an integer")
     _need(n >= 0, "random_graph requires n >= 0")
     _need(0.0 <= density <= 1.0, "random_graph requires density in [0, 1]")
     draw = random.Random(seed).random

@@ -78,8 +78,9 @@ class Graph:
         return edges_within_mask(self, (1 << self.n) - 1)
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
+        """Raise IndexOutOfRange unless ``v`` is an exact int (no bool) in 0..n-1."""
+        if type(v) is not int or not 0 <= v < self.n:
+            raise IndexOutOfRange(f"vertex {v!r} not in 0..{self.n - 1}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
@@ -107,30 +108,27 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def graph_from_edges(n: int, edges: Iterable[Edge]) -> Graph:
-    """Build a graph on vertices 0..n-1 from an (unordered, possibly repeated) edge list."""
-    if not isinstance(n, int) or isinstance(n, bool):
+    """Build a graph on vertices 0..n-1 from an (unordered, possibly repeated) edge list.
+
+    The count and each endpoint must be an exact int: a bool, float, str or int
+    subclass raises IndexOutOfRange. An edge that is not a pair raises a TypeError."""
+    if type(n) is not int:
         raise IndexOutOfRange(f"vertex count {n!r} is not an integer")
     if n < 0:
         raise IndexOutOfRange(f"vertex count {n} is negative")
     adj = [0] * n
-    u = v = 0
-    try:
-        for u, v in edges:
-            if u == v:
-                raise SelfLoop(f"edge ({u},{v}) is a loop")
-            if not 0 <= u < n:
-                raise IndexOutOfRange(f"vertex {u} not in 0..{n - 1}")
-            if not 0 <= v < n:
-                raise IndexOutOfRange(f"vertex {v} not in 0..{n - 1}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    except TypeError:
-        # a float or string endpoint fails a line above; any other TypeError
-        # (an edge that is not a pair) leaves u and v from the last valid edge
-        if isinstance(u, int) and isinstance(v, int):
-            raise
-        bad = v if isinstance(u, int) else u
-        raise IndexOutOfRange(f"vertex {bad!r} of edge ({u!r},{v!r}) is not an integer") from None
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            bad = v if type(u) is int else u
+            raise IndexOutOfRange(f"vertex {bad!r} of edge ({u!r},{v!r}) is not an integer")
+        if u == v:
+            raise SelfLoop(f"edge ({u},{v}) is a loop")
+        if not 0 <= u < n:
+            raise IndexOutOfRange(f"vertex {u} not in 0..{n - 1}")
+        if not 0 <= v < n:
+            raise IndexOutOfRange(f"vertex {v} not in 0..{n - 1}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return Graph(n, tuple(adj))
 
 
@@ -198,9 +196,9 @@ def subdivide_edges(g: Graph, targets: Iterable[Edge]) -> Graph:
     targets = list(targets)
     seen: set[Edge] = set()
     for u, v in targets:
-        e = _canon(u, v)
         if not g.has_edge(u, v):
             raise EdgeNotFound(f"({u},{v}) is not an edge")
+        e = _canon(u, v)
         if e in seen:
             raise EdgeNotFound(f"({u},{v}) listed twice")
         seen.add(e)
@@ -233,12 +231,15 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decimal(token: str) -> int:
-    """``token`` as an integer if it is ASCII digits after an optional '-';
-    int() alone would also take '_', '+' and non-ASCII digits."""
-    if token.isascii() and "_" not in token and "+" not in token:
-        return int(token)
-    raise ValueError(token)
+def parse_int(text: str) -> int:
+    """``text`` as an int if it is one or more ASCII digits after an optional
+    '-', with any surrounding space, tab, newline, carriage return, vertical
+    tab or form feed; else ValueError. This is the one integer spelling of
+    graph files and command-line flags: int() alone would also take a '+',
+    '_' between digits, non-ASCII digits and non-ASCII whitespace."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        return int(text)
+    raise ValueError(text)
 
 
 def read_graph(text: str) -> Graph:
@@ -268,7 +269,7 @@ def read_graph(text: str) -> Graph:
                 u, v = index[fields[1]], index[fields[2]]
             except KeyError:
                 try:
-                    u, v = _decimal(fields[1]), _decimal(fields[2])
+                    u, v = parse_int(fields[1]), parse_int(fields[2])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
             if u >= v:
@@ -295,7 +296,7 @@ def read_graph(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
             try:
-                n, m = _decimal(fields[1]), _decimal(fields[2])
+                n, m = parse_int(fields[1]), parse_int(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer header") from None
             if n > SOLVE_MAX_VERTICES:

@@ -51,7 +51,12 @@ MAX_LABELING_TEXT = 10_000_000
 
 
 def make_label(values: Iterable[int]) -> Label:
-    """Normalize ``values`` into a label; rejects empty, negative, or oversized sets."""
+    """Normalize ``values`` into a label; raises ValueError for an element that
+    is not an exact int (a bool, a float or an int subclass), and for an empty,
+    negative or oversized set."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise ValueError("label elements must be integers")
     return _checked_label(tuple(sorted(set(values))))
 
 
@@ -241,7 +246,7 @@ def read_labeling(text: str) -> tuple[int, Labeling]:
         raise GraphFormatError("labeling must have exactly the keys 'vertices' and 'labels'")
     n = doc["vertices"]
     labels = doc["labels"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or not isinstance(labels, dict):
+    if type(n) is not int or n < 0 or not isinstance(labels, dict):
         raise GraphFormatError("malformed labeling document")
     if n > SOLVE_MAX_VERTICES:
         raise GraphFormatError(

@@ -271,14 +271,12 @@ def sparing_exact(g: Graph, threads: int | None = None) -> SparingResult:
     keeps the lexmin optimal set, the witness pass tests no vertex, and
     ``stats.value_nodes == stats.nodes``.
 
-    ``threads`` is validated for interface compatibility (a positive int,
-    not a bool); branch evaluation is sequential, which makes the result
+    ``threads`` is validated for interface compatibility (a positive exact
+    int: no bool); branch evaluation is sequential, which makes the result
     trivially identical at any thread count. A graph over 64 vertices raises
     TooLarge, naming its vertex count, before any search.
     """
-    if threads is not None and (
-        isinstance(threads, bool) or not isinstance(threads, int) or threads < 1
-    ):
+    if threads is not None and (type(threads) is not int or threads < 1):
         raise ValueError("threads must be a positive integer")
     if g.n > SOLVE_MAX_VERTICES:
         raise TooLarge(f"graph has {g.n} vertices; solve is limited to {SOLVE_MAX_VERTICES}")
@@ -455,15 +453,16 @@ def construct_witness(g: Graph, independent: tuple[int, ...] | frozenset[int]) -
     both read from a table built at import. Every element encodes its vertex
     (or edge) in base-4 digits without carries, so vertex labels and edge sum
     sets are automatically pairwise distinct, and the mono edges are exactly
-    the edges avoiding the set.
+    the edges avoiding the set. A member of ``independent`` that is not an
+    exact int vertex of ``g``, such as a bool, raises NotIndependent.
     """
     if g.n >= WITNESS_MAX_VERTICES:
         raise TooLarge(
             f"witness labels need {WITNESS_MAX_VERTICES - 1} or fewer vertices to fit 64 bits"
         )
     independent = tuple(independent)
-    if any(not 0 <= v < g.n for v in independent):
-        raise NotIndependent(f"vertex set {sorted(independent)} is not valid for this graph")
+    if any(type(v) is not int or not 0 <= v < g.n for v in independent):
+        raise NotIndependent(f"vertex set {independent} is not valid for this graph")
     if not is_independent(g, independent):
         raise NotIndependent(f"vertex set {sorted(independent)} spans an edge")
     chosen = mask_of(independent)

@@ -1,8 +1,10 @@
 """Shared test utilities: seeded random trees, independent-set enumeration,
 disjoint unions, a graph's structural check, a witness labeling that
 disagrees with its solve, a reference odd-cycle packing, reference
-readers for both file formats and a reference family generator."""
+readers for both file formats, a reference family generator and an int
+subclass."""
 
+import enum
 import json
 import random
 
@@ -11,6 +13,14 @@ from sparing.errors import GraphFormatError, IndexOutOfRange, InvalidParam, TooL
 from sparing.families import LabeledGraph, check_range, checked_param
 from sparing.graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, graph_from_edges, is_independent
 from sparing.labels import MAX_LABELING_TEXT, _checked_label
+
+
+class Small(enum.IntEnum):
+    """Ints of a subclass, which every integer input refuses as it refuses a bool."""
+
+    ONE = 1
+    TWO = 2
+    FIVE = 5
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

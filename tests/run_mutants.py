@@ -172,6 +172,14 @@ MUTANTS = [
      "if not below_least(top, FAMILY_PARAMS[family]):", "if True:"),
     ("the top point's count never checked", CLI,
      "if not below_least(top, FAMILY_PARAMS[family]):", "if False:"),
+    ("graph_from_edges' endpoint type test", GRAPHS,
+     "if type(u) is not int or type(v) is not int:", "if False:"),
+    ("_check_vertex's type test", GRAPHS,
+     "if type(v) is not int or not 0 <= v < self.n:", "if not 0 <= v < self.n:"),
+    ("make_label's type test", LABELS,
+     "if any(type(x) is not int for x in values):", "if False:"),
+    ("the flags' integer spelling", CLI,
+     "return parse_int(text)", "return int(text)"),
 ]
 
 

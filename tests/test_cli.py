@@ -590,6 +590,12 @@ class TestThreadsEnv:
         code, _, err = run(capsys, "solve", "--family", "complete", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("raw", ["\uff11", "+2", "1_0"])
+    def test_env_takes_the_flags_integer_spelling(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SPARING_THREADS", raw)
+        code, out, err = run(capsys, "solve", "--family", "complete", "--n", "4")
+        assert (code, out, err) == (2, "", f"error: --threads expects an integer, got {raw!r}\n")
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SPARING_THREADS", "lots")
         code, _, _ = run(

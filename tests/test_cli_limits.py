@@ -283,6 +283,8 @@ class TestFiles:
             (["--density", "1.5"], "error: --density must be in [0, 1]\n"),
             (["--density", "-0.1"], "error: --density must be in [0, 1]\n"),
             (["--density", "nan"], "error: --density must be in [0, 1]\n"),
+            (["--n", "\u0663"], "error: --n expects an integer, got '\u0663'\n"),  # Arabic-Indic 3
+            (["--n", "2..+5"], "error: --n expects an integer, got '+5'\n"),
             (
                 ["--count", "4", "--n=-1..8", "--seed", "5"],
                 "error: random_graph requires n >= 0\n",

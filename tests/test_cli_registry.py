@@ -152,6 +152,32 @@ class TestInputErrors:
                 ["solve", "--family", "path", "--n", "3", "--threads", "0"],
                 "error: --threads must be >= 1\n",
             ),
+            # flags take the graph file's integer spelling: ASCII digits after an optional '-'
+            (
+                ["solve", "--family", "cycle", "--n", "\uff15"],
+                "error: --n expects an integer, got '\uff15'\n",
+            ),
+            (
+                ["solve", "--family", "cycle", "--n", "1_0"],
+                "error: --n expects an integer, got '1_0'\n",
+            ),
+            (
+                ["solve", "--family", "cycle", "--n", "+5"],
+                "error: --n expects an integer, got '+5'\n",
+            ),
+            (["check", "--claim", "C1", "--n", "3..+5"], "error: --n expects an integer, got '+5'\n"),
+            (
+                ["check", "--claim", "C3", "--parts", "2,+3"],
+                "error: --parts expects an integer, got '+3'\n",
+            ),
+            (
+                ["solve", "--family", "cycle", "--n", "5", "--threads", "+2"],
+                "error: --threads expects an integer, got '+2'\n",
+            ),
+            (
+                ["solve", "--family", "cycle", "--n", "5", "--threads", "1.5"],
+                "error: --threads expects an integer, got '1.5'\n",
+            ),
             # an empty list item is refused, not dropped: "2,3," is not K_{2,3}
             (
                 ["solve", "--family", "complete_multipartite", "--parts", "2,3,"],

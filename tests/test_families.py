@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import reference_generate, validate
+from helpers import Small, reference_generate, validate
 from sparing import families
 from sparing.claims import check_claim, claim_by_id
 from sparing.errors import InvalidParam, SparingError, TooLarge
@@ -504,6 +504,12 @@ class TestSpecStrings:
         [
             ("cycle", {"n": "5"}, "cycle: n must be an integer"),
             ("cycle", {"n": True}, "cycle: n must be an integer"),
+            ("cycle", {"n": Small.FIVE}, "cycle: n must be an integer"),
+            (
+                "cactus_chain",
+                {"cycles": [3, Small.FIVE]},
+                "cactus_chain: cycles must be a non-empty list of integers",
+            ),
             ("windmill", {"n": 3}, "windmill requires parameter r"),
             (
                 "block_chain",
@@ -536,6 +542,11 @@ class TestSpecStrings:
             (
                 "split",
                 {"r": 3, "adjacency": [[True]]},
+                "split adjacency entries must be clique indices 0..2",
+            ),
+            (
+                "split",
+                {"r": 3, "adjacency": [[Small.ONE]]},
                 "split adjacency entries must be clique indices 0..2",
             ),
             ("bisplit", {"y": 1, "z": 1, "adjacency": [7]}, "bisplit adjacency rows must be lists"),
@@ -589,6 +600,7 @@ class TestRandomGraph:
             (True, 0.5, "random_graph: n must be an integer"),
             (5.0, 0.5, "random_graph: n must be an integer"),
             ("5", 0.5, "random_graph: n must be an integer"),
+            (Small.FIVE, 0.5, "random_graph: n must be an integer"),
             (5, True, "random_graph: density must be a number"),
             (5, "0.5", "random_graph: density must be a number"),
             (5, None, "random_graph: density must be a number"),
@@ -602,7 +614,7 @@ class TestRandomGraph:
             random_graph(n, density, 1)
 
     # random.Random(None) seeds from the clock, and a list seed is unhashable
-    @pytest.mark.parametrize("seed", [None, [1], True, 1.0, "1"])
+    @pytest.mark.parametrize("seed", [None, [1], True, 1.0, "1", Small.ONE])
     def test_refuses_a_seed_that_is_not_an_integer(self, seed):
         with pytest.raises(InvalidParam, match="^random_graph: seed must be an integer$"):
             random_graph(12, 0.5, seed)

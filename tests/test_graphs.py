@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import disjoint_union, validate
+from helpers import Small, disjoint_union, validate
 from sparing import graphs
 from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
 from sparing.families import make, random_graph
@@ -50,7 +50,14 @@ class TestGraphFromEdges:
         with pytest.raises(IndexOutOfRange):
             graph_from_edges(4, [(0, 4)])
 
-    @pytest.mark.parametrize("edge,bad", [((0, 1.0), "1.0"), ((0, "1"), "'1'"), ((0.0, 2), "0.0")])
+    @pytest.mark.parametrize(
+        "edge,bad",
+        [
+            ((0, 1.0), "1.0"), ((0, "1"), "'1'"), ((0.0, 2), "0.0"),
+            # a bool or other int subclass is refused too, not read as 0 or 1
+            ((0, True), "True"), ((False, 2), "False"), ((0, Small.ONE), "<Small.ONE: 1>"),
+        ],
+    )
     def test_endpoint_must_be_an_int(self, edge, bad):
         message = f"vertex {bad} of edge ({edge[0]!r},{edge[1]!r}) is not an integer"
         with pytest.raises(IndexOutOfRange, match=re.escape(message)):
@@ -64,7 +71,7 @@ class TestGraphFromEdges:
         with pytest.raises(SelfLoop):
             graph_from_edges(3, [(1, 1)])
 
-    @pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "3", None, -1])
+    @pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "3", None, -1, Small.ONE])
     def test_vertex_count_must_be_a_non_negative_int(self, n):
         # a bool would pass as an int: Graph(n=True) writes 'p True 0', which read_graph refuses
         with pytest.raises(IndexOutOfRange):
@@ -73,6 +80,46 @@ class TestGraphFromEdges:
     def test_generated_graphs_are_valid(self):
         for g in (complete(5), cycle(7), make("complete_sun", n=4).graph):
             validate(g)
+
+
+# every route that takes a vertex of a graph, called with the vertex v
+VERTEX_ROUTES = {
+    "adjacency_mask": lambda g, v: g.adjacency_mask(v),
+    "degree": lambda g, v: g.degree(v),
+    "has_edge first": lambda g, v: g.has_edge(v, 2),
+    "has_edge second": lambda g, v: g.has_edge(0, v),
+    "is_independent": lambda g, v: is_independent(g, [v]),
+    "edges_within": lambda g, v: edges_within(g, [0, v]),
+    "triangles_through": lambda g, v: triangles_through(g, v),
+    "subdivide_edges first": lambda g, v: subdivide_edges(g, [(v, 2)]),
+    "subdivide_edges second": lambda g, v: subdivide_edges(g, [(0, v)]),
+}
+
+
+@pytest.mark.parametrize("route", VERTEX_ROUTES)
+@pytest.mark.parametrize("v", [True, False, 1.0, "1", Small.ONE], ids=repr)
+def test_a_vertex_must_be_an_exact_int(route, v):
+    # a bool is not read as the vertex 0 or 1, and a float or str is not a TypeError
+    with pytest.raises(IndexOutOfRange, match=f"^vertex {re.escape(repr(v))} not in 0..2$"):
+        VERTEX_ROUTES[route](complete(3), v)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("5", 5), ("-3", -3), ("007", 7), ("-0", 0), (" 5\t", 5), ("\n\x0b-12\x0c\r", -12)],
+)
+def test_parse_int_takes_ascii_digits_in_ascii_whitespace(text, value):
+    assert graphs.parse_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+5", "1_0", "\uff15", "\u0663", "\u00a05", "5\u2003", "\x1c5", "", "-", "- 5", "5 5", "1.5"],
+)
+def test_parse_int_refuses_every_other_spelling(text):
+    # int() alone takes the first six: a '+', a '_', non-ASCII digits and whitespace
+    with pytest.raises(ValueError):
+        graphs.parse_int(text)
 
 
 class TestIsIndependent:

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import Small
 from sparing import labels
 from sparing.errors import GraphFormatError, MissingLabel, TooLarge
 from sparing.families import make
@@ -32,6 +33,14 @@ class TestMakeLabel:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             make_label([-1, 2])
+
+    # a bool is refused before the set would merge True into 1
+    @pytest.mark.parametrize(
+        "values", [[1.5], [1.5, 2], [True], [1, True], ["1"], [Small.ONE]], ids=repr
+    )
+    def test_rejects_an_element_that_is_not_an_exact_int(self, values):
+        with pytest.raises(ValueError, match="^label elements must be integers$"):
+            make_label(values)
 
 
 class TestSumset:

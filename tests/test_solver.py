@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import disagreeing_witness, disjoint_union, reference_odd_cycle_packing
+from helpers import Small, disagreeing_witness, disjoint_union, reference_odd_cycle_packing
 from sparing import solver
 from sparing.errors import CertificationFailed, NotIndependent, TooLarge
 from sparing.families import FAMILY_NAMES, make, random_graph
@@ -339,7 +339,7 @@ class TestExact:
 
     def test_bad_threads(self):
         g = make("complete", n=3).graph
-        for threads in (0, -1, 2.0, "2", True, False):
+        for threads in (0, -1, 2.0, "2", True, False, Small.TWO):
             with pytest.raises(ValueError, match="^threads must be a positive integer$"):
                 sparing_exact(g, threads=threads)
 
@@ -575,6 +575,16 @@ class TestConstructWitness:
     def test_vertex_out_of_range(self):
         with pytest.raises(NotIndependent):
             construct_witness(make("complete", n=3).graph, (7,))
+
+    # a bool is not read as the vertex 0 or 1, and a mixed set is named unsorted
+    @pytest.mark.parametrize(
+        "chosen",
+        [(True,), (0, False), (1.0,), ("1",), (0, "1"), (Small.ONE,), frozenset({True, 3})],
+        ids=repr,
+    )
+    def test_vertex_must_be_an_exact_int(self, chosen):
+        with pytest.raises(NotIndependent, match="is not valid for this graph$"):
+            construct_witness(make("cycle", n=4).graph, chosen)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
