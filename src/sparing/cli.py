@@ -350,13 +350,14 @@ def cmd_check(args) -> int:
 
 def cmd_corpus(args) -> int:
     out_dir = Path(args.out_dir)
+    count, seed = _parse_int(args.count, "count"), _parse_int(args.seed, "seed")
     sizes = _parse_range(args.n, "n")
     if sizes[-1] > SOLVE_MAX_VERTICES:
         raise TooLarge(f"--n needs {sizes[-1]} or more vertices; "
                        f"graphs are limited to {SOLVE_MAX_VERTICES}")
     if sizes.start < 0:
         raise InputError("random_graph requires n >= 0")
-    if args.count < 0:
+    if count < 0:
         raise InputError("--count must be >= 0")
     if not 0.0 <= args.density <= 1.0:
         raise InputError("--density must be in [0, 1]")
@@ -364,14 +365,14 @@ def cmd_corpus(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
-    rng = random.Random(args.seed)
-    for index in range(args.count):
+    rng = random.Random(seed)
+    for index in range(count):
         n = rng.choice(sizes)
         graph_seed = rng.randrange(2**31)
         g = random_graph(n, args.density, graph_seed)
         header = f"# corpus index={index} seed={graph_seed} density={args.density}\n"
         _write(out_dir / f"graph_{index:03d}.g", header + write_graph(g))
-    print(f"wrote {args.count} graphs to {out_dir}")
+    print(f"wrote {count} graphs to {out_dir}")
     return EXIT_OK
 
 
@@ -427,10 +428,10 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     check.set_defaults(func=cmd_check, parser=check)
 
     corpus = subparsers.add_parser("corpus", help="write seeded random test-corpus graphs")
-    corpus.add_argument("--count", type=int, default=200)
+    corpus.add_argument("--count", default="200")
     corpus.add_argument("--n", default="1..10", help="vertex-count range, e.g. 24 or 1..10")
     corpus.add_argument("--density", type=float, default=0.3)
-    corpus.add_argument("--seed", type=int, default=42)
+    corpus.add_argument("--seed", default="42")
     corpus.add_argument("--out-dir", required=True)
     corpus.set_defaults(func=cmd_corpus, parser=corpus)
 

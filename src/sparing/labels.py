@@ -1,24 +1,22 @@
 """Sum-set arithmetic and verification of set-indexer conditions.
 
-A vertex label is a non-empty strictly increasing tuple of non-negative
-integers; a labeling maps every vertex index to one. The induced edge label
-is the sum set of its endpoint labels. A labeling is *weak* when, on top of
-vertex- and edge-label injectivity, every edge's sum set is exactly as large
-as its larger endpoint label — which forces a singleton on one endpoint of
-every edge. `verify_weak` computes every sum set once and judges them; its
-verdict also carries the mono edges, those whose sum set is a singleton,
-which the sparing number counts.
+A vertex label is a non-empty tuple of exact ints (`type(x) is int`),
+strictly increasing, within 0..``MAX_LABEL_VALUE``; a labeling maps every
+vertex index to one. `_fault` states that rule once, and `make_label`,
+`read_labeling`, `verify_weak` (so `induced_edge_labels` and `mono_edges`)
+and `write_labeling` all check labels by it. The induced edge label is the
+sum set of its endpoint labels. A labeling is *weak* when, on top of vertex-
+and edge-label injectivity, every edge's sum set is exactly as large as its
+larger endpoint label; the mono edges, whose sum set is a singleton, are
+what the sparing number counts.
 
-One loop over the edges, in edge order, after one read of each vertex's
-label, its size and whether it strictly increases, builds every sum set and
-judges it as it goes. When one endpoint's label is a singleton and the
-other's strictly increases, the sum set is the other label shifted by the
-singleton's element: already sorted, free of repeats and as large as the
-larger label, so it needs no size test, and it is mono exactly when both
-labels are singletons. Every other pair, including a pair with a label that
-is empty or not strictly increasing, goes through `sumset`, whose size is
-compared. The edge pairs are grouped only when some sum set repeats.
-`induced_edge_labels` reads its sum sets from the same loop.
+For finite sets of integers |A+B| >= |A|+|B|-1 (Nathanson, *Additive Number
+Theory*, 1996, Thm 1.4), so an edge is weak exactly when one endpoint is a
+singleton, and mono exactly when both are. `verify_weak`'s one loop over
+the edges builds each sum set once and judges it by the label sizes alone: a
+singleton shifts the other label, and two labels of two or more elements
+each go through `sumset` and always break the weak condition. Edge pairs are
+grouped only when a sum set repeats.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import lt
 from typing import Iterable, Mapping
 
@@ -49,26 +48,51 @@ MAX_COLLISION_PAIRS = 10**5
 # capped first; a 29-vertex witness labeling has about 700 characters.
 MAX_LABELING_TEXT = 10_000_000
 
+# reasons a value is not a label that some route words in its own terms
+_NOT_TUPLE = "label sets must be tuples"
+_NOT_INTS = "label elements must be integers"
+_FALLS = "label elements must strictly increase"
+
+
+def _fault(labels: list) -> str | None:
+    """Why some item of ``labels`` is not a label, or None if each is one. The
+    rule's tests run in its order: a tuple, of exact ints, strictly rising,
+    non-empty, from 0 to ``MAX_LABEL_VALUE``; each covers the whole list."""
+    if not {tuple}.issuperset(map(type, labels)):
+        return _NOT_TUPLE
+    elems = list(chain.from_iterable(labels))
+    if not {int}.issuperset(map(type, elems)):
+        return _NOT_INTS
+    if not all(all(map(lt, lab, lab[1:])) for lab in labels if len(lab) > 1):
+        return _FALLS
+    if not all(labels):
+        return "label sets must be non-empty"
+    if min(elems, default=0) < 0:
+        return "label sets are drawn from the non-negative integers"
+    if max(elems, default=0) > MAX_LABEL_VALUE:
+        return "label element exceeds 64-bit range"
+    return None
+
+
+def _check_labels(labels: list, keys: Iterable, error=ValueError, words={}) -> None:
+    """Raises ``error`` naming the key of the first item of ``labels`` that is
+    not a label, and the reason, or its entry in ``words``."""
+    if _fault(labels):
+        key, reason = next((k, r) for k, lab in zip(keys, labels) if (r := _fault([lab])))
+        raise error(f"label of vertex {key}{words.get(reason, ': ' + reason)}")
+
 
 def make_label(values: Iterable[int]) -> Label:
-    """Normalize ``values`` into a label; raises ValueError for an element that
-    is not an exact int (a bool, a float or an int subclass), and for an empty,
-    negative or oversized set."""
-    values = tuple(values)
-    if any(type(x) is not int for x in values):
-        raise ValueError("label elements must be integers")
-    return _checked_label(tuple(sorted(set(values))))
-
-
-def _checked_label(elems: Label) -> Label:
-    """``elems``, already strictly increasing, if it is a label; else ValueError."""
-    if not elems:
-        raise ValueError("label sets must be non-empty")
-    if elems[0] < 0:
-        raise ValueError("label sets are drawn from the non-negative integers")
-    if elems[-1] > MAX_LABEL_VALUE:
-        raise ValueError("label element exceeds 64-bit range")
-    return elems
+    """Normalize ``values`` into a label: sorted, without repeats. Raises
+    ValueError for an element that is not an exact int (a bool, a float or
+    an int subclass), and for an empty, negative or oversized set."""
+    label = tuple(values)
+    # only exact ints are normalized: the set would merge True or 1.0 into 1
+    if _fault([label]) != _NOT_INTS:
+        label = tuple(sorted(set(label)))
+    if reason := _fault([label]):
+        raise ValueError(reason)
+    return label
 
 
 def sumset(a: Label, b: Label) -> Label:
@@ -106,16 +130,14 @@ def _edge_sums(
     g: Graph, f: Mapping[int, Label]
 ) -> tuple[list[Label], list[Edge], list[Label], list[Edge], list[Edge]]:
     """The vertex labels, the edges, their sum sets in edge order, the mono
-    edges, and the edges whose sum set is not as large as their larger
-    endpoint label: one loop over the edges builds, takes and judges each
-    sum set.
-
-    Raises MissingLabel if a vertex has no label, and TooLarge, before any sum
-    set is built, if the edges need more than ``MAX_SUM_PAIRS`` pairs of label
-    elements in all."""
+    edges and the edges that break the weak condition, from one loop over the
+    edges. Raises MissingLabel, then ValueError for a label that breaks the
+    rule, then TooLarge, before any sum set is built, if the edges need more
+    than ``MAX_SUM_PAIRS`` pairs of label elements in all."""
     labels = [f[v] for v in range(g.n) if v in f]
     if len(labels) < g.n:
         raise MissingLabel(f"no label for vertices {[v for v in range(g.n) if v not in f]}")
+    _check_labels(labels, range(g.n))
     sizes = [len(lab) for lab in labels]
     edges = g.edges()
     # the exact count is needed only when the largest labels could pass the cap
@@ -126,12 +148,6 @@ def _edge_sums(
                 f"the sum sets need {pairs} pairs of label elements; "
                 f"verification is limited to {MAX_SUM_PAIRS}"
             )
-    # a shifted label is sorted, free of repeats and as large as the label
-    # only if it is non-empty and strictly increases
-    rising = [
-        size == 1 or size > 1 and all(map(lt, lab, lab[1:]))
-        for lab, size in zip(labels, sizes)
-    ]
     sums: list[Label] = []
     mono: list[Edge] = []
     wrong: list[Edge] = []
@@ -140,36 +156,28 @@ def _edge_sums(
     for e in edges:
         u, v = e
         a, b = labels[u], labels[v]
-        # a shifted label has the larger endpoint's size by construction, so
-        # only the sumset branch compares sizes
-        if sizes[u] == 1 and rising[v]:
+        # a singleton shifts the other label, which keeps its size
+        if sizes[u] == 1:
             x = a[0]
             if sizes[v] == 1:
                 sums.append((x + b[0],))
                 mono.append(e)
             else:
                 sums.append(tuple([x + y for y in b]))
-        elif sizes[v] == 1 and rising[u]:
+        elif sizes[v] == 1:
             x = b[0]
             sums.append(tuple([y + x for y in a]))
         else:
-            lab = sumset(a, b)
-            sums.append(lab)
-            size = len(lab)
-            if size == 1:
-                mono.append(e)
-            # judged on mono edges too: a tuple that repeats one element,
-            # which is no label, gives a singleton sum set with a longer endpoint
-            if size != (sizes[u] if sizes[u] > sizes[v] else sizes[v]):
-                wrong.append(e)
+            # |A+B| >= |A| + |B| - 1 > max(|A|, |B|)
+            sums.append(sumset(a, b))
+            wrong.append(e)
     return labels, edges, sums, mono, wrong
 
 
 def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
-    """The sum set of the endpoint labels for each edge, keyed by canonical edge.
-
-    Raises TooLarge, before any sum set is built, if the edges need more than
-    ``MAX_SUM_PAIRS`` pairs of label elements in all."""
+    """The sum set of the endpoint labels for each edge, keyed by canonical
+    edge; raises as `verify_weak` does, and TooLarge, before any sum set is
+    built, if the edges need more than ``MAX_SUM_PAIRS`` pairs of elements."""
     _, edges, sums, _, _ = _edge_sums(g, f)
     return dict(zip(edges, sums))
 
@@ -199,12 +207,11 @@ def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> l
 def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
     """Check that ``f`` is a weak set-indexer of ``g``: vertex labels pairwise
     distinct, edge sum sets pairwise distinct, and |f(u)+f(v)| = max(|f(u)|,|f(v)|)
-    on every edge.
-
-    Every colliding pair is listed, vertex pairs then edge pairs, and the
-    cardinality failures follow them; more than ``MAX_COLLISION_PAIRS`` pairs
-    of either kind raise TooLarge instead. One loop over the edges builds
-    each sum set once, takes the mono edges and judges the sizes."""
+    on every edge. Every colliding pair is listed, vertex pairs then edge
+    pairs, then the edges joining two labels of two or more elements; more
+    than ``MAX_COLLISION_PAIRS`` pairs of either kind raise TooLarge instead.
+    Raises MissingLabel for a vertex with no label, and ValueError, naming
+    the vertex and the reason, for one whose label breaks the label rule."""
     labels, edges, sums, mono, wrong = _edge_sums(g, f)
     failures = []
     # pairs are listed only where a label repeats; with none, the list is empty
@@ -227,10 +234,19 @@ def mono_edges(g: Graph, f: Mapping[int, Label]) -> list[Edge]:
 
 
 def write_labeling(n: int, f: Mapping[int, Label]) -> str:
+    """The canonical text of ``f``. Raises MissingLabel unless its keys are
+    exactly 0..n-1, and ValueError naming the first vertex whose label breaks
+    the label rule, so that `read_labeling` takes back every text written."""
     if set(f) != set(range(n)):
         raise MissingLabel(f"labeling keys must be exactly 0..{n - 1}")
+    _check_labels([f[v] for v in range(n)], range(n))
     items = ",".join([f'\n    "{v}": [{", ".join(map(str, f[v]))}]' for v in range(n)])
     return f'{{\n  "vertices": {n},\n  "labels": {{{items}\n  }}\n}}\n'
+
+
+# the reader's own words for a label that is not a list of ints or not rising
+_FILE_REASONS = dict.fromkeys((_NOT_TUPLE, _NOT_INTS), " is not a list of integers")
+_FILE_REASONS[_FALLS] = " is not strictly increasing"
 
 
 def read_labeling(text: str) -> tuple[int, Labeling]:
@@ -254,25 +270,7 @@ def read_labeling(text: str) -> tuple[int, Labeling]:
         )
     if set(labels) != {str(v) for v in range(n)}:
         raise GraphFormatError(f"labels must cover exactly the indices 0..{n - 1}")
-    out: Labeling = {}
-    for key, values in labels.items():
-        # JSON gives int, bool, float, str, None, list or dict; only int is an
-        # element. One walk checks the types and notes a fall, which is
-        # reported only if every element is an int.
-        if type(values) is not list:
-            raise GraphFormatError(f"label of vertex {key} is not a list of integers")
-        rising = True
-        last = None
-        for x in values:
-            if type(x) is not int:
-                raise GraphFormatError(f"label of vertex {key} is not a list of integers")
-            if last is not None and x <= last:
-                rising = False
-            last = x
-        if not rising:
-            raise GraphFormatError(f"label of vertex {key} is not strictly increasing")
-        try:
-            out[int(key)] = _checked_label(tuple(values))
-        except ValueError as exc:
-            raise GraphFormatError(f"label of vertex {key}: {exc}") from None
-    return n, out
+    # a JSON list is checked as the tuple it becomes; no other JSON value is a tuple
+    values = [tuple(lab) if type(lab) is list else lab for lab in labels.values()]
+    _check_labels(values, labels, GraphFormatError, _FILE_REASONS)
+    return n, dict(zip(map(int, labels), values))

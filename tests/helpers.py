@@ -12,7 +12,7 @@ from sparing import solver
 from sparing.errors import GraphFormatError, IndexOutOfRange, InvalidParam, TooLarge
 from sparing.families import LabeledGraph, check_range, checked_param
 from sparing.graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, graph_from_edges, is_independent
-from sparing.labels import MAX_LABELING_TEXT, _checked_label
+from sparing.labels import MAX_LABELING_TEXT, make_label
 
 
 class Small(enum.IntEnum):
@@ -246,7 +246,8 @@ def reference_read_labeling(text: str):
         if values != sorted(set(values)):
             raise GraphFormatError(f"label of vertex {key} is not strictly increasing")
         try:
-            out[int(key)] = _checked_label(tuple(values))
+            # strictly increasing already, so make_label changes nothing
+            out[int(key)] = make_label(values)
         except ValueError as exc:
             raise GraphFormatError(f"label of vertex {key}: {exc}") from None
     return n, out

@@ -93,21 +93,14 @@ MUTANTS = [
      "                    continue\n"
      "                known = best_set\n",
      "                continue\n"),
-    ("the sumset branch's mono test", LABELS,
-     "            if size == 1:\n", "            if size <= 2:\n"),
     ("the singleton-singleton branch's mono edge", LABELS,
      "                sums.append((x + b[0],))\n                mono.append(e)\n",
      "                sums.append((x + b[0],))\n"),
-    ("the sumset branch's size test", LABELS,
-     "if size != (sizes[u] if sizes[u] > sizes[v] else sizes[v]):", "if False:"),
-    ("the shift's strict-increase guard", LABELS,
-     "size == 1 or size > 1 and all(map(lt, lab, lab[1:]))", "True"),
-    ("the shift's non-empty guard", LABELS,
-     "size == 1 or size > 1 and all(", "size == 1 or all("),
+    ("the two-non-singleton edge not marked wrong", LABELS,
+     "            sums.append(sumset(a, b))\n            wrong.append(e)\n",
+     "            sums.append(sumset(a, b))\n"),
     ("verify_weak's edge-collision test", LABELS,
      "if len(set(sums)) < len(sums):", "if False:"),
-    ("read_labeling's strict-increase check", LABELS,
-     "        if not rising:\n", "        if False:\n"),
     ("read_graph's repeated-bit test", GRAPHS,
      "                if adj[u] & bit:\n                    repeats += 1\n",
      "                if False:\n                    repeats += 1\n"),
@@ -176,8 +169,14 @@ MUTANTS = [
      "if type(u) is not int or type(v) is not int:", "if False:"),
     ("_check_vertex's type test", GRAPHS,
      "if type(v) is not int or not 0 <= v < self.n:", "if not 0 <= v < self.n:"),
-    ("make_label's type test", LABELS,
-     "if any(type(x) is not int for x in values):", "if False:"),
+    ("the label rule's element-type test dropped", LABELS,
+     "if not {int}.issuperset(map(type, elems)):", "if False:"),
+    ("the label rule's strict-increase test dropped", LABELS,
+     "if not all(all(map(lt, lab, lab[1:])) for lab in labels if len(lab) > 1):", "if False:"),
+    ("the label rule's non-empty test dropped", LABELS,
+     "if not all(labels):", "if False:"),
+    ("make_label normalizing what is not all exact ints", LABELS,
+     "if _fault([label]) != _NOT_INTS:", "if True:"),
     ("the flags' integer spelling", CLI,
      "return parse_int(text)", "return int(text)"),
 ]

@@ -285,6 +285,10 @@ class TestFiles:
             (["--density", "nan"], "error: --density must be in [0, 1]\n"),
             (["--n", "\u0663"], "error: --n expects an integer, got '\u0663'\n"),  # Arabic-Indic 3
             (["--n", "2..+5"], "error: --n expects an integer, got '+5'\n"),
+            (["--count", "\uff15"], "error: --count expects an integer, got '\uff15'\n"),  # full-width 5
+            (["--count", "1_0"], "error: --count expects an integer, got '1_0'\n"),
+            (["--count", "two"], "error: --count expects an integer, got 'two'\n"),
+            (["--seed", "+5"], "error: --seed expects an integer, got '+5'\n"),
             (
                 ["--count", "4", "--n=-1..8", "--seed", "5"],
                 "error: random_graph requires n >= 0\n",

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from helpers import Small
@@ -22,6 +24,11 @@ def path(n):
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def refused(v, reason):
+    """The ValueError a label route raises for vertex ``v``'s label."""
+    return pytest.raises(ValueError, match=f"^label of vertex {v}: {re.escape(reason)}$")
+
+
 class TestMakeLabel:
     def test_sorts_and_dedupes(self):
         assert make_label([3, 1, 3]) == (1, 3)
@@ -34,6 +41,22 @@ class TestMakeLabel:
         with pytest.raises(ValueError):
             make_label([-1, 2])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([], "label sets must be non-empty"),
+            ([2, -1, 2], "label sets are drawn from the non-negative integers"),
+            ([2**64, 1], "label element exceeds 64-bit range"),
+        ],
+    )
+    def test_messages(self, values, message):
+        with pytest.raises(ValueError) as exc:
+            make_label(values)
+        assert str(exc.value) == message
+
+    def test_largest_element(self):
+        assert make_label([2**64 - 1, 0, 0]) == (0, 2**64 - 1)
+
     # a bool is refused before the set would merge True into 1
     @pytest.mark.parametrize(
         "values", [[1.5], [1.5, 2], [True], [1, True], ["1"], [Small.ONE]], ids=repr
@@ -41,6 +64,76 @@ class TestMakeLabel:
     def test_rejects_an_element_that_is_not_an_exact_int(self, values):
         with pytest.raises(ValueError, match="^label elements must be integers$"):
             make_label(values)
+
+
+# each kind of value that is not a label, with the reason every label route gives
+NON_LABELS = [
+    ((True,), "label elements must be integers"),
+    ((1, True), "label elements must be integers"),
+    ((0.5,), "label elements must be integers"),
+    ((1, 2.0), "label elements must be integers"),
+    ((Small.ONE,), "label elements must be integers"),
+    ((-1, 2), "label sets are drawn from the non-negative integers"),
+    ((1, 2**64), "label element exceeds 64-bit range"),
+    ((), "label sets must be non-empty"),
+    ((3, 1), "label elements must strictly increase"),
+    ((3, -1), "label elements must strictly increase"),
+    ((5, 5), "label elements must strictly increase"),
+    ([1, 2], "label sets must be tuples"),
+    (5, "label sets must be tuples"),
+]
+LABEL_ROUTES = {
+    "verify_weak": lambda n, f: verify_weak(path(n), f),
+    "induced_edge_labels": lambda n, f: induced_edge_labels(path(n), f),
+    "mono_edges": lambda n, f: mono_edges(path(n), f),
+    "write_labeling": write_labeling,
+}
+
+
+class TestLabelRule:
+    """One rule for what a label is, kept by every route that takes labels."""
+
+    @pytest.mark.parametrize("route", LABEL_ROUTES)
+    @pytest.mark.parametrize("bad, reason", NON_LABELS, ids=repr)
+    def test_every_route_refuses_each_kind_of_non_label(self, route, bad, reason):
+        f = {0: (1,), 1: bad, 2: (4, 8)}
+        with refused(1, reason):
+            LABEL_ROUTES[route](3, f)
+
+    @pytest.mark.parametrize("route", LABEL_ROUTES)
+    def test_the_first_vertex_that_breaks_the_rule_is_named(self, route):
+        f = {0: (1,), 1: (2,), 2: (3, 3), 3: (0.5,)}
+        with refused(2, "label elements must strictly increase"):
+            LABEL_ROUTES[route](4, f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [{0: (0.5,), 1: (True,)}, {0: (-1,), 1: (2,)}, {0: (3, 1), 1: (10,)}],
+        ids=repr,
+    )
+    def test_tuples_that_once_passed_verification_are_refused(self, f):
+        with pytest.raises(ValueError, match="^label of vertex 0: "):
+            verify_weak(path(2), f)
+
+    def test_the_writer_never_writes_what_its_reader_refuses(self):
+        with refused(0, "label elements must be integers"):
+            write_labeling(2, {0: (0.5,), 1: (True,)})
+
+    def test_a_missing_label_is_reported_before_a_non_label(self):
+        with pytest.raises(MissingLabel):
+            verify_weak(path(3), {0: (True,), 1: (1,)})
+        with pytest.raises(MissingLabel):
+            write_labeling(3, {0: (True,), 1: (1,)})
+
+    def test_a_non_label_is_reported_before_the_sum_pairs_cap(self):
+        f = {0: tuple(range(10_000)), 1: tuple(range(0, 10**8, 10**4)) + (-1,)}
+        with refused(1, "label elements must strictly increase"):
+            verify_weak(path(2), f)
+
+    def test_labels_up_to_the_largest_element_pass(self):
+        f = {0: (0,), 1: (1, 2**64 - 1)}
+        assert verify_weak(path(2), f).ok
+        assert read_labeling(write_labeling(2, f)) == (2, f)
 
 
 class TestSumset:
@@ -74,11 +167,14 @@ class TestInducedEdgeLabels:
         g = graph_from_edges(3, [])
         assert induced_edge_labels(g, {0: (1,), 1: (2,), 2: (3,)}) == {}
 
-    def test_a_singleton_shifts_only_a_strictly_increasing_label(self):
-        # an unsorted label, or one that repeats an element, goes through sumset
+    def test_an_unsorted_or_repeating_tuple_is_refused(self):
+        # neither is a label, so no sum set is built for it
         f = {0: (3, 1), 1: (10,), 2: (2, 2)}
-        assert induced_edge_labels(path(3), f) == {(0, 1): (11, 13), (1, 2): (12,)}
-        assert verify_weak(path(3), f).mono == ((1, 2),)
+        with refused(0, "label elements must strictly increase"):
+            induced_edge_labels(path(3), f)
+        f[0] = (1, 3)
+        with refused(2, "label elements must strictly increase"):
+            verify_weak(path(3), f)
 
     def test_partial_labeling_rejected(self):
         with pytest.raises(MissingLabel):
@@ -190,20 +286,21 @@ class TestVerifyWeak:
         assert weak.mono == ((0, 1), (1, 2))
         assert mono_edges(path(5), f) == [(0, 1), (1, 2)]
 
-    def test_singleton_sum_set_with_a_longer_endpoint_violates(self):
-        # (5, 5) is no label, but verify_weak takes any mapping: its sum set
-        # with (1,) is {6}, so the edge is mono and |{6}| != max(1, 2)
-        verdict = verify_weak(path(2), {0: (1,), 1: (5, 5)})
-        assert verdict.mono == ((0, 1),)
-        assert [(f.kind, f.where) for f in verdict.failures] == [
-            (FailureKind.WEAK_CONDITION_VIOLATED, ((0, 1),))
-        ]
+    def test_a_repeated_element_is_refused_not_judged_mono(self):
+        # (5, 5) is no label; its sum set with (1,) would be the singleton {6}
+        with refused(1, "label elements must strictly increase"):
+            verify_weak(path(2), {0: (1,), 1: (5, 5)})
 
-    def test_empty_tuple_against_a_singleton_violates(self):
-        # () is no label, but verify_weak takes any mapping: its sum set with
-        # (1,) is empty, and |{}| != max(0, 1), from either endpoint
-        for labeling in ({0: (), 1: (1,)}, {0: (1,), 1: ()}):
-            verdict = verify_weak(path(2), labeling)
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_an_empty_tuple_is_refused_from_either_endpoint(self, empty):
+        labeling = {0: (1,), 1: (1,), empty: ()}
+        with refused(empty, "label sets must be non-empty"):
+            verify_weak(path(2), labeling)
+
+    def test_two_labels_of_two_or_more_elements_always_violate(self):
+        # |A+B| >= |A| + |B| - 1, so even sum sets that overlap most are too large
+        for a, b in [((0, 1), (1, 2)), ((0, 2, 4), (0, 2)), ((0, 1, 2), (10, 11, 12))]:
+            verdict = verify_weak(path(2), {0: a, 1: b})
             assert verdict.mono == ()
             assert [(f.kind, f.where) for f in verdict.failures] == [
                 (FailureKind.WEAK_CONDITION_VIOLATED, ((0, 1),))

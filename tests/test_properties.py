@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,16 @@ from sparing.graphs import (
     shadow,
     subdivide_edges,
 )
-from sparing.labels import Failure, FailureKind, mono_edges, sumset, verify_weak
+from sparing.labels import (
+    MAX_LABEL_VALUE,
+    Failure,
+    FailureKind,
+    mono_edges,
+    read_labeling,
+    sumset,
+    verify_weak,
+    write_labeling,
+)
 from sparing.solver import construct_witness, sparing_bruteforce, sparing_exact
 
 label_sets = st.frozensets(st.integers(min_value=0, max_value=100), min_size=1, max_size=5).map(
@@ -91,15 +101,10 @@ def collision_pairs(kind, items, label_of):
 
 
 # labels drawn from a small pool, so that vertex and edge labels repeat and
-# edges join two non-singletons; the pool also holds tuples that are not
-# labels (unsorted, or with a repeated element), which verify_weak takes from
-# any mapping and must judge by the same pairwise sum sets
+# edges join two non-singletons
 label_pools = st.lists(
-    st.one_of(
-        st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3).map(
-            lambda s: tuple(sorted(s))
-        ),
-        st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=3).map(tuple),
+    st.frozensets(st.integers(min_value=0, max_value=6), min_size=1, max_size=3).map(
+        lambda s: tuple(sorted(s))
     ),
     min_size=3,
     max_size=4,
@@ -122,6 +127,41 @@ def test_verify_weak_matches_the_pairwise_definition(g, pool, data):
     assert verdict.failures == tuple(failures)
     assert verdict.ok == (not failures)
     assert verdict.mono == tuple(e for e in edges if len(sums[e]) == 1)
+
+
+# values that are not labels, each made from a label
+non_labels = st.one_of(
+    st.just(()),
+    label_sets.map(list),
+    label_sets.filter(lambda lab: len(lab) > 1).map(lambda lab: lab[::-1]),
+    label_sets.map(lambda lab: lab[:1] + lab),
+    label_sets.map(lambda lab: (-1, *lab)),
+    label_sets.map(lambda lab: (*lab, MAX_LABEL_VALUE + 1)),
+    label_sets.map(lambda lab: (*lab[:-1], float(lab[-1]))),
+    label_sets.map(lambda lab: (*lab[:-1], bool(lab[-1] % 2))),
+)
+
+
+@given(small_graphs(max_n=7), label_pools, non_labels, st.data())
+def test_a_labeling_with_one_non_label_is_refused(g, pool, bad, data):
+    f = {v: data.draw(st.sampled_from(pool)) for v in range(g.n)}
+    v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    f[v] = bad
+    with pytest.raises(ValueError, match=f"^label of vertex {v}: "):
+        verify_weak(g, f)
+    with pytest.raises(ValueError, match=f"^label of vertex {v}: "):
+        write_labeling(g.n, f)
+
+
+wide_labels = st.frozensets(
+    st.integers(min_value=0, max_value=MAX_LABEL_VALUE), min_size=1, max_size=5
+).map(lambda s: tuple(sorted(s)))
+
+
+@given(st.lists(wide_labels, max_size=9))
+def test_a_written_labeling_reads_back(items):
+    f = dict(enumerate(items))
+    assert read_labeling(write_labeling(len(f), f)) == (len(f), f)
 
 
 @given(small_graphs())
