@@ -27,7 +27,7 @@ from .families import (
     FAMILY_PARAMS, LIST_PARAMS, FamilySpec, below_least, generate, random_graph, vertex_count,
 )
 from .graphs import MAX_GRAPH_TEXT, SOLVE_MAX_VERTICES, Graph, parse_int, read_graph, write_graph
-from .labels import MAX_LABELING_TEXT, FailureKind, read_labeling, verify_weak, write_labeling
+from .labels import MAX_LABELING_TEXT, FailureKind, _labeling_text, _verdict, read_labeling
 from .solver import solve_and_certify, sparing_exact
 
 EXIT_OK = 0
@@ -247,8 +247,9 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     g = _load_graph(args)
     _threads(args)
+    # solve_and_certify checked the labeling by the label rule
     result, labeling = solve_and_certify(g)
-    _write(args.out, write_labeling(g.n, labeling))
+    _write(args.out, _labeling_text([labeling[v] for v in range(g.n)]))
     if args.format == "json":
         doc = {"phi": result.value, "mono": len(result.mono), "verified": True, "out": args.out}
         print(json.dumps(doc))
@@ -273,7 +274,8 @@ def cmd_verify(args) -> int:
     n, labeling = read_labeling(_read(args.labeling, MAX_LABELING_TEXT))
     if n != g.n:
         raise GraphFormatError(f"labeling covers {n} vertices, graph has {g.n}")
-    verdict = verify_weak(g, labeling)
+    # read_labeling checked every label by the label rule, in the file's words
+    verdict = _verdict(g, [labeling[v] for v in range(n)])
     mono_count = len(verdict.mono)
     if args.format == "json":
         failures = [_failure_line(f) for f in verdict.failures]

@@ -33,10 +33,14 @@ _ROWS: list[list[Edge | None]] = [
 ]
 
 
-# int() of the canonical spelling of every vertex index a graph may have, so
-# an edge line's endpoints are two lookups; any other token, such as "007",
-# "-1", "64" or non-ASCII digits, is parsed as before.
-_VERTEX_INDEX: dict[str, int] = {str(v): v for v in range(SOLVE_MAX_VERTICES)}
+# The shared edge of every canonical edge line "e <u> <v>" that a graph may
+# have (u < v < SOLVE_MAX_VERTICES, single spaces, canonical int spellings),
+# so that such a line is one lookup; any other line, such as "e 007 9",
+# "e  0 1" or "e 0 64", is split and parsed.
+_EDGE_LINES: dict[str, Edge] = {
+    f"e {u} {v}": _ROWS[u][v] for u in range(SOLVE_MAX_VERTICES)
+    for v in range(u + 1, SOLVE_MAX_VERTICES)
+}
 
 
 def _canon(u: int, v: int) -> Edge:
@@ -245,76 +249,81 @@ def parse_int(text: str) -> int:
 def read_graph(text: str) -> Graph:
     """The graph a text in the format above describes; raises GraphFormatError.
 
-    Edge lines set adjacency bits as they are read. Their endpoints are looked
-    up in ``_VERTEX_INDEX``; a token it lacks is parsed as the header is, so
-    every graph and message is the same as without the table."""
+    Edge lines set adjacency bits as they are read, and count each edge whose
+    bits they set, so the header's count is checked with no pass over the
+    bitsets. A canonical edge line is looked up whole in ``_EDGE_LINES``; any
+    other line is split and its endpoints parsed as the header's numbers are,
+    so every graph and message is the same as without the table."""
     if len(text) > MAX_GRAPH_TEXT:
         raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
-    index = _VERTEX_INDEX
+    lines = _EDGE_LINES
     n = m = None
     adj: list[int] = []
-    repeats = 0
+    # edges whose bits were set, and edge lines that repeat an edge
+    distinct = repeats = 0
     # edges with an endpoint out of range, kept to find their repeats; the
     # first of them names its vertex once the count and repeats are checked
     outside: set[Edge] = set()
     first_outside = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        head = fields[0]
-        if head == "e" and len(fields) == 3 and n is not None:
-            # a well-formed edge line; the other edge lines fail below
-            try:
-                u, v = index[fields[1]], index[fields[2]]
-            except KeyError:
+        edge = lines.get(raw)
+        if edge is None or n is None:
+            fields = raw.split()
+            if not fields:
+                continue
+            head = fields[0]
+            if head == "e" and len(fields) == 3 and n is not None:
+                # a well-formed edge line; the other edge lines fail below
                 try:
-                    u, v = parse_int(fields[1]), parse_int(fields[2])
+                    edge = parse_int(fields[1]), parse_int(fields[2])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-            if u >= v:
-                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            if u >= 0 and v < n:
-                bit = 1 << v
-                if adj[u] & bit:
-                    repeats += 1
-                else:
-                    adj[u] |= bit
-                    adj[v] |= 1 << u
-            elif (u, v) in outside:
+                if edge[0] >= edge[1]:
+                    raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+            elif head[0] == "#":
+                if n is not None:
+                    raise GraphFormatError(f"line {lineno}: comment after header")
+                continue
+            elif head == "p":
+                if n is not None:
+                    raise GraphFormatError(f"line {lineno}: duplicate header")
+                if len(fields) != 3:
+                    raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
+                try:
+                    n, m = parse_int(fields[1]), parse_int(fields[2])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: non-integer header") from None
+                if n > SOLVE_MAX_VERTICES:
+                    raise GraphFormatError(
+                        f"line {lineno}: header declares {n} vertices; "
+                        f"graphs are limited to {SOLVE_MAX_VERTICES}"
+                    )
+                adj = [0] * n
+                continue
+            elif head == "e":
+                if n is None:
+                    raise GraphFormatError(f"line {lineno}: edge before header")
+                raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+            else:
+                raise GraphFormatError(f"line {lineno}: unknown record {head!r}")
+        u, v = edge
+        if u >= 0 and v < n:
+            bit = 1 << v
+            if adj[u] & bit:
                 repeats += 1
             else:
-                outside.add((u, v))
-                if first_outside is None:
-                    first_outside = u if u < 0 or u >= n else v
-        elif head[0] == "#":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: comment after header")
-        elif head == "p":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'p <n> <m>'")
-            try:
-                n, m = parse_int(fields[1]), parse_int(fields[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header") from None
-            if n > SOLVE_MAX_VERTICES:
-                raise GraphFormatError(
-                    f"line {lineno}: header declares {n} vertices; "
-                    f"graphs are limited to {SOLVE_MAX_VERTICES}"
-                )
-            adj = [0] * n
-        elif head == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
-            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+                adj[u] |= bit
+                adj[v] |= 1 << u
+                distinct += 1
+        elif edge in outside:
+            repeats += 1
         else:
-            raise GraphFormatError(f"line {lineno}: unknown record {head!r}")
+            outside.add(edge)
+            if first_outside is None:
+                first_outside = u if u < 0 or u >= n else v
     if n is None or m is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    g = Graph(n, tuple(adj))
-    count = g.edge_count + len(outside) + repeats
+    count = distinct + len(outside) + repeats
     if count != m:
         raise GraphFormatError(f"header promises {m} edges, found {count}")
     if repeats:
@@ -323,4 +332,4 @@ def read_graph(text: str) -> Graph:
         raise GraphFormatError(f"vertex count {n} is negative")
     if first_outside is not None:
         raise GraphFormatError(f"vertex {first_outside} not in 0..{n - 1}")
-    return g
+    return Graph(n, tuple(adj))

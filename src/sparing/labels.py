@@ -2,21 +2,26 @@
 
 A vertex label is a non-empty tuple of exact ints (`type(x) is int`),
 strictly increasing, within 0..``MAX_LABEL_VALUE``; a labeling maps every
-vertex index to one. `_fault` states that rule once, and `make_label`,
-`read_labeling`, `verify_weak` (so `induced_edge_labels` and `mono_edges`)
-and `write_labeling` all check labels by it. The induced edge label is the
-sum set of its endpoint labels. A labeling is *weak* when, on top of vertex-
-and edge-label injectivity, every edge's sum set is exactly as large as its
-larger endpoint label; the mono edges, whose sum set is a singleton, are
-what the sparing number counts.
+vertex index to one. `_fault` states that rule once, and each library entry
+point checks its input by it: `make_label`, `read_labeling`, `verify_weak`
+(so `induced_edge_labels` and `mono_edges`) and `write_labeling`. One CLI
+call checks each labeling once, where it enters: `verify` in
+`read_labeling`, `certify` in the `verify_weak` of `solve_and_certify`.
+Each then goes on through its job's unchecked core, `_verdict` or
+`_labeling_text`, which takes labels already checked. The induced edge label
+is the sum set of its endpoint labels. A labeling is *weak* when, on top of
+vertex- and edge-label injectivity, every edge's sum set is exactly as large
+as its larger endpoint label; the mono edges, whose sum set is a singleton,
+are what the sparing number counts.
 
 For finite sets of integers |A+B| >= |A|+|B|-1 (Nathanson, *Additive Number
 Theory*, 1996, Thm 1.4), so an edge is weak exactly when one endpoint is a
-singleton, and mono exactly when both are. `verify_weak`'s one loop over
-the edges builds each sum set once and judges it by the label sizes alone: a
-singleton shifts the other label, and two labels of two or more elements
-each go through `sumset` and always break the weak condition. Edge pairs are
-grouped only when a sum set repeats.
+singleton, and mono exactly when both are. `verify_weak`'s one walk over the
+adjacency bitsets, in canonical edge order, builds each sum set once and
+judges it by the label sizes alone: a singleton shifts the other label, and
+two labels of two or more elements each go through `sumset` and always break
+the weak condition. The edge list is built only when a sum set repeats, to
+name the colliding edge pairs.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from itertools import chain
 from operator import lt
 from typing import Iterable, Mapping
 
-from .errors import GraphFormatError, MissingLabel, TooLarge
-from .graphs import SOLVE_MAX_VERTICES, Edge, Graph
+from .errors import GraphFormatError, IndexOutOfRange, MissingLabel, TooLarge
+from .graphs import _ROWS, SOLVE_MAX_VERTICES, Edge, Graph
 
 Label = tuple[int, ...]
 Labeling = dict[int, Label]
@@ -126,23 +131,27 @@ class Verdict:
         return not self.failures
 
 
-def _edge_sums(
-    g: Graph, f: Mapping[int, Label]
-) -> tuple[list[Label], list[Edge], list[Label], list[Edge], list[Edge]]:
-    """The vertex labels, the edges, their sum sets in edge order, the mono
-    edges and the edges that break the weak condition, from one loop over the
-    edges. Raises MissingLabel, then ValueError for a label that breaks the
-    rule, then TooLarge, before any sum set is built, if the edges need more
-    than ``MAX_SUM_PAIRS`` pairs of label elements in all."""
+def _labels(g: Graph, f: Mapping[int, Label]) -> list[Label]:
+    """The labels of ``g``'s vertices in vertex order. Raises MissingLabel,
+    then ValueError naming the first vertex whose label breaks the rule."""
     labels = [f[v] for v in range(g.n) if v in f]
     if len(labels) < g.n:
         raise MissingLabel(f"no label for vertices {[v for v in range(g.n) if v not in f]}")
     _check_labels(labels, range(g.n))
-    sizes = [len(lab) for lab in labels]
-    edges = g.edges()
+    return labels
+
+
+def _edge_sums(g: Graph, labels: list[Label]) -> tuple[list[Label], list[Edge], list[Edge]]:
+    """The sum sets of the edges of ``g`` in canonical order, the mono edges
+    and the edges that break the weak condition, from one walk over the
+    adjacency bitsets, u ascending, then v above u. ``labels`` are labels,
+    one per vertex in order. Raises TooLarge, before any sum set is built, if
+    the edges need more than ``MAX_SUM_PAIRS`` pairs of label elements in all."""
+    sizes = list(map(len, labels))
+    n = g.n
     # the exact count is needed only when the largest labels could pass the cap
-    if max(sizes, default=0) ** 2 * len(edges) > MAX_SUM_PAIRS:
-        pairs = sum(sizes[u] * sizes[v] for u, v in edges)
+    if max(sizes, default=0) ** 2 * (n * (n - 1) // 2) > MAX_SUM_PAIRS:
+        pairs = sum(sizes[u] * sizes[v] for u, v in g.edges())
         if pairs > MAX_SUM_PAIRS:
             raise TooLarge(
                 f"the sum sets need {pairs} pairs of label elements; "
@@ -151,35 +160,41 @@ def _edge_sums(
     sums: list[Label] = []
     mono: list[Edge] = []
     wrong: list[Edge] = []
-    # mono and wrong hold the edge list's own tuples, which graphs of at most
-    # 64 vertices share
-    for e in edges:
-        u, v = e
-        a, b = labels[u], labels[v]
+    # a graph of at most 64 vertices names its edges by the shared tuples
+    shared = n <= SOLVE_MAX_VERTICES
+    for u, bits in enumerate(g._adj):
+        above = bits >> u + 1 << u + 1
+        row = _ROWS[u] if shared else None
+        a = labels[u]
         # a singleton shifts the other label, which keeps its size
-        if sizes[u] == 1:
-            x = a[0]
-            if sizes[v] == 1:
-                sums.append((x + b[0],))
-                mono.append(e)
+        single, x = sizes[u] == 1, a[0]
+        while above:
+            vbit = above & -above
+            above ^= vbit
+            v = vbit.bit_length() - 1
+            b = labels[v]
+            if single:
+                if sizes[v] == 1:
+                    sums.append((x + b[0],))
+                    mono.append(row[v] if shared else (u, v))
+                else:
+                    sums.append(tuple([x + y for y in b]))
+            elif sizes[v] == 1:
+                y = b[0]
+                sums.append(tuple([z + y for z in a]))
             else:
-                sums.append(tuple([x + y for y in b]))
-        elif sizes[v] == 1:
-            x = b[0]
-            sums.append(tuple([y + x for y in a]))
-        else:
-            # |A+B| >= |A| + |B| - 1 > max(|A|, |B|)
-            sums.append(sumset(a, b))
-            wrong.append(e)
-    return labels, edges, sums, mono, wrong
+                # |A+B| >= |A| + |B| - 1 > max(|A|, |B|)
+                sums.append(sumset(a, b))
+                wrong.append(row[v] if shared else (u, v))
+    return sums, mono, wrong
 
 
 def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
     """The sum set of the endpoint labels for each edge, keyed by canonical
     edge; raises as `verify_weak` does, and TooLarge, before any sum set is
     built, if the edges need more than ``MAX_SUM_PAIRS`` pairs of elements."""
-    _, edges, sums, _, _ = _edge_sums(g, f)
-    return dict(zip(edges, sums))
+    sums, _, _ = _edge_sums(g, _labels(g, f))
+    return dict(zip(g.edges(), sums))
 
 
 def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:
@@ -212,13 +227,19 @@ def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
     than ``MAX_COLLISION_PAIRS`` pairs of either kind raise TooLarge instead.
     Raises MissingLabel for a vertex with no label, and ValueError, naming
     the vertex and the reason, for one whose label breaks the label rule."""
-    labels, edges, sums, mono, wrong = _edge_sums(g, f)
+    return _verdict(g, _labels(g, f))
+
+
+def _verdict(g: Graph, labels: list[Label]) -> Verdict:
+    """`verify_weak`'s verdict on ``labels``, one label per vertex in order,
+    which the caller has checked by the label rule."""
+    sums, mono, wrong = _edge_sums(g, labels)
     failures = []
     # pairs are listed only where a label repeats; with none, the list is empty
     if len(set(labels)) < g.n:
         failures += _collisions(FailureKind.VERTEX_COLLISION, enumerate(labels))
     if len(set(sums)) < len(sums):
-        failures += _collisions(FailureKind.EDGE_COLLISION, zip(edges, sums))
+        failures += _collisions(FailureKind.EDGE_COLLISION, zip(g.edges(), sums))
     failures += [Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,)) for e in wrong]
     return Verdict(tuple(failures), tuple(mono))
 
@@ -234,14 +255,28 @@ def mono_edges(g: Graph, f: Mapping[int, Label]) -> list[Edge]:
 
 
 def write_labeling(n: int, f: Mapping[int, Label]) -> str:
-    """The canonical text of ``f``. Raises MissingLabel unless its keys are
-    exactly 0..n-1, and ValueError naming the first vertex whose label breaks
-    the label rule, so that `read_labeling` takes back every text written."""
+    """The canonical text of ``f``. Raises IndexOutOfRange unless ``n`` is an
+    exact int of at least 0, MissingLabel unless the keys of ``f`` are exactly
+    0..n-1, and ValueError naming the first vertex whose label breaks the
+    label rule, so that `read_labeling` takes back every text written."""
+    if type(n) is not int:
+        raise IndexOutOfRange(f"vertex count {n!r} is not an integer")
+    if n < 0:
+        raise IndexOutOfRange(f"vertex count {n} is negative")
     if set(f) != set(range(n)):
         raise MissingLabel(f"labeling keys must be exactly 0..{n - 1}")
-    _check_labels([f[v] for v in range(n)], range(n))
-    items = ",".join([f'\n    "{v}": [{", ".join(map(str, f[v]))}]' for v in range(n)])
-    return f'{{\n  "vertices": {n},\n  "labels": {{{items}\n  }}\n}}\n'
+    labels = [f[v] for v in range(n)]
+    _check_labels(labels, range(n))
+    return _labeling_text(labels)
+
+
+def _labeling_text(labels: list[Label]) -> str:
+    """`write_labeling`'s text of ``labels``, one label per vertex in order,
+    which the caller has checked by the label rule."""
+    items = ",".join([
+        f'\n    "{v}": [{", ".join(map(str, lab))}]' for v, lab in enumerate(labels)
+    ])
+    return f'{{\n  "vertices": {len(labels)},\n  "labels": {{{items}\n  }}\n}}\n'
 
 
 # the reader's own words for a label that is not a list of ints or not rising

@@ -94,26 +94,39 @@ MUTANTS = [
      "                known = best_set\n",
      "                continue\n"),
     ("the singleton-singleton branch's mono edge", LABELS,
-     "                sums.append((x + b[0],))\n                mono.append(e)\n",
-     "                sums.append((x + b[0],))\n"),
+     "                    mono.append(row[v] if shared else (u, v))\n", ""),
     ("the two-non-singleton edge not marked wrong", LABELS,
-     "            sums.append(sumset(a, b))\n            wrong.append(e)\n",
-     "            sums.append(sumset(a, b))\n"),
+     "                wrong.append(row[v] if shared else (u, v))\n", ""),
+    ("the edge walk taking the neighbors at and below u", LABELS,
+     "above = bits >> u + 1 << u + 1", "above = bits"),
+    ("the edge walk's fresh tuples over 64 vertices", LABELS,
+     "shared = n <= SOLVE_MAX_VERTICES", "shared = True"),
     ("verify_weak's edge-collision test", LABELS,
      "if len(set(sums)) < len(sums):", "if False:"),
+    ("the verify route with read_labeling's rule check skipped", LABELS,
+     "    _check_labels(values, labels, GraphFormatError, _FILE_REASONS)\n", ""),
+    ("write_labeling's vertex-count type test", LABELS,
+     "    if type(n) is not int:\n        raise IndexOutOfRange", "    if False:\n        raise IndexOutOfRange"),
     ("read_graph's repeated-bit test", GRAPHS,
-     "                if adj[u] & bit:\n                    repeats += 1\n",
-     "                if False:\n                    repeats += 1\n"),
+     "            if adj[u] & bit:\n                repeats += 1\n",
+     "            if False:\n                repeats += 1\n"),
+    ("read_graph's running count taking a repeated edge as new", GRAPHS,
+     "                repeats += 1\n            else:\n",
+     "                repeats += 1\n                distinct += 1\n            else:\n"),
     ("read_graph's out-of-range vertex named", GRAPHS,
      "first_outside = u if u < 0 or u >= n else v", "first_outside = u if u < 0 else v"),
+    ("construct_witness's mask independence test dropped", SOLVER,
+     "if any(g._adj[v] & chosen for v in independent):", "if False:"),
     ("construct_witness's labels", SOLVER,
      "_WITNESS_LABELS[v][chosen >> v & 1]", "_WITNESS_LABELS[v][not chosen >> v & 1]"),
     ("one vertex's witness labels swapped", SOLVER,
      "for v in range(WITNESS_MAX_VERTICES)]\n",
      "for v in range(WITNESS_MAX_VERTICES)]\n_WITNESS_LABELS[3] = _WITNESS_LABELS[3][::-1]\n"),
-    ("a vertex-index table entry", GRAPHS,
-     "{str(v): v for v in range(SOLVE_MAX_VERTICES)}\n",
-     "{str(v): v for v in range(SOLVE_MAX_VERTICES)}\n_VERTEX_INDEX[\"5\"] = 6\n"),
+    ("an edge-line table entry", GRAPHS,
+     "    for v in range(u + 1, SOLVE_MAX_VERTICES)\n}\n",
+     "    for v in range(u + 1, SOLVE_MAX_VERTICES)\n}\n_EDGE_LINES[\"e 0 5\"] = (0, 6)\n"),
+    ("the edge-line table read before the header", GRAPHS,
+     "if edge is None or n is None:", "if edge is None:"),
     ("the shared edge table's diagonal", GRAPHS,
      "[None] * (u + 1)", "[None] * u"),
     ("generate's cap", FAMILIES,

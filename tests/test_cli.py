@@ -372,6 +372,29 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_a_falling_label_is_refused_in_the_files_words(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.g"
+        graph_file.write_text(write_graph(make("path", n=2).graph))
+        lab_file = tmp_path / "lab.json"
+        lab_file.write_text('{"vertices": 2, "labels": {"0": [2, 1], "1": [3]}}')
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph_file), "--labeling", str(lab_file)
+        )
+        assert (code, out, err) == (2, "", "error: label of vertex 0 is not strictly increasing\n")
+
+    def test_labels_listed_out_of_vertex_order(self, capsys, tmp_path):
+        # read as listed, vertex 0 would get [8, 16] and edge (0,1) would not be mono
+        graph_file = tmp_path / "g.g"
+        graph_file.write_text("p 4 2\ne 0 1\ne 1 2\n")
+        lab_file = tmp_path / "lab.json"
+        lab_file.write_text(
+            '{"vertices": 4, "labels": {"3": [8, 16], "0": [1], "1": [2], "2": [4]}}'
+        )
+        code, out, _ = run(
+            capsys, "verify", "--graph", str(graph_file), "--labeling", str(lab_file)
+        )
+        assert (code, out) == (0, "weak-IASI: ok, mono=2\n")
+
     def test_vertex_collision_reported(self, capsys, tmp_path):
         graph_file = tmp_path / "g.g"
         graph_file.write_text(write_graph(make("path", n=2).graph))
@@ -635,3 +658,31 @@ class TestOneSumSetPass:
         verdict = check_claim(claim_by_id("C13"), point)
         assert (verdict.verdict, verdict.exact) == ("MATCH", 2)
         assert passes == [5, 6]  # the base's certificate, then the subdivision's labeling
+
+
+class TestOneRulePass:
+    """One CLI call checks each labeling by the label rule once, where it
+    enters: certify in the verify_weak that certifies the witness, verify in
+    read_labeling. Neither checks the same labels again."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        original = labels._fault
+
+        def counted(items):
+            calls.append(len(items))
+            return original(items)
+
+        monkeypatch.setattr(labels, "_fault", counted)
+        return calls
+
+    def test_certify_then_verify(self, capsys, tmp_path, passes):
+        out = tmp_path / "w.json"
+        code, _, _ = run(capsys, "certify", "--family", "wheel", "--m", "5", "--out", str(out))
+        assert (code, passes) == (0, [6])
+        passes.clear()
+        code, stdout, _ = run(
+            capsys, "verify", "--family", "wheel", "--m", "5", "--labeling", str(out)
+        )
+        assert (code, stdout, passes) == (0, "weak-IASI: ok, mono=4\n", [6])

@@ -435,14 +435,21 @@ class TestTextFormat:
         assert read_graph("p 3 2\ne 1 2\ne 0 1\n") == graph_from_edges(3, [(0, 1), (1, 2)])
 
     def test_zero_padded_endpoints_read_as_their_canonical_text(self):
-        # "00" and "02" miss the vertex-index table and are parsed
+        # "e 00 02" misses the edge-line table and is split and parsed
         assert read_graph("p 3 1\ne 00 02\n") == read_graph("p 3 1\ne 0 2\n")
 
-    def test_vertex_index_table_is_int_of_each_canonical_spelling(self):
-        table = graphs._VERTEX_INDEX
-        assert len(table) == SOLVE_MAX_VERTICES
-        assert all(type(v) is int and v == int(k) and k == str(v) for k, v in table.items())
-        assert str(SOLVE_MAX_VERTICES) not in table
+    @pytest.mark.parametrize("line", ["e 0  2", " e 0 2", "e 0 2 ", "e\t0 2"])
+    def test_edge_lines_spaced_otherwise_read_as_the_canonical_line(self, line):
+        assert read_graph(f"p 3 1\n{line}\n") == read_graph("p 3 1\ne 0 2\n")
+
+    def test_edge_line_table_maps_each_canonical_line_to_its_shared_edge(self):
+        table = graphs._EDGE_LINES
+        assert len(table) == SOLVE_MAX_VERTICES * (SOLVE_MAX_VERTICES - 1) // 2
+        for line, edge in table.items():
+            u, v = edge
+            assert line == f"e {u} {v}" and type(u) is type(v) is int and 0 <= u < v
+            assert edge is graphs._ROWS[u][v]
+        assert f"e 0 {SOLVE_MAX_VERTICES}" not in table
 
     @pytest.mark.parametrize(
         "text, message",

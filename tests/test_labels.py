@@ -4,7 +4,7 @@ import pytest
 
 from helpers import Small
 from sparing import labels
-from sparing.errors import GraphFormatError, MissingLabel, TooLarge
+from sparing.errors import GraphFormatError, IndexOutOfRange, MissingLabel, TooLarge
 from sparing.families import make
 from sparing.graphs import graph_from_edges
 from sparing.labels import (
@@ -370,6 +370,17 @@ class TestLabelingFile:
     def test_writer_refuses_keys_other_than_every_vertex(self, keys):
         with pytest.raises(MissingLabel, match=r"^labeling keys must be exactly 0\.\.2$"):
             write_labeling(3, {v: (4**v,) for v in keys})
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_writer_refuses_a_vertex_count_that_is_not_an_exact_int(self, n):
+        # True passed the key check of {0: ...} and was written as "vertices": True,
+        # which read_labeling refuses; 2.0 raised a bare TypeError from range
+        with pytest.raises(IndexOutOfRange, match=f"^vertex count {n!r} is not an integer$"):
+            write_labeling(n, {0: (1,), 1: (2,)} if n == 2 else {0: (1,)})
+
+    def test_writer_refuses_a_negative_vertex_count(self):
+        with pytest.raises(IndexOutOfRange, match="^vertex count -1 is negative$"):
+            write_labeling(-1, {})
 
     def test_vertex_count_at_the_cap(self):
         f = {v: (v,) for v in range(64)}

@@ -36,8 +36,8 @@ def outcome(read, text):
 
 # small numbers make headers and edges that parse far enough to reach the
 # later checks (ranges, order, duplicates, the edge count, the vertex cap);
-# the spellings of small integers that are not canonical miss the reader's
-# vertex-index table and take its parse
+# canonical lines such as "e 0 1" are looked up in the reader's edge-line
+# table, and the other spellings of small integers miss it and are parsed
 numbers = st.one_of(
     st.integers(-3, 8).map(str),
     st.sampled_from([63, 64, 65, 10**12]).map(str),
