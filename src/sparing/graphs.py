@@ -35,8 +35,9 @@ _ROWS: list[list[Edge | None]] = [
 
 # The shared edge of every canonical edge line "e <u> <v>" that a graph may
 # have (u < v < SOLVE_MAX_VERTICES, single spaces, canonical int spellings),
-# so that such a line is one lookup; any other line, such as "e 007 9",
-# "e  0 1" or "e 0 64", is split and parsed.
+# so that such a line is one lookup. A line spaced otherwise, such as "e  0 1"
+# or "e\t0\t1 ", is looked up by its fields; endpoints spelled otherwise, such
+# as "e 007 9" or "e 0 64", are parsed.
 _EDGE_LINES: dict[str, Edge] = {
     f"e {u} {v}": _ROWS[u][v] for u in range(SOLVE_MAX_VERTICES)
     for v in range(u + 1, SOLVE_MAX_VERTICES)
@@ -249,18 +250,17 @@ def parse_int(text: str) -> int:
 def read_graph(text: str) -> Graph:
     """The graph a text in the format above describes; raises GraphFormatError.
 
-    Edge lines set adjacency bits as they are read, and count each edge whose
-    bits they set, so the header's count is checked with no pass over the
-    bitsets. A canonical edge line is looked up whole in ``_EDGE_LINES``; any
-    other line is split and its endpoints parsed as the header's numbers are,
-    so every graph and message is the same as without the table."""
+    Edge lines set adjacency bits as they are read. A canonical edge line is
+    looked up whole in ``_EDGE_LINES``; any other line is split, and an edge
+    line's fields are looked up there in their canonical spacing. Endpoints
+    the table lacks, such as "007" or "64", are parsed as the header's numbers
+    are, so every graph and message is the same as without the table."""
     if len(text) > MAX_GRAPH_TEXT:
         raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
     lines = _EDGE_LINES
     n = m = None
     adj: list[int] = []
-    # edges whose bits were set, and edge lines that repeat an edge
-    distinct = repeats = 0
+    repeats = 0
     # edges with an endpoint out of range, kept to find their repeats; the
     # first of them names its vertex once the count and repeats are checked
     outside: set[Edge] = set()
@@ -274,12 +274,14 @@ def read_graph(text: str) -> Graph:
             head = fields[0]
             if head == "e" and len(fields) == 3 and n is not None:
                 # a well-formed edge line; the other edge lines fail below
-                try:
-                    edge = parse_int(fields[1]), parse_int(fields[2])
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-                if edge[0] >= edge[1]:
-                    raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+                edge = lines.get(f"e {fields[1]} {fields[2]}")
+                if edge is None:
+                    try:
+                        edge = parse_int(fields[1]), parse_int(fields[2])
+                    except ValueError:
+                        raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+                    if edge[0] >= edge[1]:
+                        raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
             elif head[0] == "#":
                 if n is not None:
                     raise GraphFormatError(f"line {lineno}: comment after header")
@@ -314,7 +316,6 @@ def read_graph(text: str) -> Graph:
             else:
                 adj[u] |= bit
                 adj[v] |= 1 << u
-                distinct += 1
         elif edge in outside:
             repeats += 1
         else:
@@ -323,7 +324,8 @@ def read_graph(text: str) -> Graph:
                 first_outside = u if u < 0 or u >= n else v
     if n is None or m is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    count = distinct + len(outside) + repeats
+    g = Graph(n, tuple(adj))
+    count = g.edge_count + len(outside) + repeats
     if count != m:
         raise GraphFormatError(f"header promises {m} edges, found {count}")
     if repeats:
@@ -332,4 +334,4 @@ def read_graph(text: str) -> Graph:
         raise GraphFormatError(f"vertex count {n} is negative")
     if first_outside is not None:
         raise GraphFormatError(f"vertex {first_outside} not in 0..{n - 1}")
-    return Graph(n, tuple(adj))
+    return g

@@ -16,12 +16,11 @@ are what the sparing number counts.
 
 For finite sets of integers |A+B| >= |A|+|B|-1 (Nathanson, *Additive Number
 Theory*, 1996, Thm 1.4), so an edge is weak exactly when one endpoint is a
-singleton, and mono exactly when both are. `verify_weak`'s one walk over the
-adjacency bitsets, in canonical edge order, builds each sum set once and
-judges it by the label sizes alone: a singleton shifts the other label, and
-two labels of two or more elements each go through `sumset` and always break
-the weak condition. The edge list is built only when a sum set repeats, to
-name the colliding edge pairs.
+singleton, and mono exactly when both are. `verify_weak`'s one loop over
+the edges builds each sum set once and judges it by the label sizes alone: a
+singleton shifts the other label, and two labels of two or more elements
+each go through `sumset` and always break the weak condition. Edge pairs are
+grouped only when a sum set repeats.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from operator import lt
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError, IndexOutOfRange, MissingLabel, TooLarge
-from .graphs import _ROWS, SOLVE_MAX_VERTICES, Edge, Graph
+from .graphs import SOLVE_MAX_VERTICES, Edge, Graph
 
 Label = tuple[int, ...]
 Labeling = dict[int, Label]
@@ -141,17 +140,19 @@ def _labels(g: Graph, f: Mapping[int, Label]) -> list[Label]:
     return labels
 
 
-def _edge_sums(g: Graph, labels: list[Label]) -> tuple[list[Label], list[Edge], list[Edge]]:
-    """The sum sets of the edges of ``g`` in canonical order, the mono edges
-    and the edges that break the weak condition, from one walk over the
-    adjacency bitsets, u ascending, then v above u. ``labels`` are labels,
-    one per vertex in order. Raises TooLarge, before any sum set is built, if
-    the edges need more than ``MAX_SUM_PAIRS`` pairs of label elements in all."""
-    sizes = list(map(len, labels))
-    n = g.n
+def _edge_sums(
+    g: Graph, labels: list[Label]
+) -> tuple[list[Edge], list[Label], list[Edge], list[Edge]]:
+    """The edges of ``g``, their sum sets in edge order, the mono edges and
+    the edges that break the weak condition, from one loop over the edges.
+    ``labels`` are labels, one per vertex in order. Raises TooLarge, before
+    any sum set is built, if the edges need more than ``MAX_SUM_PAIRS`` pairs
+    of label elements in all."""
+    sizes = [len(lab) for lab in labels]
+    edges = g.edges()
     # the exact count is needed only when the largest labels could pass the cap
-    if max(sizes, default=0) ** 2 * (n * (n - 1) // 2) > MAX_SUM_PAIRS:
-        pairs = sum(sizes[u] * sizes[v] for u, v in g.edges())
+    if max(sizes, default=0) ** 2 * len(edges) > MAX_SUM_PAIRS:
+        pairs = sum(sizes[u] * sizes[v] for u, v in edges)
         if pairs > MAX_SUM_PAIRS:
             raise TooLarge(
                 f"the sum sets need {pairs} pairs of label elements; "
@@ -160,41 +161,35 @@ def _edge_sums(g: Graph, labels: list[Label]) -> tuple[list[Label], list[Edge], 
     sums: list[Label] = []
     mono: list[Edge] = []
     wrong: list[Edge] = []
-    # a graph of at most 64 vertices names its edges by the shared tuples
-    shared = n <= SOLVE_MAX_VERTICES
-    for u, bits in enumerate(g._adj):
-        above = bits >> u + 1 << u + 1
-        row = _ROWS[u] if shared else None
-        a = labels[u]
+    # mono and wrong hold the edge list's own tuples, which graphs of at most
+    # 64 vertices share
+    for e in edges:
+        u, v = e
+        a, b = labels[u], labels[v]
         # a singleton shifts the other label, which keeps its size
-        single, x = sizes[u] == 1, a[0]
-        while above:
-            vbit = above & -above
-            above ^= vbit
-            v = vbit.bit_length() - 1
-            b = labels[v]
-            if single:
-                if sizes[v] == 1:
-                    sums.append((x + b[0],))
-                    mono.append(row[v] if shared else (u, v))
-                else:
-                    sums.append(tuple([x + y for y in b]))
-            elif sizes[v] == 1:
-                y = b[0]
-                sums.append(tuple([z + y for z in a]))
+        if sizes[u] == 1:
+            x = a[0]
+            if sizes[v] == 1:
+                sums.append((x + b[0],))
+                mono.append(e)
             else:
-                # |A+B| >= |A| + |B| - 1 > max(|A|, |B|)
-                sums.append(sumset(a, b))
-                wrong.append(row[v] if shared else (u, v))
-    return sums, mono, wrong
+                sums.append(tuple([x + y for y in b]))
+        elif sizes[v] == 1:
+            x = b[0]
+            sums.append(tuple([y + x for y in a]))
+        else:
+            # |A+B| >= |A| + |B| - 1 > max(|A|, |B|)
+            sums.append(sumset(a, b))
+            wrong.append(e)
+    return edges, sums, mono, wrong
 
 
 def induced_edge_labels(g: Graph, f: Mapping[int, Label]) -> dict[Edge, Label]:
     """The sum set of the endpoint labels for each edge, keyed by canonical
     edge; raises as `verify_weak` does, and TooLarge, before any sum set is
     built, if the edges need more than ``MAX_SUM_PAIRS`` pairs of elements."""
-    sums, _, _ = _edge_sums(g, _labels(g, f))
-    return dict(zip(g.edges(), sums))
+    edges, sums, _, _ = _edge_sums(g, _labels(g, f))
+    return dict(zip(edges, sums))
 
 
 def _collisions(kind: FailureKind, labeled: Iterable[tuple[object, Label]]) -> list[Failure]:
@@ -233,13 +228,13 @@ def verify_weak(g: Graph, f: Mapping[int, Label]) -> Verdict:
 def _verdict(g: Graph, labels: list[Label]) -> Verdict:
     """`verify_weak`'s verdict on ``labels``, one label per vertex in order,
     which the caller has checked by the label rule."""
-    sums, mono, wrong = _edge_sums(g, labels)
+    edges, sums, mono, wrong = _edge_sums(g, labels)
     failures = []
     # pairs are listed only where a label repeats; with none, the list is empty
     if len(set(labels)) < g.n:
         failures += _collisions(FailureKind.VERTEX_COLLISION, enumerate(labels))
     if len(set(sums)) < len(sums):
-        failures += _collisions(FailureKind.EDGE_COLLISION, zip(g.edges(), sums))
+        failures += _collisions(FailureKind.EDGE_COLLISION, zip(edges, sums))
     failures += [Failure(FailureKind.WEAK_CONDITION_VIOLATED, (e,)) for e in wrong]
     return Verdict(tuple(failures), tuple(mono))
 

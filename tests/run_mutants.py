@@ -94,13 +94,11 @@ MUTANTS = [
      "                known = best_set\n",
      "                continue\n"),
     ("the singleton-singleton branch's mono edge", LABELS,
-     "                    mono.append(row[v] if shared else (u, v))\n", ""),
+     "                sums.append((x + b[0],))\n                mono.append(e)\n",
+     "                sums.append((x + b[0],))\n"),
     ("the two-non-singleton edge not marked wrong", LABELS,
-     "                wrong.append(row[v] if shared else (u, v))\n", ""),
-    ("the edge walk taking the neighbors at and below u", LABELS,
-     "above = bits >> u + 1 << u + 1", "above = bits"),
-    ("the edge walk's fresh tuples over 64 vertices", LABELS,
-     "shared = n <= SOLVE_MAX_VERTICES", "shared = True"),
+     "            sums.append(sumset(a, b))\n            wrong.append(e)\n",
+     "            sums.append(sumset(a, b))\n"),
     ("verify_weak's edge-collision test", LABELS,
      "if len(set(sums)) < len(sums):", "if False:"),
     ("the verify route with read_labeling's rule check skipped", LABELS,
@@ -110,9 +108,6 @@ MUTANTS = [
     ("read_graph's repeated-bit test", GRAPHS,
      "            if adj[u] & bit:\n                repeats += 1\n",
      "            if False:\n                repeats += 1\n"),
-    ("read_graph's running count taking a repeated edge as new", GRAPHS,
-     "                repeats += 1\n            else:\n",
-     "                repeats += 1\n                distinct += 1\n            else:\n"),
     ("read_graph's out-of-range vertex named", GRAPHS,
      "first_outside = u if u < 0 or u >= n else v", "first_outside = u if u < 0 else v"),
     ("construct_witness's mask independence test dropped", SOLVER,
@@ -125,6 +120,8 @@ MUTANTS = [
     ("an edge-line table entry", GRAPHS,
      "    for v in range(u + 1, SOLVE_MAX_VERTICES)\n}\n",
      "    for v in range(u + 1, SOLVE_MAX_VERTICES)\n}\n_EDGE_LINES[\"e 0 5\"] = (0, 6)\n"),
+    ("a split edge line looked up with its endpoints swapped", GRAPHS,
+     'lines.get(f"e {fields[1]} {fields[2]}")', 'lines.get(f"e {fields[2]} {fields[1]}")'),
     ("the edge-line table read before the header", GRAPHS,
      "if edge is None or n is None:", "if edge is None:"),
     ("the shared edge table's diagonal", GRAPHS,
