@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
+from .errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop, TooLarge
 
 Edge = tuple[int, int]
 
@@ -231,6 +231,12 @@ def triangles_through(g: Graph, v: int) -> int:
 
 
 def write_graph(g: Graph) -> str:
+    """The text of ``g`` in the format above. Raises TooLarge for a graph of
+    more than 64 vertices, which `read_graph` refuses, before it lists an edge."""
+    if g.n > SOLVE_MAX_VERTICES:
+        raise TooLarge(
+            f"graph has {g.n} vertices; graph files are limited to {SOLVE_MAX_VERTICES}"
+        )
     lines = [f"p {g.n} {g.edge_count}"]
     lines.extend(f"e {u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
@@ -250,21 +256,18 @@ def parse_int(text: str) -> int:
 def read_graph(text: str) -> Graph:
     """The graph a text in the format above describes; raises GraphFormatError.
 
-    Edge lines set adjacency bits as they are read. A canonical edge line is
-    looked up whole in ``_EDGE_LINES``; any other line is split, and an edge
-    line's fields are looked up there in their canonical spacing. Endpoints
-    the table lacks, such as "007" or "64", are parsed as the header's numbers
-    are, so every graph and message is the same as without the table."""
+    Edge lines set adjacency bits as read: a canonical line is looked up whole
+    in ``_EDGE_LINES``, any other is split and its fields looked up there in
+    canonical spacing, and endpoints the table lacks ("007", "64") are parsed
+    as the header's numbers are. After the edge count and repeats are checked,
+    `graph_from_edges` words a negative count or an endpoint out of range."""
     if len(text) > MAX_GRAPH_TEXT:
         raise GraphFormatError(f"graph text is longer than {MAX_GRAPH_TEXT} characters")
     lines = _EDGE_LINES
     n = m = None
     adj: list[int] = []
     repeats = 0
-    # edges with an endpoint out of range, kept to find their repeats; the
-    # first of them names its vertex once the count and repeats are checked
-    outside: set[Edge] = set()
-    first_outside = None
+    outside: list[Edge] = []  # edges with an endpoint out of range, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         edge = lines.get(raw)
         if edge is None or n is None:
@@ -316,22 +319,20 @@ def read_graph(text: str) -> Graph:
             else:
                 adj[u] |= bit
                 adj[v] |= 1 << u
-        elif edge in outside:
-            repeats += 1
         else:
-            outside.add(edge)
-            if first_outside is None:
-                first_outside = u if u < 0 or u >= n else v
-    if n is None or m is None:
+            outside.append(edge)
+    if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
     g = Graph(n, tuple(adj))
-    count = g.edge_count + len(outside) + repeats
+    count = g.edge_count + repeats + len(outside)
     if count != m:
         raise GraphFormatError(f"header promises {m} edges, found {count}")
-    if repeats:
+    if repeats or len(set(outside)) < len(outside):
         raise GraphFormatError("duplicate edge")
-    if n < 0:
-        raise GraphFormatError(f"vertex count {n} is negative")
-    if first_outside is not None:
-        raise GraphFormatError(f"vertex {first_outside} not in 0..{n - 1}")
+    if n < 0 or outside:
+        # graph_from_edges words the count and endpoint rules, so they are stated once
+        try:
+            graph_from_edges(n, outside)
+        except IndexOutOfRange as exc:
+            raise GraphFormatError(str(exc)) from None
     return g

@@ -251,13 +251,18 @@ def mono_edges(g: Graph, f: Mapping[int, Label]) -> list[Edge]:
 
 def write_labeling(n: int, f: Mapping[int, Label]) -> str:
     """The canonical text of ``f``. Raises IndexOutOfRange unless ``n`` is an
-    exact int of at least 0, MissingLabel unless the keys of ``f`` are exactly
-    0..n-1, and ValueError naming the first vertex whose label breaks the
-    label rule, so that `read_labeling` takes back every text written."""
+    exact int of at least 0, TooLarge if it is over 64 (before ``f`` is
+    read), MissingLabel unless the keys of ``f`` are exactly 0..n-1, and
+    ValueError naming the first vertex whose label breaks the label rule, so
+    that `read_labeling` takes back every text written."""
     if type(n) is not int:
         raise IndexOutOfRange(f"vertex count {n!r} is not an integer")
     if n < 0:
         raise IndexOutOfRange(f"vertex count {n} is negative")
+    if n > SOLVE_MAX_VERTICES:
+        raise TooLarge(
+            f"labeling has {n} vertices; labeling files are limited to {SOLVE_MAX_VERTICES}"
+        )
     if set(f) != set(range(n)):
         raise MissingLabel(f"labeling keys must be exactly 0..{n - 1}")
     labels = [f[v] for v in range(n)]

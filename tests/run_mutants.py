@@ -105,11 +105,17 @@ MUTANTS = [
      "    _check_labels(values, labels, GraphFormatError, _FILE_REASONS)\n", ""),
     ("write_labeling's vertex-count type test", LABELS,
      "    if type(n) is not int:\n        raise IndexOutOfRange", "    if False:\n        raise IndexOutOfRange"),
+    ("write_labeling's vertex cap dropped", LABELS,
+     "if n > SOLVE_MAX_VERTICES:\n        raise TooLarge(", "if False:\n        raise TooLarge("),
     ("read_graph's repeated-bit test", GRAPHS,
      "            if adj[u] & bit:\n                repeats += 1\n",
      "            if False:\n                repeats += 1\n"),
-    ("read_graph's out-of-range vertex named", GRAPHS,
-     "first_outside = u if u < 0 or u >= n else v", "first_outside = u if u < 0 else v"),
+    ("read_graph dropping an edge out of range", GRAPHS,
+     "if n < 0 or outside:", "if n < 0:"),
+    ("read_graph's repeat test on edges out of range", GRAPHS,
+     "if repeats or len(set(outside)) < len(outside):", "if repeats:"),
+    ("write_graph's vertex cap dropped", GRAPHS,
+     "if g.n > SOLVE_MAX_VERTICES:", "if False:"),
     ("construct_witness's mask independence test dropped", SOLVER,
      "if any(g._adj[v] & chosen for v in independent):", "if False:"),
     ("construct_witness's labels", SOLVER,

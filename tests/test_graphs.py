@@ -9,7 +9,7 @@ import pytest
 
 from helpers import Small, disjoint_union, validate
 from sparing import graphs
-from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop
+from sparing.errors import EdgeNotFound, GraphFormatError, IndexOutOfRange, SelfLoop, TooLarge
 from sparing.families import make, random_graph
 from sparing.graphs import (
     MAX_GRAPH_TEXT,
@@ -405,6 +405,12 @@ class TestTextFormat:
             assert read_graph(text) == g
             assert write_graph(read_graph(text)) == text
 
+    def test_writer_refuses_a_graph_over_the_vertex_cap(self):
+        # the shadow of C40 has 80 vertices, which read_graph would refuse
+        err = "^graph has 80 vertices; graph files are limited to 64$"
+        with pytest.raises(TooLarge, match=err):
+            write_graph(shadow(cycle(40)))
+
     def test_header_at_the_vertex_cap(self):
         assert read_graph(f"p {SOLVE_MAX_VERTICES} 0\n") == graph_from_edges(SOLVE_MAX_VERTICES, [])
 
@@ -475,6 +481,14 @@ class TestTextFormat:
             ("p 2 1\ne 0 5\n", "vertex 5 not in 0..1"),
             ("p 2 1\ne -1 1\n", "vertex -1 not in 0..1"),
             ("p 2 1\ne x 1\ne 1 0\n", "line 2: non-integer endpoint"),  # the first bad line
+            # after the count and the repeats, graph_from_edges words a bad
+            # count or names the first endpoint out of range in file order
+            ("p -1 1\ne 0 1\n", "vertex count -1 is negative"),
+            ("p -1 0\n", "vertex count -1 is negative"),
+            ("p 3 2\ne 0 5\ne 0 5\n", "duplicate edge"),
+            ("p 3 2\ne 1 7\ne 0 5\n", "vertex 7 not in 0..2"),
+            ("p 3 3\ne 0 5\ne 0 1\ne 0 1\n", "duplicate edge"),
+            ("p 0 1\ne 0 1\n", "vertex 0 not in 0..-1"),
         ],
     )
     def test_error_messages(self, text, message):

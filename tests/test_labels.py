@@ -1,4 +1,5 @@
 import re
+from collections.abc import Mapping
 
 import pytest
 
@@ -385,6 +386,19 @@ class TestLabelingFile:
     def test_vertex_count_at_the_cap(self):
         f = {v: (v,) for v in range(64)}
         assert read_labeling(write_labeling(64, f)) == (64, f)
+
+    @pytest.mark.parametrize("n", [65, 10**12])
+    def test_writer_refuses_a_vertex_count_over_the_cap_before_reading_the_labels(self, n):
+        # read_labeling refuses such a file; the mapping is never read
+        class Unread(Mapping):
+            def _read(self, *args):
+                raise AssertionError("the labels were read")
+
+            __getitem__ = __iter__ = __len__ = _read
+
+        err = f"^labeling has {n} vertices; labeling files are limited to 64$"
+        with pytest.raises(TooLarge, match=err):
+            write_labeling(n, Unread())
 
     def test_extra_keys(self):
         with pytest.raises(GraphFormatError):
