@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -135,10 +136,11 @@ def _family_spec(args, ranged: bool = False) -> Iterator[FamilySpec]:
 
 
 def _load_graph(args) -> Graph:
-    if args.graph:
+    # an empty name is a given one, refused by the reader or the family lookup
+    if args.graph is not None:
         _refuse_unread(args, "--graph", ())
         return read_graph(_read(args.graph, MAX_GRAPH_TEXT))
-    if args.family:
+    if args.family is not None:
         (spec,) = _family_spec(args)
         return generate(spec).graph
     raise InputError("provide a graph via --graph FILE or --family NAME")
@@ -301,7 +303,7 @@ def _claim_points(claim, args) -> Iterator[dict]:
     if "base" in claim.param_order:
         # the base family refuses the parameter flags it does not read
         _refuse_unread(args, owner, ("family", *_PARAM_FLAGS, *claim.param_order))
-        if not args.family:
+        if args.family is None:
             raise InputError(f"{claim.id} requires --family for the base graph")
         values = {
             "base": _family_spec(args, ranged=True),
@@ -351,7 +353,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    out_dir = Path(args.out_dir)
     count, seed = _parse_int(args.count, "count"), _parse_int(args.seed, "seed")
     sizes = _parse_range(args.n, "n")
     if sizes[-1] > SOLVE_MAX_VERTICES:
@@ -363,6 +364,11 @@ def cmd_corpus(args) -> int:
         raise InputError("--count must be >= 0")
     if not 0.0 <= args.density <= 1.0:
         raise InputError("--density must be in [0, 1]")
+    if not args.out_dir:
+        # Path("") is the working directory; refuse the empty name as `_write` does
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out_dir)
+        raise InputError(f"cannot write {args.out_dir}: {missing}")
+    out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -390,10 +396,62 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     _add_family_flags(sub)
 
 
+class _Command:
+    """A command's sub-parser and the table `_plain_args` reads, taken from
+    the sub-parser's own actions: ``flags`` maps the option string of each
+    store action with one untyped value to its dest and choices, ``defaults``
+    is the namespace before any flag (the action defaults, then the
+    set_defaults), and ``required`` holds the dests that must be given."""
+
+    def __init__(self, sub: argparse.ArgumentParser) -> None:
+        self.parser, self.flags, self.defaults = sub, {}, {}
+        for action in sub._actions:
+            if type(action) is argparse._StoreAction and action.nargs is None and action.type is None:
+                for option in action.option_strings:
+                    self.flags[option] = (action.dest, action.choices)
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                self.defaults.setdefault(action.dest, action.default)
+        for dest, value in sub._defaults.items():
+            self.defaults.setdefault(dest, value)
+        self.required = frozenset(action.dest for action in sub._actions if action.required)
+
+
+def _plain_args(command: _Command, argv: list) -> argparse.Namespace | None:
+    """The namespace ``command.parser`` returns for ``argv`` when ``argv`` is
+    plain, else None.
+
+    ``argv`` is plain when it is ``--flag value`` pairs of str, each flag an
+    option string of the table, each action given at most once, no value
+    starting with "-", each value among its action's choices where it has
+    them, and every required action given. Every other argv (help, "--",
+    "--flag=value", an abbreviation, a repeat, a bad choice, a missing flag, a
+    typed flag) is argparse's to parse, print and refuse."""
+    if len(argv) % 2:
+        return None
+    flags, given = command.flags, {}
+    for flag, value in zip(argv[::2], argv[1::2]):
+        if type(flag) is not str or type(value) is not str:
+            return None
+        entry = flags.get(flag)
+        if entry is None or value.startswith("-"):
+            return None
+        dest, choices = entry
+        if dest in given:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    if not command.required <= given.keys():
+        return None
+    args = argparse.Namespace()
+    vars(args).update(command.defaults, **given)
+    return args
+
+
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its command sub-parsers, by command name, built
-    on ``main``'s first call: parsing leaves them unchanged, and building them
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The top-level parser and its commands, by command name, built on
+    ``main``'s first call: parsing leaves them unchanged, and building them
     costs more than most calls they serve."""
     parser = argparse.ArgumentParser(
         prog="sparing",
@@ -437,15 +495,18 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     corpus.add_argument("--out-dir", required=True)
     corpus.set_defaults(func=cmd_corpus, parser=corpus)
 
-    return parser, subparsers.choices
+    return parser, {name: _Command(sub) for name, sub in subparsers.choices.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
     When ``argv[0]`` names a command, or is ``--`` followed by a command name,
-    the rest goes to that command's sub-parser. Every other argv goes to the
-    top-level parser, which only prints help and errors."""
+    the rest is read by that command: a plain rest, only ``--flag value``
+    pairs (see `_plain_args`), becomes the namespace its sub-parser would
+    return, and any other rest goes to the sub-parser itself. Every other argv
+    goes to the top-level parser, which only prints help and errors. All
+    usage, help and error text comes from argparse."""
     parser, commands = _parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -455,7 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     if command is None:
         args, extras = parser.parse_known_args(argv)
     else:
-        args, extras = command.parse_known_args(argv[1:])
+        args, extras = _plain_args(command, argv[1:]), []
+        if args is None:
+            args, extras = command.parser.parse_known_args(argv[1:])
     if extras:
         # the chosen command's usage lists the flags it does take
         args.parser.print_usage(sys.stderr)

@@ -173,8 +173,18 @@ MUTANTS = [
     ("_read's newline translation", CLI,
      r'.replace("\r\n", "\n").replace("\r", "\n")', ""),
     ("the direct route's extras", CLI,
-     "args, extras = command.parse_known_args(argv[1:])",
-     "args, extras = command.parse_known_args(argv[1:])[0], []"),
+     "args, extras = command.parser.parse_known_args(argv[1:])",
+     "args, extras = command.parser.parse_known_args(argv[1:])[0], []"),
+    ("the plain reader taking a repeated flag", CLI,
+     "        if dest in given:\n            return None\n", ""),
+    ("the plain reader taking a \"-\"-leading value", CLI,
+     'if entry is None or value.startswith("-"):', "if entry is None:"),
+    ("the plain reader's choices unchecked", CLI,
+     "if choices is not None and value not in choices:", "if False:"),
+    ("the plain reader's required flags unchecked", CLI,
+     "if not command.required <= given.keys():", "if False:"),
+    ("an empty --graph taken for absent", CLI,
+     "if args.graph is not None:", "if args.graph:"),
     ("main's leading -- before a command", CLI,
      "        argv = argv[1:]\n", "        pass\n"),
     ("the top point's count checked below a least value", CLI,

@@ -297,12 +297,19 @@ class TestFiles:
                 ["--count", "4", "--n=-3..-1", "--seed", "5"],
                 "error: random_graph requires n >= 0\n",
             ),
+            # Path("") is the working directory, which an empty name must not write to
+            (
+                ["--count", "1", "--out-dir", ""],
+                "error: cannot write : [Errno 2] No such file or directory: ''\n",
+            ),
         ],
     )
-    def test_corpus_input_refused_before_writing(self, capsys, tmp_path, flags, err):
-        out_dir = tmp_path / "corpus"
-        assert run(capsys, "corpus", *flags, "--out-dir", str(out_dir)) == (2, "", err)
-        assert not out_dir.exists()
+    def test_corpus_input_refused_before_writing(self, capsys, tmp_path, monkeypatch, flags, err):
+        monkeypatch.chdir(tmp_path)
+        if "--out-dir" not in flags:
+            flags = [*flags, "--out-dir", "corpus"]
+        assert run(capsys, "corpus", *flags) == (2, "", err)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv,data,position",

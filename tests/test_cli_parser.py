@@ -4,14 +4,26 @@ Successive calls on the shared parsers must print the same bytes and return
 the same exit codes as calls that each build a fresh parser, across
 subcommands and after an argparse error has ended a call with SystemExit.
 An argv whose first item names a command, or is ``--`` before a command
-name, goes straight to that command's sub-parser; it must print and return
-what the top-level parser's route does, and a leading ``--`` must change
-nothing, whatever the Python version's argparse does with it.
+name, goes straight to that command; it must print and return what the
+top-level parser's route does, and a leading ``--`` must change nothing,
+whatever the Python version's argparse does with it.
+
+A command's plain argv, exact ``--flag value`` pairs of its untyped store
+actions with every required flag given, is read by `cli._plain_args` without
+argparse; every other argv (help, ``--``, ``--flag=value``, abbreviations,
+repeats, ``-``-leading values, bad choices, missing flags, ``corpus
+--density``) goes to the command's sub-parser, so all text still comes from
+argparse. Whenever the plain reader accepts an argv, the sub-parser must
+return the same namespace, with no extras and no SystemExit.
 """
 
+import contextlib
+import io
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparing import claims, cli, solver
 
@@ -166,3 +178,97 @@ def test_other_argvs_keep_the_top_level_parser(capsys, frozen_clock, monkeypatch
         assert out.startswith("usage: sparing [-h] {solve,certify,verify,check,corpus}")
     else:
         assert (code, out) == (2, "")
+
+
+def parsed(command, argv):
+    """``vars`` of the namespace and the extras that ``command``'s sub-parser
+    returns for ``argv``, or its SystemExit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extras = command.parser.parse_known_args(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+    return vars(args), extras
+
+
+# values that argparse reads in different ways: empty, spaced, full-width,
+# every choice word, and "-"-leading ones, among them an option string
+WORDS = ("5", "3..4", "C1", "", "a b", "\uff11", "x=y", "text", "json", "csv", "fresh",
+         "induced", "both", "yaml")
+DASHED = ("-", "-5..2", "-5", "--graph", "--")
+
+
+@st.composite
+def drawn_argvs(draw):
+    """A command name and an argv for it: ``--flag value`` pairs, mostly with
+    the required flag, where one token is sometimes replaced or inserted: a
+    "-"-leading value, a help flag, a prefix of an option string, an ``=``
+    form, a flag given again or a stray word."""
+    commands = cli._parser()[1]
+    name = draw(st.sampled_from(sorted(commands)))
+    sub = commands[name].parser
+    options = st.sampled_from(sorted(sub._option_string_actions))
+    words = st.sampled_from(WORDS)
+    flags = st.sampled_from(sorted(set(sub._option_string_actions) - {"-h", "--help"}))
+    argv = []
+    for flag in draw(st.lists(flags, max_size=5, unique=True)):
+        choices = sub._option_string_actions[flag].choices
+        argv += [flag, draw(st.sampled_from(choices) | words if choices else words)]
+    required = [action.option_strings[0] for action in sub._actions if action.required]
+    if required and required[0] not in argv and draw(st.integers(0, 3)):
+        argv[:0] = [required[0], draw(words)]
+    if draw(st.integers(0, 2)) == 2:
+        token = draw(st.one_of(
+            st.sampled_from(DASHED),
+            options,
+            st.builds(lambda option, size: option[:size], options, st.integers(1, 8)),
+            st.builds("{}={}".format, options, words),
+            st.sampled_from(("-h", "--bogus", "stray")),
+        ))
+        where = draw(st.integers(0, len(argv)))
+        if where < len(argv) and draw(st.booleans()):
+            argv[where] = token
+        else:
+            argv.insert(where, token)
+    return name, argv
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(drawn_argvs())
+def test_a_plain_argv_parses_as_its_sub_parser_parses_it(case):
+    name, argv = case
+    command = cli._parser()[1][name]
+    args = cli._plain_args(command, argv)
+    if args is not None:
+        assert parsed(command, argv) == (vars(args), [])
+
+
+@pytest.mark.parametrize(
+    "argv,plain",
+    [
+        (["solve", "--family", "cycle", "--n", "9"], True),
+        (["solve", "--graph", "", "--family", "cycle", "--n", "5"], True),
+        (["certify", "--out", "w.json", "--graph", "g.g", "--format", "json"], True),
+        (["verify", "--labeling", "a b", "--graph", "\uff11"], True),
+        (["check", "--claim", "C13", "--family", "cycle", "--n", "5", "--mode", "fresh"], True),
+        (["corpus", "--count", "1", "--out-dir", ""], True),
+        (["solve", "--fam", "cycle", "--n", "9"], False),  # an abbreviation
+        (["solve", "--family=cycle", "--n", "9"], False),
+        (["solve", "--family", "cycle", "--n", "7", "--n", "9"], False),  # a repeat
+        (["check", "--claim", "C1", "--n", "-5..2"], False),  # a "-"-leading value
+        (["solve", "--family", "cycle", "--n", "-5"], False),
+        (["solve", "--family", "cycle", "--n", "9", "--format", "xml"], False),
+        (["certify", "--family", "cycle", "--n", "9"], False),  # --out is required
+        (["corpus", "--density", "0.5", "--out-dir", "c"], False),  # a float-typed flag
+        (["solve", "--family", "cycle", "--n", 9], False),  # a token that is not a str
+        (["solve", "--family", "cycle", "--n"], False),
+        (["solve", "-h"], False),
+        (["solve", "--", "--family", "cycle"], False),
+    ],
+)
+def test_the_plain_reader_takes_only_plain_argvs(argv, plain):
+    command = cli._parser()[1][argv[0]]
+    args = cli._plain_args(command, argv[1:])
+    assert (args is not None) == plain
+    if plain:
+        assert parsed(command, argv[1:]) == (vars(args), [])

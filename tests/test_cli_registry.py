@@ -191,6 +191,20 @@ class TestInputErrors:
                 ["check", "--claim", "C3", "--parts", "3,,4"],
                 "error: claim C3 requires --parts with 2 sizes\n",
             ),
+            # an empty --graph or --family is given, never taken for absent
+            (
+                ["solve", "--graph", "", "--family", "cycle", "--n", "5"],
+                "error: --graph takes no --family\n",
+            ),
+            (
+                ["verify", "--graph", "", "--labeling", "w.json"],
+                "error: cannot read : [Errno 2] No such file or directory: ''\n",
+            ),
+            (["solve", "--family", ""], f"error: unknown family '' (choose from {CLI_FAMILIES})\n"),
+            (
+                ["check", "--claim", "C12", "--family", "", "--n", "3"],
+                f"error: unknown family '' (choose from {CLI_FAMILIES})\n",
+            ),
         ],
     )
     def test_message(self, capsys, argv, err):
